@@ -10,11 +10,15 @@
 //   count(whole) = prod_i count(component_i) * count(residual)
 //
 // where the residual instance consists of one representative stand tree per
-// component (DESIGN.md "Decomposition" derives the law; the residual count
-// is the interleaving factor M = (2n-5)!! / prod_i (2n_i-5)!!, a quantity
-// that provably depends only on the component sizes, never on the
-// representative topologies). The analyzer below computes the partition;
-// sharded.hpp turns it into runnable shards.
+// component (DESIGN.md "Decomposition"). The law, and the closed form
+// M = (2n-5)!! / prod_i (2n_i-5)!! for the residual count, are guaranteed
+// only when every enumerable component has <= 5 taxa: every binary tree on
+// <= 5 taxa has the same shape, so the residual count cannot depend on
+// which representatives were fixed. From 6 taxa on it can, and then the
+// product is not the stand size (two 6-taxon blocks: 1,473,675 sharded against
+// 1,484,939 monolithic; 19!!/(7!!)^2 is not even an integer). The
+// per-component counts stay exact. The analyzer below computes the
+// partition; sharded.hpp turns it into runnable shards.
 //
 // Components are reported in canonical order — ascending smallest taxon id
 // — so every consumer (sharded drivers, golden traces, benchmarks) sees the

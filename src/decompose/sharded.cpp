@@ -178,7 +178,8 @@ void stream_cross_product(
     Result r = core::run_serial(tuple, tuple_opts);
     // Shape independence of the interleaving count: every tuple instance
     // has the residual instance's count (the residual *is* the canonical
-    // representatives' tuple).
+    // representatives' tuple). This is guaranteed only for components of
+    // <= 5 taxa; from 6 taxa on tuples of other shapes can have other counts.
     GENTRIUS_DCHECK(r.reason != StopReason::kCompleted ||
                     out.reason != StopReason::kCompleted ||
                     r.stand_trees == residual_count);

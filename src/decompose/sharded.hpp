@@ -7,16 +7,21 @@
 //                  stand(C_i), of stand({t_1..t_k} + vacuous constraints)
 //   count(whole) = prod_i count(C_i) * M
 //
-// where M — the interleaving count, the number of trees on the whole
-// universe displaying one fixed tree per component — depends only on the
-// component *sizes* (M = (2n-5)!! / prod_i (2n_i-5)!!), never on which
-// stand trees were fixed. The sharded driver therefore runs k component
-// shards plus one *canonical residual shard* — the instance whose
-// constraints are one canonical representative stand tree per component —
-// through the existing engine, multiplies the counts (saturating), and,
-// when trees are collected, streams the cross product: every tuple of
-// component stand trees is itself a tiny Gentrius instance whose stand is
-// enumerated and emitted.
+// where M is the interleaving count, the number of trees on the whole
+// universe displaying one fixed tree per component. The product form
+// assumes M does not depend on which stand trees were fixed, and then
+// M = (2n-5)!! / prod_i (2n_i-5)!!. That is guaranteed only when every
+// enumerable component has <= 5 taxa, because every binary tree on <= 5
+// taxa has the same shape. From 6 taxa on M can depend on the fixed trees'
+// shapes, so the whole-instance count below is not exact (two 6-taxon
+// blocks: 1,473,675 sharded against 1,484,939 monolithic), while each
+// component shard's count is. The stand union above holds at any size. The
+// sharded driver runs k component shards plus one *canonical residual
+// shard* — the instance whose constraints are one canonical representative
+// stand tree per component — through the existing engine, multiplies the
+// counts (saturating), and, when trees are collected, streams the cross
+// product: every tuple of component stand trees is itself a tiny Gentrius
+// instance whose stand is enumerated and emitted.
 //
 // The representative of a component is the first stand tree of a canonical
 // serial probe run (default Options, collect one tree) — a deterministic
@@ -80,12 +85,14 @@ struct ShardRunOptions {
   vthread::CostModel costs;  ///< virtual backend only
   /// Compute the residual shard's interleaving count in closed form,
   ///   M = (2n-5)!! / prod_i (2n_i-5)!!
-  /// (shape independence; DESIGN.md "Decomposition"), instead of
-  /// enumerating the residual instance. Exact — the product-law suite
-  /// proves the identity against enumeration — but applied only when every
-  /// component is enumerable; instances with pass-through constraints fall
-  /// back to enumeration. Off by default: the enumerated residual run (and
-  /// its golden trace lines) is part of the paper-faithful output. This is
+  /// (DESIGN.md "Decomposition"), instead of enumerating the residual
+  /// instance. Equal to the enumerated residual when every component has
+  /// <= 5 taxa (the product-law suite checks it against enumeration there);
+  /// from 6 taxa on the interleaving count varies with the representatives'
+  /// shapes, so neither value makes the product exact. Applied only when
+  /// every component is enumerable; instances with pass-through constraints
+  /// fall back to enumeration. Off by default: the enumerated residual run
+  /// (and its golden trace lines) is part of the paper-faithful output. This is
   /// what makes instances with many components tractable at all: M grows
   /// double-factorially with the universe and dwarfs every component shard.
   bool residual_closed_form = false;

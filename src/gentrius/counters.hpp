@@ -92,8 +92,14 @@ class CounterSink {
     // stop_requested() returns true, whose acquire orders this write
     reason_.compare_exchange_strong(expected, static_cast<int>(why),
                                     std::memory_order_relaxed);
-    // order: release pairs with stop_requested()'s acquire, making the
-    // reason_ write above visible to anyone who observed the stop
+    halt();
+  }
+
+  /// Stops the run without naming a stopping rule: a worker failed, and
+  /// the driver rethrows its exception instead of returning a Result.
+  void halt() {
+    // order: release pairs with stop_requested()'s acquire, making a
+    // preceding reason_ write visible to anyone who observed the stop
     stop_.store(true, std::memory_order_release);
     // order: pairs with set_stop_waker's release so the waker object is
     // fully constructed here; unpark happens *after* the flag store so a
@@ -166,14 +172,17 @@ class LocalCounters {
         time_check_period_(time_check_period ? time_check_period : 1) {}
 
   void count_stand_tree() {
+    ++counted_;
     if (++trees_ >= tree_batch_) flush_trees();
   }
 
   void count_state() {
+    ++counted_;
     if (++states_ >= state_batch_) flush_states();
   }
 
   void count_dead_end() {
+    ++counted_;
     if (++dead_ends_ >= dead_end_batch_) flush_dead_ends();
   }
 
@@ -187,6 +196,10 @@ class LocalCounters {
   /// Number of sink publications so far (the contention-model input of the
   /// counter-batching ablation).
   std::uint64_t flush_count() const { return flushes_; }
+
+  /// Stand trees, states and dead ends counted so far, published or not
+  /// (the simulator charges one unit of virtual work per count).
+  std::uint64_t counted() const { return counted_; }
 
  private:
   // Hot-path invariants: a pending local count never exceeds its batch (the
@@ -236,6 +249,7 @@ class LocalCounters {
   std::uint32_t flushes_since_time_check_ = 0;
   std::uint64_t trees_ = 0, states_ = 0, dead_ends_ = 0;
   std::uint64_t flushes_ = 0;
+  std::uint64_t counted_ = 0;
 };
 
 }  // namespace gentrius::core

@@ -250,6 +250,23 @@ void Enumerator::apply_branch(Frame& f, bool count) {
   mode_ = Mode::kChoose;
 }
 
+Enumerator::Step Enumerator::count_last_taxon(const Frame& f) {
+  // Each admissible branch of the last taxon completes the agile tree, so it
+  // is one intermediate state and one stand tree (docs/ALGORITHM.md §2).
+  // Counts and stop checks run in the order the per-branch steps would
+  // take: state, check, tree, check, ..., with no check before the first
+  // state, so exact stopping rules fire at the same totals.
+  mode_ = Mode::kBacktrack;
+  for (std::size_t i = f.next; i < f.branches.size(); ++i) {
+    if (i > f.next && sink_->stop_requested()) return Step::kStopped;
+    counters_.count_state();
+    ++states_applied_;
+    if (sink_->stop_requested()) return Step::kStopped;
+    counters_.count_stand_tree();
+  }
+  return Step::kWorked;
+}
+
 Enumerator::Step Enumerator::step() {
   GENTRIUS_DCHECK_LE(depth_, frames_.size());
   if (mode_ == Mode::kDone) return Step::kExhausted;
@@ -275,6 +292,10 @@ Enumerator::Step Enumerator::step() {
     f.next = 0;
     f.applied = false;
     if (f.branches.size() >= 2) maybe_offer_task(f);
+    if (terrace_.remaining_count() == 1 && !options_->collect_trees) {
+      --depth_;  // nothing gets inserted, so the frame is never applied
+      return count_last_taxon(f);
+    }
     apply_branch(f, /*count=*/true);
     return Step::kWorked;
   }

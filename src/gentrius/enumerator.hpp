@@ -11,10 +11,14 @@
 // state (selects the next taxon, possibly offers half of its admissible
 // branches to the task sink, and applies one insertion — one new
 // intermediate state), or it consumes a terminal event (stand tree or dead
-// end) and backtracks. Counting follows the paper exactly: every insertion
-// increments the intermediate-state counter; prefix and task replays are
-// *uncounted* re-executions of already-counted insertions, so serial and
-// parallel totals agree.
+// end) and backtracks. The exception is a last-taxon frame in a run that
+// does not collect trees: each of its kept branches would complete the
+// agile tree, so one step counts all of them as states and stand trees
+// without inserting any, then backtracks (LocalCounters::counted() tells
+// drivers how many units a step covered). Counting follows the paper
+// exactly: every insertion increments the intermediate-state counter;
+// prefix and task replays are *uncounted* re-executions of already-counted
+// insertions, so serial and parallel totals agree.
 #pragma once
 
 #include <cstdint>
@@ -164,6 +168,9 @@ class Enumerator {
   void record_offspring(const Terrace::Choice& choice);
   void maybe_offer_task(Frame& frame);
   void apply_branch(Frame& frame, bool count);
+  /// Counts the frame's unconsumed branches of the last remaining taxon as
+  /// a state and a stand tree each, stopping as the per-branch steps would.
+  Step count_last_taxon(const Frame& frame);
   void record_stand_tree();
 
   const Problem* problem_;
@@ -198,7 +205,7 @@ class Enumerator {
   bool adaptive_ = false;
   GwOfferModel gw_model_;
   SchedulerStats offer_stats_;  // offers_* / *_states fields only
-  std::uint64_t states_applied_ = 0;     // insertions via apply_branch
+  std::uint64_t states_applied_ = 0;     // states counted by step()
   std::uint64_t adopt_snapshot_ = 0;     // states_applied_ at adopt_task
   double adopted_predicted_ = 0.0;       // prediction of the adopted task
   bool adopted_active_ = false;

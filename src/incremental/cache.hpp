@@ -3,12 +3,14 @@
 // One entry per canonicalized shard instance: a decompose component (keyed
 // by its constraint-tree canonical encoding, src/gentrius/problem.hpp) or
 // the residual shard (keyed by its size signature plus any pass-through
-// constraints verbatim — the interleaving count M depends only on the
-// universe size and the enumerable component sizes when every component is
-// enumerable, DESIGN.md "Decomposition"). Values live in canonical *rank space*
-// (counts, the representative, optionally the full stand as rank-label
-// Newick), so a hit from any relabeling of the same component can be
-// translated back into the session's taxon ids.
+// constraints verbatim). The size signature is guaranteed to determine the
+// interleaving count M only when every component is enumerable and has
+// <= 5 taxa, the sizes at which all binary trees share one shape (DESIGN.md
+// "Decomposition"); from 6 taxa on M can depend on the representatives'
+// shapes, so a hit can carry a residual computed from other shapes. Values
+// live in canonical *rank space* (counts, the representative, optionally
+// the full stand as rank-label Newick), so a hit from any relabeling of the
+// same component can be translated back into the session's taxon ids.
 //
 // Every lookup compares the stored canonical encoding byte for byte — a
 // 128-bit fingerprint collision therefore costs a recomputation, never a

@@ -359,11 +359,12 @@ Result IncrementalSession::run_cached() {
     const std::size_t residual_size = work.size() + passthrough.size();
 
     if (const CacheEntry* entry = cache_.find(res_fp, res_encoding)) {
-      // The interleaving count M depends only on the size signature
-      // (DESIGN.md "Decomposition") and the pass-through constraints the
-      // key carries verbatim, so any cached completed residual of this
-      // encoding carries the exact count — whatever representatives it was
-      // computed from.
+      // With components of <= 5 taxa the interleaving count M depends only
+      // on the size signature and the pass-through constraints the key
+      // carries verbatim, so any cached completed residual of this encoding
+      // carries the exact count, whatever representatives it was computed
+      // from. Larger components can make M shape-dependent (DESIGN.md
+      // "Decomposition").
       ShardStats s = entry->stats;
       s.reused = true;
       s.n_taxa = universe;

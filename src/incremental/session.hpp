@@ -15,10 +15,12 @@
 // The residual shard — whose interleaving count M usually dominates a
 // from-scratch run — is cached by its size signature (universe size +
 // sorted enumerable component sizes) plus the pass-through constraints of
-// non-enumerable components byte for byte: M provably depends on nothing
-// beyond the signature when every component is enumerable, and the cache
-// claims no more shape independence than that (closed_form_residual
-// likewise refuses the pass-through case). Any edit that reshapes a
+// non-enumerable components byte for byte. M is guaranteed to depend on
+// nothing beyond the signature only when every component is enumerable and
+// has <= 5 taxa (every binary tree on <= 5 taxa has the same shape;
+// DESIGN.md "Decomposition"). From 6 taxa on M can depend on the
+// representatives' shapes, so whole-instance counts of such sessions are
+// not exact, while per-component counts are. Any edit that reshapes a
 // component without resizing the split or rewriting the pass-throughs
 // reuses the residual outright; that reuse, plus per-component reuse, is
 // where the >= 5x amortized speedup of BENCH_9 comes from.

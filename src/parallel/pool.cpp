@@ -1,5 +1,7 @@
 #include "parallel/pool.hpp"
 
+#include <atomic>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -175,6 +177,39 @@ void worker_body(std::size_t tid, std::size_t n_threads,
   out.selection = e.terrace().selection_stats();
 }
 
+/// The first exception any worker threw. Nothing may leave a worker — an
+/// exception escaping a std::jthread or an OpenMP region terminates the
+/// process — so each worker's body runs under run_worker, which records the
+/// error and halts the sink: busy workers see the stop at their next step,
+/// parked ones are woken by the sink's StopWaker. The calling thread
+/// rethrows after every worker has joined.
+class FirstError {
+ public:
+  void capture(CounterSink& sink) {
+    if (!claimed_.exchange(true)) error_ = std::current_exception();
+    sink.halt();
+  }
+
+  /// Called after the join, which orders the winner's write before this read.
+  void rethrow_if_any() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  std::atomic<bool> claimed_{false};
+  std::exception_ptr error_;
+};
+
+void run_worker(std::size_t tid, std::size_t n_threads, const Problem& problem,
+                const Options& options, CounterSink& sink,
+                SchedulerDriver* driver, WorkerOutput& out, FirstError& error) {
+  try {
+    worker_body(tid, n_threads, problem, options, sink, driver, out);
+  } catch (...) {
+    error.capture(sink);
+  }
+}
+
 Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
                 const SchedulerDriver* driver, double seconds) {
   Result result;
@@ -226,41 +261,29 @@ Result run_pool(const Problem& problem, const Options& options,
     sink.set_stop_waker(driver->waker());
   }
 
+  FirstError error;
+  const auto work = [&](std::size_t tid) {
+    run_worker(tid, n_threads, problem, options, sink, driver, outputs[tid],
+               error);
+  };
   if (n_threads == 1) {
     // Degenerate pool: still exercises the worker path, minus stealing.
-    worker_body(0, 1, problem, options, sink, driver, outputs[0]);
-    sink.set_stop_waker(nullptr);
-    return assemble(sink, outputs, driver, clock.seconds());
-  }
-
+    work(0);
+  } else if (mode == LaunchMode::kOpenMP && openmp_available()) {
 #ifdef _OPENMP
-  if (mode == LaunchMode::kOpenMP) {
     // Paper fidelity: OpenMP creates/destroys the threads while the
     // condition-variable synchronization stays with the C++ thread library.
 #pragma omp parallel num_threads(static_cast<int>(n_threads))
-    {
-      const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-      worker_body(tid, n_threads, problem, options, sink, driver,
-                  outputs[tid]);
-    }
-    sink.set_stop_waker(nullptr);
-    return assemble(sink, outputs, driver, clock.seconds());
-  }
-#else
-  (void)mode;
+    work(static_cast<std::size_t>(omp_get_thread_num()));
 #endif
-
-  {
+  } else {
     std::vector<std::jthread> threads;
     threads.reserve(n_threads);
-    for (std::size_t tid = 0; tid < n_threads; ++tid) {
-      threads.emplace_back([&, tid] {
-        worker_body(tid, n_threads, problem, options, sink, driver,
-                    outputs[tid]);
-      });
-    }
+    for (std::size_t tid = 0; tid < n_threads; ++tid)
+      threads.emplace_back(work, tid);
   }  // jthreads join here
   sink.set_stop_waker(nullptr);
+  error.rethrow_if_any();
   return assemble(sink, outputs, driver, clock.seconds());
 }
 

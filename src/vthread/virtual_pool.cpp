@@ -408,10 +408,10 @@ struct VWorker {
   double clock = 0.0;
   enum class State { kRunning, kIdle, kDone } state = State::kIdle;
   std::uint64_t last_flushes = 0;
+  std::uint64_t last_counted = 0;  // for per-unit state_cost charges
   std::uint64_t tasks_executed = 0;
   std::size_t sweep_start = 0;  // victim-scan origin for this idle episode
-  core::Terrace::SelectionStats last_stats;  // for per-step cost deltas
-  std::uint64_t last_offer_evals = 0;        // for offer_eval_cost deltas
+  std::uint64_t last_offer_evals = 0;  // for offer_eval_cost deltas
 };
 
 Result run_simulation(const Problem& problem, const Options& user_options,
@@ -472,9 +472,8 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     w.clock = serial ? 0.0 : costs.spawn_cost;
     const auto& prefix = w.enumerator->run_prefix(/*count=*/tid == 0);
     w.clock += static_cast<double>(prefix.length) * costs.state_cost;
-    // Selection work done during the prefix is covered by its state_cost
-    // charge; the per-step surcharges start from this snapshot.
-    w.last_stats = w.enumerator->terrace().selection_stats();
+    // The prefix is charged above; per-unit step charges start from here.
+    w.last_counted = w.enumerator->counters().counted();
     if (tid == 0) {
       result.prefix_length = prefix.length;
       if (prefix.outcome == Enumerator::Prefix::Outcome::kSplit)
@@ -560,27 +559,22 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     queue.set_producer_clock(&w.clock);
     deques.set_producer_clock(&w.clock);
     const auto step = w.enumerator->step();
+    // One state_cost per unit of work the step counted, and at least one
+    // per call. A step that counts a whole last-taxon frame covers several
+    // units; if a stopping rule cut it short, it also pays for the call
+    // that would have found the stop. The first unit carries the step's
+    // flush and offer charges and the rest follow as separate additions, so
+    // the clock sums the same terms as if every unit were its own step (a
+    // flush inside a frame is charged with the frame's first unit).
+    const std::uint64_t counted = w.enumerator->counters().counted();
+    std::uint64_t units = counted - w.last_counted;
+    w.last_counted = counted;
+    if (units > 0 && step == Enumerator::Step::kStopped) ++units;
     const std::uint64_t flushes = w.enumerator->counters().flush_count();
     GENTRIUS_DCHECK_GE(flushes, w.last_flushes);  // flush counts are monotone
     w.clock += costs.state_cost +
                static_cast<double>(flushes - w.last_flushes) * flush_unit;
     w.last_flushes = flushes;
-    // Selection-work surcharges (defaults are all zero).
-    {
-      const auto& sel = w.enumerator->terrace().selection_stats();
-      w.clock +=
-          static_cast<double>(sel.fresh_counts - w.last_stats.fresh_counts) *
-              costs.fresh_count_cost +
-          static_cast<double>(sel.cached_counts - w.last_stats.cached_counts) *
-              costs.cached_count_cost +
-          static_cast<double>(sel.existence_checks -
-                              w.last_stats.existence_checks) *
-              costs.existence_check_cost +
-          static_cast<double>(sel.mappings_rebuilt -
-                              w.last_stats.mappings_rebuilt) *
-              costs.mapping_rebuild_cost;
-      w.last_stats = sel;
-    }
     // Adaptive-offer accounting: each cutoff evaluation this step performed
     // (accepted or suppressed) costs offer_eval_cost. kPaperFixed evaluates
     // nothing, so default-policy schedules are charged exactly as before.
@@ -592,6 +586,7 @@ Result run_simulation(const Problem& problem, const Options& user_options,
                  costs.offer_eval_cost;
       w.last_offer_evals = evals;
     }
+    for (std::uint64_t u = 1; u < units; ++u) w.clock += costs.state_cost;
 
     switch (step) {
       case Enumerator::Step::kWorked:

@@ -34,7 +34,9 @@ namespace gentrius::vthread {
 /// state expansion (the paper measures "hundreds of thousands of states per
 /// second", so 1 unit corresponds to a few microseconds of real time).
 struct CostModel {
-  double state_cost = 1.0;    ///< expanding a state / consuming a terminal event
+  /// Per counted state, stand tree or dead end; a step that counts nothing
+  /// (a backtrack that exhausts, a stop) is charged one unit too.
+  double state_cost = 1.0;
   double replay_cost = 0.15;  ///< per insertion when replaying a stolen task's path
   double rewind_cost = 0.05;  ///< per removal returning to I0
   double queue_cost = 0.5;    ///< one queue push or pop (critical section)
@@ -88,17 +90,6 @@ struct CostModel {
   /// kPaperFixed evaluates nothing and is unaffected.
   double offer_eval_cost = 0.02;
 
-  // Selection-work surcharges, charged from Terrace::SelectionStats deltas
-  // on top of the flat state_cost. The defaults are zero — state_cost
-  // already represents an average state — but sensitivity studies can make
-  // the simulated clock follow the engine's actual cost profile, where a
-  // journal-replay cache refresh is far cheaper than a full recount and
-  // mapping rebuilds dominate (docs/PERFORMANCE.md).
-  double fresh_count_cost = 0.0;      ///< per full admissible-count recount
-  double cached_count_cost = 0.0;     ///< per journal-replay cache refresh
-  double existence_check_cost = 0.0;  ///< per zero/nonzero dead-end probe
-  double mapping_rebuild_cost = 0.0;  ///< per constraint-mapping rebuild
-
   // Sharded-run terms (decompose::run_virtual): a decomposed run dispatches
   // each shard as its own simulation and merges the results afterwards.
   // Dispatch covers building the shard sub-problem and seeding its workers
@@ -113,7 +104,8 @@ struct CostModel {
 
 struct VirtualRules {
   /// Stopping rule 3 measured on the virtual clock (work units) instead of
-  /// wall-clock seconds. Unset = no virtual time limit.
+  /// wall-clock seconds. Unset = no virtual time limit. Checked before each
+  /// step, so a step that counts a whole last-taxon frame finishes it first.
   std::optional<double> max_virtual_time;
 };
 
@@ -122,6 +114,10 @@ struct VirtualRules {
 /// real single-core time the simulation itself took). For n_threads == 1
 /// this is sequential Gentrius with virtual-time accounting (no spawn or
 /// queue costs), the denominator of every speedup in the benchmarks.
+/// Simulated workers see each other's stop requests only between steps, and
+/// a counting step may cover a whole last-taxon frame (enumerator.hpp), so
+/// under a stopping rule with n_threads > 1 a worker may finish the frame
+/// it is counting before it stops.
 core::Result run_virtual(const core::Problem& problem,
                          const core::Options& options, std::size_t n_threads,
                          const CostModel& costs = {},

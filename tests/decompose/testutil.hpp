@@ -29,7 +29,8 @@ inline std::vector<std::string> sorted_trees(core::Result& r) {
 /// Closed-form interleaving count: the number of unrooted binary trees on
 /// the whole universe displaying one fixed tree per component,
 ///   M = (2n-5)!! / prod_i (2n_i-5)!!
-/// (shape-independent; DESIGN.md "Decomposition"). Stepwise division is
+/// (shape-independence is guaranteed only for components of <= 5 taxa, the
+/// sizes every test here uses; DESIGN.md "Decomposition"). Stepwise division is
 /// exact: after dividing by any subset of the denominators the remainder of
 /// the product is still an integer multiple.
 inline std::uint64_t closed_form_interleavings(
