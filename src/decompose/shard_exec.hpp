@@ -1,8 +1,9 @@
 // Shared shard-execution and result-combination helpers.
 //
 // run_sharded (sharded.cpp) and the incremental session (src/incremental)
-// must combine shard results *identically* — same saturating product, same
-// shard-local option view, same cross-product streaming order — or the
+// must plan and combine shards *identically* — same labels, same
+// representatives, same shard-local option view, same residual rollup, same
+// saturating product, same cross-product streaming order — or the
 // incremental differential guarantee ("byte-equal counts and stand sets at
 // every edit step") silently breaks. These helpers are that single shared
 // path. They are an internal decompose API: subject to change with the
@@ -10,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +30,21 @@ std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b,
 /// The component's member constraints, in input order.
 std::vector<phylo::Tree> subset_constraints(
     const std::vector<phylo::Tree>& constraints, const Component& comp);
+
+/// Taxa over all components: the universe of the residual shard.
+std::size_t universe_size(const ComponentSplit& split);
+
+/// Id-stable labels for Newick round-tripping: label "x<i>" gets id i, for
+/// every id up to the split's largest taxon.
+phylo::TaxonSet id_labels(const ComponentSplit& split);
+
+/// Canonical representative of a component: the first stand tree of a
+/// default-options serial probe collecting one tree, a deterministic
+/// function of the component alone (independent of the caller's heuristic
+/// configuration). nullopt when the component's stand is empty. `labels`
+/// must come from id_labels. Probe work is not accumulated into any Result.
+std::optional<phylo::Tree> probe_representative(
+    const std::vector<phylo::Tree>& component, phylo::TaxonSet& labels);
 
 /// Shard-local option view: whole-instance overrides cannot survive into a
 /// shard (initial_constraint indexes the whole constraint list, an
@@ -53,6 +70,12 @@ struct ResidualClosedForm {
 };
 
 ResidualClosedForm closed_form_residual(const ComponentSplit& split);
+
+/// The residual shard's rollup under the closed form: M is a formula, not a
+/// run, so only the shape and the count are set.
+core::ShardStats closed_form_stats(const ComponentSplit& split,
+                                   std::size_t n_constraints,
+                                   std::uint64_t count);
 
 /// Per-shard rollup of a shard run's Result.
 core::ShardStats make_stats(core::ShardStats::Kind kind, std::size_t n_taxa,

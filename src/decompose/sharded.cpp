@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -33,12 +34,10 @@ std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b,
 
 ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   ResidualClosedForm out;
-  std::size_t universe = 0;
-  for (const Component& comp : split.components) {
+  for (const Component& comp : split.components)
     if (!comp.enumerable) return out;
-    universe += comp.taxa.size();
-  }
   out.applicable = true;
+  const std::size_t universe = universe_size(split);
 
   using u128 = unsigned __int128;
   constexpr u128 kMax128 = ~static_cast<u128>(0);
@@ -71,6 +70,16 @@ ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   return out;
 }
 
+ShardStats closed_form_stats(const ComponentSplit& split,
+                             std::size_t n_constraints, std::uint64_t count) {
+  ShardStats s;
+  s.kind = ShardStats::Kind::kResidual;
+  s.n_taxa = universe_size(split);
+  s.n_constraints = n_constraints;
+  s.stand_trees = count;
+  return s;
+}
+
 std::vector<phylo::Tree> subset_constraints(
     const std::vector<phylo::Tree>& constraints, const Component& comp) {
   std::vector<phylo::Tree> out;
@@ -78,6 +87,34 @@ std::vector<phylo::Tree> subset_constraints(
   for (const std::size_t c : comp.constraint_indices)
     out.push_back(constraints[c]);
   return out;
+}
+
+std::size_t universe_size(const ComponentSplit& split) {
+  std::size_t universe = 0;
+  for (const Component& comp : split.components) universe += comp.taxa.size();
+  return universe;
+}
+
+phylo::TaxonSet id_labels(const ComponentSplit& split) {
+  phylo::TaxonId max_id = 0;
+  for (const Component& comp : split.components)
+    max_id = std::max(max_id, comp.taxa.back());
+  phylo::TaxonSet labels;
+  for (phylo::TaxonId t = 0; t <= max_id; ++t)
+    labels.add("x" + std::to_string(t));
+  return labels;
+}
+
+std::optional<phylo::Tree> probe_representative(
+    const std::vector<phylo::Tree>& component, phylo::TaxonSet& labels) {
+  Options probe;
+  probe.collect_trees = true;
+  probe.collect_limit = 1;
+  probe.stop.max_stand_trees = 1;
+  probe.tree_names = &labels;
+  const Result r = core::run_serial(component, probe);
+  if (r.trees.empty()) return std::nullopt;
+  return phylo::parse_newick(r.trees.front(), labels);
 }
 
 Options shard_options(const Options& options) {
@@ -236,35 +273,21 @@ ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints) {
         "decompose: no component contains a constraint with >= 3 taxa; "
         "nothing is enumerable");
 
-  // Id-stable labels for Newick round-tripping: label "x<i>" gets id i.
-  phylo::TaxonId max_id = 0;
-  for (const Component& comp : plan.split.components)
-    max_id = std::max(max_id, comp.taxa.back());
-  for (phylo::TaxonId t = 0; t <= max_id; ++t)
-    plan.labels.add("x" + std::to_string(t));
+  plan.labels = detail::id_labels(plan.split);
 
-  // Canonical representative per enumerable component: the first stand tree
-  // of a default-options serial probe — a deterministic function of the
-  // component alone, independent of the caller's heuristic configuration.
   for (const Component& comp : plan.split.components) {
     if (!comp.enumerable) {
       for (const std::size_t c : comp.constraint_indices)
         plan.passthrough.push_back(constraints[c]);
       continue;
     }
-    Options probe;
-    probe.collect_trees = true;
-    probe.collect_limit = 1;
-    probe.stop.max_stand_trees = 1;
-    probe.tree_names = &plan.labels;
-    const Result r = core::run_serial(subset_constraints(constraints, comp),
-                                      probe);
-    if (r.trees.empty()) {
+    auto representative = detail::probe_representative(
+        subset_constraints(constraints, comp), plan.labels);
+    if (!representative) {
       plan.empty_component = true;
       continue;
     }
-    plan.representatives.push_back(phylo::parse_newick(r.trees.front(),
-                                                       plan.labels));
+    plan.representatives.push_back(std::move(*representative));
   }
 
   plan.residual_constraints = plan.representatives;
@@ -319,15 +342,8 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
   if (run.residual_closed_form && !plan.empty_component)
     closed = detail::closed_form_residual(plan.split);
   if (closed.applicable) {
-    std::size_t universe = 0;
-    for (const Component& comp : plan.split.components)
-      universe += comp.taxa.size();
-    ShardStats s;
-    s.kind = ShardStats::Kind::kResidual;
-    s.n_taxa = universe;
-    s.n_constraints = plan.residual_constraints.size();
-    s.stand_trees = closed.count;
-    out.shards.push_back(s);
+    out.shards.push_back(detail::closed_form_stats(
+        plan.split, plan.residual_constraints.size(), closed.count));
     residual_count = closed.count;
     if (closed.saturated) out.count_saturated = true;
     product = saturating_mul(product, residual_count, out.count_saturated);
@@ -335,10 +351,8 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
     Options res_opts = base;
     res_opts.collect_trees = false;
     const Result r = run_one_shard(plan.residual_constraints, res_opts, run);
-    std::size_t universe = 0;
-    for (const Component& comp : plan.split.components)
-      universe += comp.taxa.size();
-    out.shards.push_back(make_stats(ShardStats::Kind::kResidual, universe,
+    out.shards.push_back(make_stats(ShardStats::Kind::kResidual,
+                                    detail::universe_size(plan.split),
                                     plan.residual_constraints.size(), r));
     accumulate(out, r);
     residual_count = r.stand_trees;

@@ -11,6 +11,22 @@
 
 namespace gentrius::core {
 
+namespace {
+
+// kAdaptiveGW cutoff constants (maybe_offer_task).
+//
+// Hand-off cost in state units: the flat queue/deque round trip plus the
+// thief's per-path-entry replay. Mirrors CostModel (queue_cost +
+// replay_cost); an offer must at least repay this.
+constexpr double kOfferHandoffStates = 2.0;
+constexpr double kOfferHandoffPerPath = 0.3;
+// Backlog pressure: a full sink multiplies the bar by
+// 1 + kOfferWorkMultiple * handoff_penalty. A starved pool accepts anything
+// that repays its hand-off.
+constexpr double kOfferWorkMultiple = 4.0;
+
+}  // namespace
+
 Enumerator::Enumerator(const Problem& problem, const Options& options,
                        CounterSink& sink)
     : problem_(&problem),
@@ -20,7 +36,7 @@ Enumerator::Enumerator(const Problem& problem, const Options& options,
                 options.dead_end_flush_batch, options.time_check_flush_period),
       sink_(&sink),
       adaptive_(options.offer_policy == OfferPolicy::kAdaptiveGW) {
-  if (adaptive_) gw_model_.reset(problem.missing_count(), options);
+  if (adaptive_) gw_model_.reset(problem.missing_count());
   if (!options.dynamic_taxon_order || !options.insertion_order.empty()) {
     if (!options.insertion_order.empty()) {
       static_order_ = options.insertion_order;
@@ -200,11 +216,11 @@ void Enumerator::maybe_offer_task(Frame& f) {
     // for the serialized hand-off section, so the bar rises with the fill
     // fraction, scaled by the sink's contention penalty (N_t for the
     // central queue, whose one mutex is the whole pool's hand-off pipe; 1
-    // for per-worker deques): under pressure only work_multiple×penalty×
-    // coarser subtrees are worth queueing ahead of the backlog.
+    // for per-worker deques): under pressure only kOfferWorkMultiple×
+    // penalty× coarser subtrees are worth queueing ahead of the backlog.
     const double base =
-        options_->offer_handoff_states +
-        options_->offer_handoff_per_path * static_cast<double>(path_.size());
+        kOfferHandoffStates +
+        kOfferHandoffPerPath * static_cast<double>(path_.size());
     const double fill =
         limit > 0 ? static_cast<double>(backlog) / static_cast<double>(limit)
                   : (backlog > 0 ? 1.0 : 0.0);
@@ -212,8 +228,8 @@ void Enumerator::maybe_offer_task(Frame& f) {
     // bar (small instances need every offer to feed the pool), while a ring
     // approaching capacity pushes it toward the full penalty.
     const double cutoff =
-        base * (1.0 + options_->offer_work_multiple *
-                          task_sink_->handoff_penalty() * fill * fill);
+        base * (1.0 + kOfferWorkMultiple * task_sink_->handoff_penalty() *
+                          fill * fill);
     if (predicted < cutoff) {
       ++offer_stats_.offers_suppressed;
       return;

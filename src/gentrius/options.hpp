@@ -180,31 +180,6 @@ struct Options {
   /// offer (floor, clamped to [1, branches-1] so both sides keep work).
   /// The paper splits in half; 0.5 reproduces `branches / 2` exactly.
   double offer_split_fraction = 0.5;
-
-  // ---- kAdaptiveGW estimator knobs (ignored under kPaperFixed) ----------
-
-  /// Smoothing prior for the per-stratum offspring mean: each stratum
-  /// behaves as if it had already seen `gw_prior_weight` samples with mean
-  /// `gw_prior_offspring`. An optimistic prior (> 1) keeps early offers
-  /// flowing before the histogram has data.
-  double gw_prior_offspring = 2.0;
-  double gw_prior_weight = 4.0;
-
-  /// The expected-subtree-size table W(r) is refitted from the histogram
-  /// after this many new offspring samples (lazily, at the next offer
-  /// evaluation). Smaller = fresher model, more refit work.
-  std::uint32_t gw_refit_period = 64;
-
-  /// Measured hand-off cost in state units: the flat queue/deque round
-  /// trip plus the thief's per-path-entry replay. Mirrors CostModel
-  /// (queue_cost + replay_cost); an offer must at least repay this.
-  double offer_handoff_states = 2.0;
-  double offer_handoff_per_path = 0.3;
-
-  /// Backlog pressure: with b tasks already queued the predicted delegated
-  /// work must exceed offer_work_multiple * hand-off * b. A starved pool
-  /// (b = 0) accepts anything that repays its hand-off.
-  double offer_work_multiple = 4.0;
 };
 
 enum class StopReason : std::uint8_t {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
 
 #include "support/error.hpp"
@@ -331,6 +332,57 @@ struct InstanceCanonicalizer {
   }
 };
 
+/// Encoding and order (fp left unset) of one part of an instance:
+/// constraints linked, directly or through other constraints, by shared
+/// taxa.
+CanonicalInstance canonicalize_part(const std::vector<phylo::Tree>& part,
+                                    std::size_t universe) {
+  std::vector<bool> seen(universe, false);
+  for (const auto& tree : part)
+    for (const phylo::TaxonId x : tree.taxa()) seen[x] = true;
+  std::vector<phylo::TaxonId> present;
+  for (std::size_t x = 0; x < universe; ++x)
+    if (seen[x]) present.push_back(static_cast<phylo::TaxonId>(x));
+
+  InstanceCanonicalizer canon{part, present, universe};
+  CanonicalInstance out;
+  out.encoding =
+      canon.encode(std::vector<std::uint64_t>(universe, 0x1ULL), &out.order);
+  out.relabel_invariant = canon.invariant;
+  return out;
+}
+
+/// Part index of every constraint (parts numbered in order of first
+/// appearance) and the number of parts.
+std::size_t split_parts(const std::vector<phylo::Tree>& constraints,
+                        std::size_t universe,
+                        std::vector<std::size_t>& part_of) {
+  const std::size_t n = constraints.size();
+  std::vector<std::size_t> parent(n);
+  std::iota(parent.begin(), parent.end(), std::size_t{0});
+  const auto root = [&](std::size_t c) {
+    while (parent[c] != c) c = parent[c] = parent[parent[c]];
+    return c;
+  };
+  std::vector<std::size_t> owner(universe, n);  // first constraint per taxon
+  for (std::size_t c = 0; c < n; ++c)
+    for (const phylo::TaxonId x : constraints[c].taxa()) {
+      if (owner[x] == n)
+        owner[x] = c;
+      else
+        parent[root(c)] = root(owner[x]);
+    }
+  std::vector<std::size_t> part_of_root(n, n);
+  std::size_t parts = 0;
+  part_of.assign(n, 0);
+  for (std::size_t c = 0; c < n; ++c) {
+    const std::size_t r = root(c);
+    if (part_of_root[r] == n) part_of_root[r] = parts++;
+    part_of[c] = part_of_root[r];
+  }
+  return parts;
+}
+
 }  // namespace
 
 std::string canonical_rank_label(std::size_t rank) {
@@ -364,20 +416,35 @@ CanonicalInstance canonicalize_instance(
   if (universe == 0)
     throw InvalidInput("constraint trees contain no taxa");
 
-  std::vector<bool> seen(universe, false);
-  for (const auto& tree : constraints)
-    for (const phylo::TaxonId x : tree.taxa()) seen[x] = true;
-  std::vector<phylo::TaxonId> present;
-  for (std::size_t x = 0; x < universe; ++x)
-    if (seen[x]) present.push_back(static_cast<phylo::TaxonId>(x));
-
-  InstanceCanonicalizer canon{constraints, present, universe};
-  std::vector<std::uint64_t> color(universe, 0x1ULL);
-
   CanonicalInstance out;
-  out.encoding = canon.encode(std::move(color), &out.order);
+  std::vector<std::size_t> part_of;
+  const std::size_t n_parts = split_parts(constraints, universe, part_of);
+  if (n_parts == 1) {
+    out = canonicalize_part(constraints, universe);
+  } else {
+    // Parts share no taxon, so the instance is determined up to relabeling
+    // by the multiset of its parts' canonical forms. Each part spends its
+    // own individualization budget, and the parts take consecutive rank
+    // blocks in encoding order; isomorphic parts have equal encodings, so
+    // their relative order does not change the result.
+    std::vector<std::vector<phylo::Tree>> parts(n_parts);
+    for (std::size_t c = 0; c < constraints.size(); ++c)
+      parts[part_of[c]].push_back(constraints[c]);
+    std::vector<CanonicalInstance> canons;
+    canons.reserve(n_parts);
+    for (const auto& part : parts)
+      canons.push_back(canonicalize_part(part, universe));
+    std::sort(canons.begin(), canons.end(),
+              [](const CanonicalInstance& a, const CanonicalInstance& b) {
+                return a.encoding < b.encoding;
+              });
+    for (const CanonicalInstance& part : canons) {
+      out.order.insert(out.order.end(), part.order.begin(), part.order.end());
+      out.relabel_invariant = out.relabel_invariant && part.relabel_invariant;
+    }
+    out.encoding = encode_under_order(constraints, out.order, universe);
+  }
   out.fp = support::fingerprint_bytes(out.encoding);
-  out.relabel_invariant = canon.invariant;
   return out;
 }
 

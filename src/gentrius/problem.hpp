@@ -56,6 +56,12 @@ Problem build_problem(std::vector<phylo::Tree> constraints,
 /// taxon id and `relabel_invariant` turns false: the encoding is still
 /// deterministic and sound, it just may differ between relabelings of the
 /// same instance (a cache miss, not a correctness problem).
+///
+/// An instance whose constraints fall into parts on disjoint taxa (the
+/// decompose residual: one representative per component) is canonicalized
+/// part by part, each with its own budget, and the parts are concatenated
+/// in encoding order. Isomorphic parts then cost no search across each
+/// other, so such an instance stays relabel-invariant whenever its parts do.
 struct CanonicalInstance {
   std::string encoding;
   support::Fingerprint fp;

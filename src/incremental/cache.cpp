@@ -4,22 +4,22 @@
 
 namespace gentrius::incremental {
 
-const CacheEntry* ResultCache::find(const support::Fingerprint& fp,
-                                    const std::string& encoding) {
+std::shared_ptr<const CacheEntry> ResultCache::find(
+    const support::Fingerprint& fp, const std::string& encoding) {
   auto it = entries_.find(fp);
   if (it == entries_.end()) return nullptr;
   // Collision check: the fingerprint matched but the instance must too.
-  if (it->second.entry.encoding != encoding) return nullptr;
+  if (it->second.entry->encoding != encoding) return nullptr;
   it->second.last_used = ++tick_;
-  return &it->second.entry;
+  return it->second.entry;
 }
 
 void ResultCache::insert(const support::Fingerprint& fp, CacheEntry entry) {
   if (capacity_ == 0) return;
+  auto shared = std::make_shared<const CacheEntry>(std::move(entry));
   auto it = entries_.find(fp);
   if (it != entries_.end()) {
-    it->second.entry = std::move(entry);
-    it->second.last_used = ++tick_;
+    it->second = Slot{std::move(shared), ++tick_};
     return;
   }
   if (entries_.size() >= capacity_) {
@@ -29,7 +29,7 @@ void ResultCache::insert(const support::Fingerprint& fp, CacheEntry entry) {
     entries_.erase(victim);
     ++evictions_;
   }
-  entries_.emplace(fp, Slot{std::move(entry), ++tick_});
+  entries_.emplace(fp, Slot{std::move(shared), ++tick_});
 }
 
 }  // namespace gentrius::incremental

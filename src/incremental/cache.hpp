@@ -1,27 +1,25 @@
-// Bounded LRU result cache keyed by canonical fingerprints.
+// Bounded LRU result cache keyed by canonical instance encodings.
 //
-// One entry per canonicalized shard instance: a decompose component (keyed
-// by its constraint-tree canonical encoding, src/gentrius/problem.hpp) or
-// the residual shard (keyed by its size signature plus any pass-through
-// constraints verbatim). The size signature is guaranteed to determine the
-// interleaving count M only when every component is enumerable and has
-// <= 5 taxa, the sizes at which all binary trees share one shape (DESIGN.md
-// "Decomposition"); from 6 taxa on M can depend on the representatives'
-// shapes, so a hit can carry a residual computed from other shapes. Values
-// live in canonical *rank space* (counts, the representative, optionally
-// the full stand as rank-label Newick), so a hit from any relabeling of the
-// same component can be translated back into the session's taxon ids.
+// One entry per canonicalized shard instance, a decompose component or an
+// enumerated residual alike, keyed by core::canonicalize_instance
+// (src/gentrius/problem.hpp). The encoding serializes the constraint trees
+// over canonical taxon ranks, and a stand depends only on its instance up to
+// taxon relabeling, so the one key is exact for every shard at any size.
+// Values live in canonical *rank space* (counts, optionally the full stand
+// as rank-label Newick), so a hit from any relabeling of the same instance
+// can be translated back into the session's taxon ids.
 //
 // Every lookup compares the stored canonical encoding byte for byte — a
 // 128-bit fingerprint collision therefore costs a recomputation, never a
 // wrong answer. Only *completed* runs are inserted: a result truncated by a
 // stopping rule is not a property of the instance and must never be served
-// later. This cache is deliberately the seed of ROADMAP item 1's
-// service-layer result cache.
+// later. Hits are shared: evicting or replacing an entry drops the cache's
+// reference, never a caller's.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -34,9 +32,6 @@ struct CacheEntry {
   /// Full canonical encoding of the keyed instance (collision check).
   std::string encoding;
   std::uint64_t stand_trees = 0;
-  /// Canonical representative stand tree, rank-label Newick; empty when the
-  /// component's stand is empty (or for residual entries).
-  std::string representative;
   /// The full component stand, rank-label Newick, ascending; only
   /// meaningful when stands_complete (collected without truncation).
   std::vector<std::string> stands;
@@ -53,8 +48,8 @@ class ResultCache {
 
   /// The entry for `fp` whose encoding matches byte for byte, or nullptr.
   /// A hit refreshes the entry's LRU position.
-  const CacheEntry* find(const support::Fingerprint& fp,
-                         const std::string& encoding);
+  std::shared_ptr<const CacheEntry> find(const support::Fingerprint& fp,
+                                         const std::string& encoding);
 
   /// Inserts or replaces the entry for `fp`, evicting the least recently
   /// used entry when over capacity.
@@ -66,7 +61,7 @@ class ResultCache {
 
  private:
   struct Slot {
-    CacheEntry entry;
+    std::shared_ptr<const CacheEntry> entry;
     std::uint64_t last_used = 0;
   };
 

@@ -123,13 +123,11 @@ std::vector<std::size_t> component_of_taxon(
 }
 
 /// The taxa an edit involves, against a given matrix state. `post_edit`
-/// distinguishes the two sides for kAddTaxon: the new taxon exists only in
-/// the post-edit matrix, so it touches no pre-edit component. `added_taxon`
-/// is the id apply_edit assigned to a kAddTaxon edit (kNoTaxon infers the
-/// matrix's last taxon, which is only right for a single-edit script).
+/// distinguishes the two sides for kAddTaxon: the new taxon (the matrix's
+/// last) exists only in the post-edit matrix, so it touches no pre-edit
+/// component.
 std::vector<phylo::TaxonId> edited_taxa(const PamDelta& edit,
-                                        const pam::Pam& pam, bool post_edit,
-                                        phylo::TaxonId added_taxon) {
+                                        const pam::Pam& pam, bool post_edit) {
   switch (edit.kind) {
     case EditKind::kFillCell:
     case EditKind::kClearCell: {
@@ -147,9 +145,7 @@ std::vector<phylo::TaxonId> edited_taxa(const PamDelta& edit,
     case EditKind::kAddLocus:
       return edit.locus_taxa;
     case EditKind::kAddTaxon:
-      if (!post_edit) return {};
-      if (added_taxon != phylo::kNoTaxon) return {added_taxon};
-      if (pam.taxon_count() == 0) return {};
+      if (!post_edit || pam.taxon_count() == 0) return {};
       return {static_cast<phylo::TaxonId>(pam.taxon_count() - 1)};
   }
   return {};
@@ -170,8 +166,7 @@ void collect_touched(const std::vector<phylo::TaxonId>& taxa,
 DeltaClass classify_delta(const PamDelta& edit, const pam::Pam& before_pam,
                           const decompose::ComponentSplit& before,
                           const pam::Pam& after_pam,
-                          const decompose::ComponentSplit& after,
-                          phylo::TaxonId added_taxon) {
+                          const decompose::ComponentSplit& after) {
   constexpr auto kNone = static_cast<std::size_t>(-1);
   DeltaClass out;
 
@@ -179,12 +174,10 @@ DeltaClass classify_delta(const PamDelta& edit, const pam::Pam& before_pam,
       component_of_taxon(before, before_pam.taxon_count());
   const auto owner_after = component_of_taxon(after, after_pam.taxon_count());
 
-  collect_touched(
-      edited_taxa(edit, before_pam, /*post_edit=*/false, added_taxon),
-      owner_before, out.touched_before);
-  collect_touched(
-      edited_taxa(edit, after_pam, /*post_edit=*/true, added_taxon),
-      owner_after, out.touched_after);
+  collect_touched(edited_taxa(edit, before_pam, /*post_edit=*/false),
+                  owner_before, out.touched_before);
+  collect_touched(edited_taxa(edit, after_pam, /*post_edit=*/true),
+                  owner_after, out.touched_after);
 
   // Merge: two taxa in distinct pre-edit components share a post-edit
   // component. Split: two taxa of one pre-edit component now live in

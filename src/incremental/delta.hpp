@@ -10,10 +10,10 @@
 // (src/decompose/components) it touches, before and after the edit. Edits
 // rewire the graph: filling a cell can merge components (the taxon bridges
 // two previously independent groups), clearing one can split a component
-// in two. The classification is observability and test surface — the
-// session's reuse decision is made by the component fingerprint cache,
-// which handles split/merge naturally (a merged or split component has a
-// new canonical encoding, so it misses the cache and is recomputed).
+// in two. The session does not classify: every shard is keyed by its
+// canonical instance, so a merged or split component simply misses the
+// cache. classify_delta is a standalone analysis that the wall-clock
+// benchmark's pam-edits replay still times.
 #pragma once
 
 #include <cstdint>
@@ -68,26 +68,20 @@ struct DeltaClass {
   /// Components of the pre-edit split containing an edited cell's taxon or
   /// an edited locus's taxa.
   std::vector<std::size_t> touched_before;
-  /// Components of the post-edit split containing edited taxa/loci — the
-  /// upper bound on what the session must recompute structurally (the
-  /// fingerprint cache may still prove some untouched).
+  /// Components of the post-edit split containing edited taxa/loci.
   std::vector<std::size_t> touched_after;
   bool merged = false;  ///< >= 2 pre-edit components now share a component
   bool split = false;   ///< one pre-edit component now spans >= 2 components
 };
 
-/// Classifies an edit against the pre/post interaction-graph splits of the
+/// Classifies one edit against the pre/post interaction-graph splits of the
 /// induced constraint sets. `before`/`after` must be the analyze_pam splits
-/// of the matrix before and after apply_edit. For a kAddTaxon edit inside a
-/// multi-edit script, `added_taxon` must be the taxon id apply_edit actually
-/// assigned to THIS edit (the post-script matrix's last taxon belongs to the
-/// script's last add, not to every add); kNoTaxon falls back to the
-/// single-edit inference of after_pam's last taxon.
+/// of the matrix before and after apply_edit; a kAddTaxon edit's taxon is
+/// after_pam's last taxon.
 DeltaClass classify_delta(const PamDelta& edit,
                           const pam::Pam& before_pam,
                           const decompose::ComponentSplit& before,
                           const pam::Pam& after_pam,
-                          const decompose::ComponentSplit& after,
-                          phylo::TaxonId added_taxon = phylo::kNoTaxon);
+                          const decompose::ComponentSplit& after);
 
 }  // namespace gentrius::incremental

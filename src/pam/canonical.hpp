@@ -4,10 +4,10 @@
 // taxa are ranked by Weisfeiler–Leman color refinement over the bipartite
 // taxon–locus incidence graph (with individualization-refinement on
 // surviving ties under a bounded branch budget), and the locus rows are
-// emitted as sorted 0/1 strings over the canonical taxon order. Together
-// with a species tree it keys whole instances in the incremental result
-// cache (src/incremental); the per-component keys use the constraint-tree
-// canonicalization in src/gentrius/problem.hpp instead.
+// emitted as sorted 0/1 strings over the canonical taxon order. It
+// identifies a whole matrix. The incremental result cache (src/incremental)
+// does not use it: it keys every shard by the constraint-tree
+// canonicalization in src/gentrius/problem.hpp.
 //
 // Like every fingerprint in this codebase, consumers must compare the full
 // encoding on a fingerprint match — a hash collision costs a recomputation,

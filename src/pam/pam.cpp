@@ -1,6 +1,7 @@
 #include "pam/pam.hpp"
 
 #include <sstream>
+#include <string>
 
 #include "phylo/topology.hpp"
 #include "support/error.hpp"
@@ -137,6 +138,13 @@ phylo::Tree induced_subtree(const phylo::Tree& species_tree, const Pam& pam,
   std::vector<TaxonId> keep;
   pam.locus_taxa(locus).for_each(
       [&](std::size_t t) { keep.push_back(static_cast<TaxonId>(t)); });
+  // restrict_to skips taxa the tree lacks; here that would silently drop a
+  // present cell from the constraint.
+  for (const TaxonId t : keep)
+    if (!species_tree.has_taxon(t))
+      throw InvalidInput("PAM marks taxon " + std::to_string(t) +
+                         " present in locus " + std::to_string(locus) +
+                         ", but the species tree has no leaf for it");
   return phylo::restrict_to(species_tree, keep);
 }
 

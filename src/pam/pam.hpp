@@ -76,7 +76,8 @@ class Pam {
 };
 
 /// The constraint tree of one locus: the species tree restricted to the taxa
-/// present in that locus.
+/// present in that locus. Throws InvalidInput when the species tree lacks a
+/// taxon the locus marks present.
 phylo::Tree induced_subtree(const phylo::Tree& species_tree, const Pam& pam,
                             std::size_t locus);
 

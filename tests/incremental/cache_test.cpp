@@ -25,7 +25,7 @@ TEST(ResultCache, InsertAndFind) {
   ResultCache cache(4);
   EXPECT_EQ(cache.find(fp("a"), "a"), nullptr);
   cache.insert(fp("a"), entry_for("a", 3));
-  const CacheEntry* hit = cache.find(fp("a"), "a");
+  const auto hit = cache.find(fp("a"), "a");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->stand_trees, 3u);
   EXPECT_EQ(cache.size(), 1u);
@@ -60,7 +60,7 @@ TEST(ResultCache, ReplaceInPlaceDoesNotEvict) {
   cache.insert(fp("a"), entry_for("a", 7));  // refresh, not a new slot
   EXPECT_EQ(cache.size(), 2u);
   EXPECT_EQ(cache.evictions(), 0u);
-  const CacheEntry* hit = cache.find(fp("a"), "a");
+  const auto hit = cache.find(fp("a"), "a");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->stand_trees, 7u);
   EXPECT_NE(cache.find(fp("b"), "b"), nullptr);

@@ -173,6 +173,34 @@ TEST(InstanceCanonical, TaxonRelabelInvariance) {
   EXPECT_GE(invariant, kSeeds * 9 / 10);
 }
 
+TEST(InstanceCanonical, DisjointIsomorphicPartsStayRelabelInvariant) {
+  // Three quartets on disjoint taxa, the shape of a decompose residual over
+  // three 4-taxon components. As one instance the 12 taxa form a single
+  // color class and the individualization budget runs out; canonicalized
+  // part by part, every relabeling gives the same encoding.
+  phylo::TaxonSet taxa;
+  for (int i = 0; i < 12; ++i) taxa.add("t" + std::to_string(i));
+  const std::vector<phylo::Tree> quartets = {
+      phylo::parse_newick("((t0,t1),(t2,t3));", taxa),
+      phylo::parse_newick("((t4,t6),(t5,t7));", taxa),
+      phylo::parse_newick("((t8,t11),(t9,t10));", taxa)};
+  const auto a = core::canonicalize_instance(quartets);
+  EXPECT_TRUE(a.relabel_invariant);
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    support::Rng rng(seed);
+    const auto b = core::canonicalize_instance(
+        relabel_instance(quartets, taxa.size(), random_perm(taxa.size(), rng)));
+    EXPECT_TRUE(b.relabel_invariant);
+    EXPECT_EQ(a.encoding, b.encoding);
+  }
+  // order still serializes the instance into its encoding.
+  std::vector<std::size_t> rank(taxa.size(), 0);
+  for (std::size_t r = 0; r < a.order.size(); ++r) rank[a.order[r]] = r;
+  for (const auto& tree : quartets)
+    EXPECT_NE(a.encoding.find(core::rank_newick(tree, rank)),
+              std::string::npos);
+}
+
 TEST(InstanceCanonical, ConstraintOrderInvariance) {
   benchutil::MultiComponentParams p;
   p.n_components = 2;

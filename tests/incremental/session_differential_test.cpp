@@ -168,7 +168,6 @@ TEST(SessionDifferential, RevertedEditIsServedEntirelyFromCache) {
   IncrementalSession session(ds.species_tree, ds.pam, so);
 
   Result first = session.enumerate();
-  const auto fp_before = session.instance_fingerprint();
 
   // Find a fillable cell, fill it, then clear it back.
   PamDelta fill = PamDelta::fill_cell(0, 0);
@@ -192,7 +191,6 @@ TEST(SessionDifferential, RevertedEditIsServedEntirelyFromCache) {
   EXPECT_GT(reverted.cache.hits, 0u);
   EXPECT_EQ(reverted.stand_trees, first.stand_trees);
   EXPECT_EQ(sorted_trees(reverted), sorted_trees(first));
-  EXPECT_EQ(session.instance_fingerprint(), fp_before);
   for (const auto& shard : reverted.shards) EXPECT_TRUE(shard.reused);
 }
 
@@ -219,13 +217,15 @@ TEST(SessionDifferential, SplitAndMergeEditsStayExact) {
 
   Result split = session.apply(PamDelta::clear_cell(4, 1));
   incremental::apply_edit(shadow, PamDelta::clear_cell(4, 1));
-  EXPECT_TRUE(session.last_classification().split);
+  EXPECT_EQ(decompose::analyze_pam(species, shadow).split.components.size(),
+            2u);
   expect_same(std::move(split), from_scratch(species, shadow, opts),
               "after split");
 
   Result merged = session.apply(PamDelta::fill_cell(4, 1));
   incremental::apply_edit(shadow, PamDelta::fill_cell(4, 1));
-  EXPECT_TRUE(session.last_classification().merged);
+  EXPECT_EQ(decompose::analyze_pam(species, shadow).split.components.size(),
+            1u);
   expect_same(std::move(merged), from_scratch(species, shadow, opts),
               "after merge");
 }
@@ -314,6 +314,26 @@ TEST(SessionDifferential, FailingScriptLeavesSessionUnchanged) {
   EXPECT_EQ(session.pam().to_text(ds.taxa), before_text);
   expect_same(session.enumerate(),
               from_scratch(ds.species_tree, ds.pam, opts), "after rollback");
+
+  // Every edit of this script applies, but the edited matrix leaves every
+  // locus below the min_taxa floor, so nothing is enumerable: the
+  // re-enumeration throws and the matrix rolls back too.
+  EditScript starve;
+  for (std::size_t l = 0; l < ds.pam.locus_count(); ++l) {
+    std::size_t kept = 0;
+    for (phylo::TaxonId t = 0; t < ds.pam.taxon_count(); ++t) {
+      if (!ds.pam.present(t, l)) continue;
+      if (kept < so.min_taxa - 1)
+        ++kept;
+      else
+        starve.push_back(PamDelta::clear_cell(t, l));
+    }
+  }
+  EXPECT_THROW(session.apply(starve), support::InvalidInput);
+  EXPECT_EQ(session.pam().to_text(ds.taxa), before_text);
+  expect_same(session.enumerate(),
+              from_scratch(ds.species_tree, ds.pam, opts),
+              "after enumeration rollback");
 }
 
 TEST(SessionDifferential, EvictionDuringPendingHitStaysExact) {
@@ -354,8 +374,8 @@ TEST(SessionDifferential, EvictionDuringPendingHitStaysExact) {
 TEST(SessionDifferential, ResidualKeyTracksPassThroughStructure) {
   // Two session states with identical universe size and enumerable
   // component sizes but different pass-through constraints must not share
-  // a residual cache entry: the closed form refuses the pass-through case,
-  // so the cache may not assume shape independence across it either.
+  // a residual cache entry: the pass-through constraints belong to the
+  // residual instance, so they belong to its key.
   phylo::TaxonSet taxa;
   support::Rng rng(53);
   const auto species =
@@ -379,7 +399,7 @@ TEST(SessionDifferential, ResidualKeyTracksPassThroughStructure) {
   // Dropping taxon 9 from locus 3 erases that constraint (below the
   // min_taxa floor) but keeps the universe and the enumerable sizes: only
   // the pass-through structure changes, so the residual must miss and
-  // recompute rather than serve the previous signature's entry.
+  // recompute rather than serve the previous instance's entry.
   const PamDelta edit = PamDelta::clear_cell(9, 3);
   Result inc = session.apply(edit);
   pam::Pam shadow = pam;
@@ -390,11 +410,156 @@ TEST(SessionDifferential, ResidualKeyTracksPassThroughStructure) {
               "one pass-through constraint");
 }
 
-TEST(SessionDifferential, ScriptWithMultipleAddTaxaClassifiesEach) {
-  // Each kAddTaxon edit in a script must be classified by the taxon id it
-  // actually added, not by the post-script matrix's last taxon: taxon 8
-  // joins component 0 and taxon 9 joins component 1, so both components
-  // are touched_after.
+TEST(SessionDifferential, SixTaxonResidualFollowsRepresentativeShapes) {
+  // From 6 taxa on, the residual count depends on the shapes of the
+  // component representatives, not only on the component sizes (DESIGN.md
+  // "Decomposition"). Each edit keeps the universe and both component sizes
+  // but reshapes a representative, so a residual cached for the old shapes
+  // must not be served: the session must still equal run_sharded, shard by
+  // shard.
+  struct Case {
+    std::uint64_t seed;
+    PamDelta edit;
+  };
+  const Case cases[] = {{5, PamDelta::fill_cell(0, 0)},
+                        {4, PamDelta::clear_cell(8, 5)}};
+  for (const Case& c : cases) {
+    benchutil::MultiComponentParams p;
+    p.n_components = 2;
+    p.min_taxa_per_component = 6;
+    p.max_taxa_per_component = 6;
+    p.loci_per_component = 3;
+    p.min_taxa_per_locus = 3;
+    p.missing_fraction = 0.4;
+    p.seed = c.seed;
+    const auto ds = benchutil::make_multi_component(p);
+    SCOPED_TRACE(ds.name + ": " + incremental::to_string(c.edit));
+
+    Options opts;
+    opts.decompose = core::Decompose::kComponents;
+    SessionOptions so;
+    so.engine = opts;
+    so.min_taxa = 3;
+    IncrementalSession session(ds.species_tree, ds.pam, so);
+    session.enumerate();
+    const Result inc = session.apply(c.edit);
+
+    pam::Pam shadow = ds.pam;
+    incremental::apply_edit(shadow, c.edit);
+    const Result ref = from_scratch(ds.species_tree, shadow, opts, 3);
+    ASSERT_EQ(ref.reason, StopReason::kCompleted);
+    EXPECT_EQ(inc.reason, StopReason::kCompleted);
+    EXPECT_EQ(inc.stand_trees, ref.stand_trees);
+    ASSERT_EQ(inc.shards.size(), ref.shards.size());
+    for (std::size_t j = 0; j < ref.shards.size(); ++j)
+      EXPECT_EQ(inc.shards[j].stand_trees, ref.shards[j].stand_trees)
+          << "shard " << j;
+  }
+}
+
+TEST(SessionDifferential, IsomorphicHitKeepsItsOwnRepresentative) {
+  // Each case fills one cell, clears it again, then fills another: the two
+  // fills give the edited block isomorphic instances under different
+  // labelings, so the last edit's component hits the entry the first fill
+  // stored. A representative is a function of the labelled instance (the
+  // probe breaks ties by taxon id), so the hit must not bring the first
+  // instance's representative along: from 6 taxa on the residual count
+  // depends on its shape (a cached representative gave 10,405,325 trees
+  // where run_sharded counts 10,315,725 on seed 2).
+  struct Case {
+    std::uint64_t seed;
+    PamDelta first;
+    PamDelta last;
+  };
+  const Case cases[] = {
+      {2, PamDelta::fill_cell(10, 3), PamDelta::fill_cell(10, 4)},
+      {5, PamDelta::fill_cell(7, 4), PamDelta::fill_cell(9, 4)},
+      {26, PamDelta::fill_cell(8, 3), PamDelta::fill_cell(11, 3)}};
+  for (const Case& c : cases) {
+    benchutil::MultiComponentParams p;
+    p.n_components = 2;
+    p.min_taxa_per_component = 6;
+    p.max_taxa_per_component = 6;
+    p.loci_per_component = 3;
+    p.min_taxa_per_locus = 3;
+    p.missing_fraction = 0.4;
+    p.seed = c.seed;
+    const auto ds = benchutil::make_multi_component(p);
+    SCOPED_TRACE(ds.name + ": " + incremental::to_string(c.last));
+
+    Options opts;
+    opts.decompose = core::Decompose::kComponents;
+    SessionOptions so;
+    so.engine = opts;
+    so.min_taxa = 3;
+    IncrementalSession session(ds.species_tree, ds.pam, so);
+    session.enumerate();
+    session.apply(c.first);
+    session.apply(PamDelta::clear_cell(c.first.taxon, c.first.locus));
+    const Result inc = session.apply(c.last);
+    EXPECT_EQ(inc.cache.recomputed_components, 0u);
+
+    pam::Pam shadow = ds.pam;
+    incremental::apply_edit(shadow, c.last);
+    const Result ref = from_scratch(ds.species_tree, shadow, opts, 3);
+    ASSERT_EQ(ref.reason, StopReason::kCompleted);
+    EXPECT_EQ(inc.stand_trees, ref.stand_trees);
+    ASSERT_EQ(inc.shards.size(), ref.shards.size());
+    for (std::size_t j = 0; j < ref.shards.size(); ++j)
+      EXPECT_EQ(inc.shards[j].stand_trees, ref.shards[j].stand_trees)
+          << "shard " << j;
+  }
+}
+
+TEST(SessionDifferential, ComponentAndResidualShareOneKey) {
+  // Locus 0 over {0..4} displays locus 1 over {0..3}, so the one
+  // component's stand is locus 0's tree and the residual instance is that
+  // tree alone. Clearing (3, 1) drops locus 1 below the floor: the component
+  // becomes the residual's instance. A count is a property of the instance,
+  // so a counting session serves the component from the residual's entry;
+  // that entry holds no stand, so a collecting session recomputes the
+  // component. Either way each served shard keeps its own kind.
+  using Kind = core::ShardStats::Kind;
+  phylo::TaxonSet taxa;
+  support::Rng rng(71);
+  const auto species =
+      datagen::random_tree(datagen::default_taxa(taxa, 5), rng);
+  pam::Pam pam(5, 2);
+  for (phylo::TaxonId t = 0; t < 5; ++t) pam.set_present(t, 0);
+  for (phylo::TaxonId t = 0; t < 4; ++t) pam.set_present(t, 1);
+
+  for (const bool collect : {false, true}) {
+    SCOPED_TRACE(collect ? "collecting" : "counting");
+    Options opts = engine_options(taxa);
+    opts.collect_trees = collect;
+    SessionOptions so;
+    so.engine = opts;
+    IncrementalSession session(species, pam, so);
+    const Result first = session.enumerate();
+    EXPECT_EQ(first.cache.misses, 2u);
+
+    const PamDelta edit = PamDelta::clear_cell(3, 1);
+    Result inc = session.apply(edit);
+    pam::Pam shadow = pam;
+    incremental::apply_edit(shadow, edit);
+    Result ref = from_scratch(species, shadow, opts);
+    EXPECT_EQ(inc.cache.recomputed_components, collect ? 1u : 0u);
+    ASSERT_EQ(inc.shards.size(), 2u);
+    ASSERT_EQ(ref.shards.size(), 2u);
+    EXPECT_EQ(inc.shards[0].kind, Kind::kComponent);
+    EXPECT_EQ(inc.shards[0].reused, !collect);
+    EXPECT_EQ(inc.shards[1].kind, Kind::kResidual);
+    EXPECT_TRUE(inc.shards[1].reused);
+    for (std::size_t j = 0; j < 2; ++j)
+      EXPECT_EQ(inc.shards[j].stand_trees, ref.shards[j].stand_trees);
+    expect_same(std::move(inc), std::move(ref), "after the edit");
+  }
+}
+
+TEST(SessionDifferential, ScriptWithTwoAddTaxaStaysExact) {
+  // One script adds two taxa: taxon 8 joins component 0 and taxon 9 joins
+  // component 1, so both components change before the single
+  // re-enumeration.
   phylo::TaxonSet taxa;
   support::Rng rng(67);
   const auto species =
@@ -413,8 +578,7 @@ TEST(SessionDifferential, ScriptWithMultipleAddTaxaClassifiesEach) {
   Result inc = session.apply(script);
   pam::Pam shadow = pam;
   for (const PamDelta& edit : script) incremental::apply_edit(shadow, edit);
-  EXPECT_EQ(session.last_classification().touched_after,
-            (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(inc.cache.recomputed_components, 2u);
   expect_same(std::move(inc), from_scratch(species, shadow, opts),
               "after two add_taxon edits");
 }

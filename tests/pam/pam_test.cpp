@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "datagen/tree_gen.hpp"
 #include "pam/pam.hpp"
 #include "phylo/newick.hpp"
@@ -81,6 +83,24 @@ TEST(Pam, InducedSubtreeMatchesRestriction) {
   EXPECT_EQ(all.size(), 1u);
   const auto all2 = induced_subtrees(species, pam, 3);
   EXPECT_EQ(all2.size(), 2u);
+}
+
+TEST(Pam, InducedSubtreeRejectsTaxonMissingFromSpeciesTree) {
+  // Taxa a-e are present in the one locus, but the species tree carries f
+  // and g instead of e: restricting it would silently drop e's cell.
+  phylo::TaxonSet taxa;
+  const Pam pam = Pam::parse("5 1\na 1\nb 1\nc 1\nd 1\ne 1\n", taxa);
+  const auto species = phylo::parse_newick("((a,b),(c,f),(d,g));", taxa);
+  EXPECT_THROW(induced_subtrees(species, pam), support::InvalidInput);
+  try {
+    induced_subtree(species, pam, 0);
+    FAIL() << "a present taxon missing from the species tree was accepted";
+  } catch (const support::InvalidInput& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("taxon " + std::to_string(taxa.id_of("e"))),
+              std::string::npos);
+    EXPECT_NE(what.find("locus 0"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -54,9 +54,7 @@ Options options_for(const datagen::Dataset& ds) {
 // ---- GW estimator ----------------------------------------------------------
 
 TEST(GwOfferModel, PriorOnlyPredictionFollowsRecurrence) {
-  Options o;
-  o.gw_prior_offspring = 2.0;
-  GwOfferModel model(/*max_remaining=*/4, o);
+  GwOfferModel model(/*max_remaining=*/4);
   // No observations: m(r) = prior everywhere, so W(r) = 2 * (1 + W(r-1)):
   // W(1) = 2, W(2) = 6, W(3) = 14, and a branch of a stratum-r frame is
   // worth 1 + W(r-1).
@@ -67,11 +65,7 @@ TEST(GwOfferModel, PriorOnlyPredictionFollowsRecurrence) {
 }
 
 TEST(GwOfferModel, ConvergesToObservedBranching) {
-  Options o;
-  o.gw_prior_offspring = 2.0;
-  o.gw_prior_weight = 4.0;
-  o.gw_refit_period = 64;
-  GwOfferModel model(/*max_remaining=*/3, o);
+  GwOfferModel model(/*max_remaining=*/3);
   for (int i = 0; i < 10'000; ++i)
     for (std::size_t r = 1; r <= 3; ++r) model.record(r, 3);
   // Prior washed out: m -> 3, so W(1)=3, W(2)=12 and branch values follow.
@@ -81,22 +75,19 @@ TEST(GwOfferModel, ConvergesToObservedBranching) {
 }
 
 TEST(GwOfferModel, DeadEndsShrinkTheForecast) {
-  Options o;
-  GwOfferModel model(/*max_remaining=*/2, o);
+  GwOfferModel model(/*max_remaining=*/2);
   for (int i = 0; i < 1'000; ++i) model.record(1, 0);  // stratum 1 dead-ends
   // W(1) -> 0: a branch of a stratum-2 frame is worth just its own insert.
   EXPECT_NEAR(model.expected_branch_states(2), 1.0, 1e-2);
 }
 
 TEST(GwOfferModel, RefitIsLazyAndDeterministic) {
-  Options o;
-  o.gw_refit_period = 64;
-  GwOfferModel model(/*max_remaining=*/2, o);
+  GwOfferModel model(/*max_remaining=*/2);
   const double before = model.expected_branch_states(2);  // fits the prior
   for (int i = 0; i < 10; ++i) model.record(1, 6);
-  // Fewer than gw_refit_period new samples: the table must not move.
+  // Fewer than kGwRefitPeriod new samples: the table must not move.
   EXPECT_DOUBLE_EQ(model.expected_branch_states(2), before);
-  for (int i = 0; i < 64; ++i) model.record(1, 6);
+  for (std::uint32_t i = 0; i < core::kGwRefitPeriod; ++i) model.record(1, 6);
   EXPECT_GT(model.expected_branch_states(2), before);
 }
 
