@@ -1,8 +1,8 @@
-#include "incremental/cache.hpp"
+#include "decompose/cache.hpp"
 
 #include <utility>
 
-namespace gentrius::incremental {
+namespace gentrius::decompose {
 
 std::shared_ptr<const CacheEntry> ResultCache::find(
     const support::Fingerprint& fp, const std::string& encoding) {
@@ -32,4 +32,4 @@ void ResultCache::insert(const support::Fingerprint& fp, CacheEntry entry) {
   entries_.emplace(fp, Slot{std::move(shared), ++tick_});
 }
 
-}  // namespace gentrius::incremental
+}  // namespace gentrius::decompose

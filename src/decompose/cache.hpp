@@ -1,13 +1,14 @@
 // Bounded LRU result cache keyed by canonical instance encodings.
 //
-// One entry per canonicalized shard instance, a decompose component or an
-// enumerated residual alike, keyed by core::canonicalize_instance
-// (src/gentrius/problem.hpp). The encoding serializes the constraint trees
-// over canonical taxon ranks, and a stand depends only on its instance up to
-// taxon relabeling, so the one key is exact for every shard at any size.
-// Values live in canonical *rank space* (counts, optionally the full stand
-// as rank-label Newick), so a hit from any relabeling of the same instance
-// can be translated back into the session's taxon ids.
+// run_sharded's optional cache (sharded.hpp): one entry per canonicalized
+// shard instance, a component or an enumerated residual alike, keyed by
+// core::canonicalize_instance (src/gentrius/problem.hpp). The encoding
+// serializes the constraint trees over canonical taxon ranks, and a stand
+// depends only on its instance up to taxon relabeling, so the one key is
+// exact for every shard at any size. Values live in canonical *rank space*
+// (counts, optionally the full stand as rank-label Newick), so a hit from
+// any relabeling of the same instance can be translated back into the
+// caller's taxon ids.
 //
 // Every lookup compares the stored canonical encoding byte for byte — a
 // 128-bit fingerprint collision therefore costs a recomputation, never a
@@ -26,7 +27,7 @@
 #include "gentrius/options.hpp"
 #include "support/fingerprint.hpp"
 
-namespace gentrius::incremental {
+namespace gentrius::decompose {
 
 struct CacheEntry {
   /// Full canonical encoding of the keyed instance (collision check).
@@ -73,4 +74,4 @@ class ResultCache {
   std::uint64_t evictions_ = 0;
 };
 
-}  // namespace gentrius::incremental
+}  // namespace gentrius::decompose

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -15,13 +16,15 @@
 
 namespace gentrius::decompose {
 
-namespace detail {
+namespace {
 
 using core::Options;
 using core::Result;
 using core::ShardStats;
 using core::StopReason;
+using Kind = ShardStats::Kind;
 
+/// a * b clamped to uint64 max; sets `saturated` on clamp.
 std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b,
                              bool& saturated) {
   if (a == 0 || b == 0) return 0;
@@ -31,6 +34,267 @@ std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b,
   }
   return a * b;
 }
+
+/// Taxa over all components: the universe of the residual shard.
+std::size_t universe_size(const ComponentSplit& split) {
+  std::size_t universe = 0;
+  for (const Component& comp : split.components) universe += comp.taxa.size();
+  return universe;
+}
+
+/// Id-stable labels for Newick round-tripping: label "x<i>" gets id i, for
+/// every id up to the split's largest taxon.
+phylo::TaxonSet id_labels(const ComponentSplit& split) {
+  phylo::TaxonId max_id = 0;
+  for (const Component& comp : split.components)
+    max_id = std::max(max_id, comp.taxa.back());
+  phylo::TaxonSet labels;
+  for (phylo::TaxonId t = 0; t <= max_id; ++t)
+    labels.add("x" + std::to_string(t));
+  return labels;
+}
+
+/// Canonical representative of a component: the first stand tree of a
+/// default-options serial probe collecting one tree, a deterministic
+/// function of the component alone (independent of the caller's heuristic
+/// configuration). nullopt when the component's stand is empty. `labels`
+/// must come from id_labels. Probe work is not accumulated into any Result.
+std::optional<phylo::Tree> probe_representative(
+    const std::vector<phylo::Tree>& component, phylo::TaxonSet& labels) {
+  Options probe;
+  probe.collect_trees = true;
+  probe.collect_limit = 1;
+  probe.stop.max_stand_trees = 1;
+  probe.tree_names = &labels;
+  const Result r = core::run_serial(component, probe);
+  if (r.trees.empty()) return std::nullopt;
+  return phylo::parse_newick(r.trees.front(), labels);
+}
+
+/// The split, the id labels and the pass-through constraints; no
+/// representatives yet. Throws InvalidInput when nothing is enumerable (the
+/// same inputs build_problem rejects).
+ShardPlan plan_components(const std::vector<phylo::Tree>& constraints) {
+  ShardPlan plan;
+  plan.split = analyze_components(constraints);
+  if (plan.split.enumerable_count == 0)
+    throw support::InvalidInput(
+        "decompose: no component contains a constraint with >= 3 taxa; "
+        "nothing is enumerable");
+  plan.labels = id_labels(plan.split);
+  for (const Component& comp : plan.split.components)
+    if (!comp.enumerable)
+      for (const std::size_t c : comp.constraint_indices)
+        plan.passthrough.push_back(constraints[c]);
+  return plan;
+}
+
+/// Probes one representative per enumerable component and assembles the
+/// residual instance from them and the pass-through constraints.
+void plan_residual(ShardPlan& plan,
+                   const std::vector<phylo::Tree>& constraints) {
+  for (const Component& comp : plan.split.components) {
+    if (!comp.enumerable) continue;
+    auto representative = probe_representative(
+        detail::subset_constraints(constraints, comp), plan.labels);
+    if (representative)
+      plan.representatives.push_back(std::move(*representative));
+    else
+      plan.empty_component = true;
+  }
+  plan.residual_constraints = plan.representatives;
+  plan.residual_constraints.insert(plan.residual_constraints.end(),
+                                   plan.passthrough.begin(),
+                                   plan.passthrough.end());
+}
+
+/// Runs one shard instance through the backend selected by `run`.
+Result run_one_shard(const std::vector<phylo::Tree>& constraints,
+                     const Options& options, const ShardRunOptions& run) {
+  switch (run.backend) {
+    case ShardBackend::kSerial:
+      return core::run_serial(constraints, options);
+    case ShardBackend::kPool:
+      return parallel::run_parallel(core::build_problem(constraints, options),
+                                    options, run.n_threads, run.launch_mode);
+    case ShardBackend::kVirtual:
+      return vthread::run_virtual(core::build_problem(constraints, options),
+                                  options, run.n_threads, run.costs);
+  }
+  GENTRIUS_CHECK(false);
+}
+
+/// Per-shard rollup of a shard run's Result.
+ShardStats make_stats(Kind kind, std::size_t n_taxa, std::size_t n_constraints,
+                      const Result& r) {
+  ShardStats s;
+  s.kind = kind;
+  s.n_taxa = n_taxa;
+  s.n_constraints = n_constraints;
+  s.stand_trees = r.stand_trees;
+  s.intermediate_states = r.intermediate_states;
+  s.dead_ends = r.dead_ends;
+  s.reason = r.reason;
+  s.selection = r.selection;
+  s.sched = r.sched;
+  s.virtual_makespan = r.virtual_makespan;
+  return s;
+}
+
+/// The residual shard's rollup under the closed form: M is a formula, not a
+/// run, so only the shape and the count are set. The form applies only when
+/// every component is enumerable, one representative each.
+ShardStats closed_form_stats(const ComponentSplit& split, std::uint64_t count) {
+  ShardStats s;
+  s.kind = Kind::kResidual;
+  s.n_taxa = universe_size(split);
+  s.n_constraints = split.enumerable_count;
+  s.stand_trees = count;
+  return s;
+}
+
+/// Folds a shard run into the combined result (counters, scheduler and
+/// selection stats, first-stopping-rule-wins reason).
+void accumulate(Result& out, const Result& r) {
+  out.intermediate_states += r.intermediate_states;
+  out.dead_ends += r.dead_ends;
+  out.tasks_executed += r.tasks_executed;
+  out.tasks_offered += r.tasks_offered;
+  out.sched.merge(r.sched);
+  out.selection.merge(r.selection);
+  // The first stopping rule that fired anywhere decides the combined
+  // reason; an empty shard stand is a *result* (count 0), not a stop.
+  if (out.reason == StopReason::kCompleted &&
+      r.reason != StopReason::kCompleted &&
+      r.reason != StopReason::kEmptyStand)
+    out.reason = r.reason;
+}
+
+/// Every tree has <= 5 taxa. All binary trees on as many taxa then share one
+/// shape, so the interleaving count cannot depend on which trees are fixed.
+/// Only invariant builds evaluate it.
+[[maybe_unused]] bool at_most_five_taxa(const std::vector<phylo::Tree>& trees) {
+  return std::all_of(trees.begin(), trees.end(), [](const phylo::Tree& t) {
+    return t.leaf_count() <= 5;
+  });
+}
+
+/// No stopping rule cut the run short: its count is a property of the
+/// instance.
+bool finished(StopReason reason) {
+  return reason == StopReason::kCompleted || reason == StopReason::kEmptyStand;
+}
+
+/// Sharded virtual-time accounting (virtual backend only; see CostModel).
+double combine_makespans(const std::vector<double>& makespans,
+                         const ShardRunOptions& run) {
+  const double dispatch = run.costs.shard_dispatch_cost;
+  const double merge = run.costs.shard_merge_cost;
+  const auto n = static_cast<double>(makespans.size());
+  if (run.schedule == ShardSchedule::kSequential) {
+    double total = 0.0;
+    for (const double m : makespans) total += dispatch + m + merge;
+    return total;
+  }
+  // Concurrent: one machine per shard. Dispatches leave the coordinator
+  // back to back, shards overlap, merges serialize on the coordinator
+  // after the last shard finishes.
+  double finish = 0.0;
+  for (std::size_t s = 0; s < makespans.size(); ++s)
+    finish = std::max(
+        finish, dispatch * static_cast<double>(s + 1) + makespans[s]);
+  return finish + merge * n;
+}
+
+// ---- result cache ----------------------------------------------------------
+
+constexpr auto kNoRank = static_cast<std::size_t>(-1);
+
+/// taxon id -> canonical rank of the instance (kNoRank outside).
+std::vector<std::size_t> rank_of_taxon(
+    const std::vector<phylo::TaxonId>& order) {
+  phylo::TaxonId max_id = 0;
+  for (const phylo::TaxonId t : order) max_id = std::max(max_id, t);
+  std::vector<std::size_t> rank(max_id + 1, kNoRank);
+  for (std::size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+  return rank;
+}
+
+/// A collected stand (Newick over `labels`) as rank-label Newick,
+/// ascending: the form the cache stores, free of the caller's taxon ids.
+std::vector<std::string> to_rank_space(const std::vector<std::string>& stand,
+                                       const std::vector<phylo::TaxonId>& order,
+                                       phylo::TaxonSet& labels) {
+  const auto rank = rank_of_taxon(order);
+  std::vector<std::string> out;
+  out.reserve(stand.size());
+  for (const std::string& tree : stand)
+    out.push_back(core::rank_newick(phylo::parse_newick(tree, labels), rank));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// A cached rank-space stand as the engine's canonical Newick over
+/// `labels`, ascending, so the streamed tuples are byte-identical to an
+/// uncached run's.
+std::vector<std::string> from_rank_space(
+    const std::vector<std::string>& stand,
+    const std::vector<phylo::TaxonId>& order, const phylo::TaxonSet& labels) {
+  // Parsing under `ranks` yields the caller's ids: id i carries the rank
+  // label of order^-1(i), and ids outside the instance get unique pad
+  // labels so the dense id assignment lines up.
+  const auto rank = rank_of_taxon(order);
+  phylo::TaxonSet ranks;
+  for (std::size_t id = 0; id < rank.size(); ++id)
+    ranks.add(rank[id] != kNoRank ? core::canonical_rank_label(rank[id])
+                                  : "_pad" + std::to_string(id));
+  std::vector<std::string> out;
+  out.reserve(stand.size());
+  for (const std::string& tree : stand)
+    out.push_back(
+        phylo::canonical_newick(phylo::parse_newick(tree, ranks), labels));
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Whether a cached entry can serve a component: when stands are collected
+/// it must hold the complete stand within the caller's collect_limit (an
+/// uncached run truncates each component's collection at the limit; an
+/// entry computed as a residual holds no stand).
+bool serves_component(const CacheEntry& entry, const Options& options) {
+  return !options.collect_trees || entry.stand_trees == 0 ||
+         (entry.stands_complete &&
+          entry.stands.size() <= options.collect_limit);
+}
+
+/// One shard of a run, a component or the enumerated residual.
+struct Shard {
+  Kind kind = Kind::kComponent;
+  std::size_t n_taxa = 0;
+  std::vector<phylo::Tree> instance;
+  /// Cached runs only: the shard's key and its hit, held by shared
+  /// ownership because a later insert at capacity may evict it.
+  core::CanonicalInstance canon;
+  std::shared_ptr<const CacheEntry> hit;
+};
+
+/// The shard, with its canonical key and cache hit when there is a cache.
+Shard look_up(Kind kind, std::size_t n_taxa, std::vector<phylo::Tree> instance,
+              ResultCache* cache) {
+  Shard s;
+  s.kind = kind;
+  s.n_taxa = n_taxa;
+  s.instance = std::move(instance);
+  if (cache != nullptr) {
+    s.canon = core::canonicalize_instance(s.instance);
+    s.hit = cache->find(s.canon.fp, s.canon.encoding);
+  }
+  return s;
+}
+
+}  // namespace
+
+namespace detail {
 
 ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   ResidualClosedForm out;
@@ -70,16 +334,6 @@ ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   return out;
 }
 
-ShardStats closed_form_stats(const ComponentSplit& split,
-                             std::size_t n_constraints, std::uint64_t count) {
-  ShardStats s;
-  s.kind = ShardStats::Kind::kResidual;
-  s.n_taxa = universe_size(split);
-  s.n_constraints = n_constraints;
-  s.stand_trees = count;
-  return s;
-}
-
 std::vector<phylo::Tree> subset_constraints(
     const std::vector<phylo::Tree>& constraints, const Component& comp) {
   std::vector<phylo::Tree> out;
@@ -89,106 +343,12 @@ std::vector<phylo::Tree> subset_constraints(
   return out;
 }
 
-std::size_t universe_size(const ComponentSplit& split) {
-  std::size_t universe = 0;
-  for (const Component& comp : split.components) universe += comp.taxa.size();
-  return universe;
-}
-
-phylo::TaxonSet id_labels(const ComponentSplit& split) {
-  phylo::TaxonId max_id = 0;
-  for (const Component& comp : split.components)
-    max_id = std::max(max_id, comp.taxa.back());
-  phylo::TaxonSet labels;
-  for (phylo::TaxonId t = 0; t <= max_id; ++t)
-    labels.add("x" + std::to_string(t));
-  return labels;
-}
-
-std::optional<phylo::Tree> probe_representative(
-    const std::vector<phylo::Tree>& component, phylo::TaxonSet& labels) {
-  Options probe;
-  probe.collect_trees = true;
-  probe.collect_limit = 1;
-  probe.stop.max_stand_trees = 1;
-  probe.tree_names = &labels;
-  const Result r = core::run_serial(component, probe);
-  if (r.trees.empty()) return std::nullopt;
-  return phylo::parse_newick(r.trees.front(), labels);
-}
-
 Options shard_options(const Options& options) {
   Options o = options;
   o.decompose = core::Decompose::kOff;
   o.initial_constraint.reset();
   o.insertion_order.clear();
   return o;
-}
-
-Result run_one_shard(const std::vector<phylo::Tree>& constraints,
-                     const Options& options, const ShardRunOptions& run) {
-  switch (run.backend) {
-    case ShardBackend::kSerial:
-      return core::run_serial(constraints, options);
-    case ShardBackend::kPool:
-      return parallel::run_parallel(core::build_problem(constraints, options),
-                                    options, run.n_threads, run.launch_mode);
-    case ShardBackend::kVirtual:
-      return vthread::run_virtual(core::build_problem(constraints, options),
-                                  options, run.n_threads, run.costs);
-  }
-  GENTRIUS_CHECK(false);
-}
-
-ShardStats make_stats(ShardStats::Kind kind, std::size_t n_taxa,
-                      std::size_t n_constraints, const Result& r) {
-  ShardStats s;
-  s.kind = kind;
-  s.n_taxa = n_taxa;
-  s.n_constraints = n_constraints;
-  s.stand_trees = r.stand_trees;
-  s.intermediate_states = r.intermediate_states;
-  s.dead_ends = r.dead_ends;
-  s.reason = r.reason;
-  s.selection = r.selection;
-  s.sched = r.sched;
-  s.virtual_makespan = r.virtual_makespan;
-  return s;
-}
-
-void accumulate(Result& out, const Result& r) {
-  out.intermediate_states += r.intermediate_states;
-  out.dead_ends += r.dead_ends;
-  out.tasks_executed += r.tasks_executed;
-  out.tasks_offered += r.tasks_offered;
-  out.sched.merge(r.sched);
-  out.selection.merge(r.selection);
-  // The first stopping rule that fired anywhere decides the combined
-  // reason; an empty shard stand is a *result* (count 0), not a stop.
-  if (out.reason == StopReason::kCompleted &&
-      r.reason != StopReason::kCompleted &&
-      r.reason != StopReason::kEmptyStand)
-    out.reason = r.reason;
-}
-
-double combine_makespans(const std::vector<double>& makespans,
-                         const ShardRunOptions& run) {
-  const double dispatch = run.costs.shard_dispatch_cost;
-  const double merge = run.costs.shard_merge_cost;
-  const auto n = static_cast<double>(makespans.size());
-  if (run.schedule == ShardSchedule::kSequential) {
-    double total = 0.0;
-    for (const double m : makespans) total += dispatch + m + merge;
-    return total;
-  }
-  // Concurrent: one machine per shard. Dispatches leave the coordinator
-  // back to back, shards overlap, merges serialize on the coordinator
-  // after the last shard finishes.
-  double finish = 0.0;
-  for (std::size_t s = 0; s < makespans.size(); ++s)
-    finish = std::max(
-        finish, dispatch * static_cast<double>(s + 1) + makespans[s]);
-  return finish + merge * n;
 }
 
 void stream_cross_product(
@@ -215,11 +375,13 @@ void stream_cross_product(
     Result r = core::run_serial(tuple, tuple_opts);
     // Shape independence of the interleaving count: every tuple instance
     // has the residual instance's count (the residual *is* the canonical
-    // representatives' tuple). This is guaranteed only for components of
-    // <= 5 taxa; from 6 taxa on tuples of other shapes can have other counts.
+    // representatives' tuple). This is guaranteed only when every tuple
+    // tree has <= 5 taxa; from 6 taxa on tuples of other shapes can have
+    // other counts.
     GENTRIUS_DCHECK(r.reason != StopReason::kCompleted ||
                     out.reason != StopReason::kCompleted ||
-                    r.stand_trees == residual_count);
+                    r.stand_trees == residual_count ||
+                    !at_most_five_taxa(tuple));
     out.trees.insert(out.trees.end(),
                      std::make_move_iterator(r.trees.begin()),
                      std::make_move_iterator(r.trees.end()));
@@ -236,22 +398,6 @@ void stream_cross_product(
 
 }  // namespace detail
 
-namespace {
-
-using core::Options;
-using core::Result;
-using core::ShardStats;
-using core::StopReason;
-using detail::accumulate;
-using detail::combine_makespans;
-using detail::make_stats;
-using detail::run_one_shard;
-using detail::saturating_mul;
-using detail::shard_options;
-using detail::subset_constraints;
-
-}  // namespace
-
 std::string shard_trace_line(const core::ShardStats& s) {
   std::string line = "shard ";
   line += core::to_string(s.kind);
@@ -266,101 +412,124 @@ std::string shard_trace_line(const core::ShardStats& s) {
 }
 
 ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints) {
-  ShardPlan plan;
-  plan.split = analyze_components(constraints);
-  if (plan.split.enumerable_count == 0)
-    throw support::InvalidInput(
-        "decompose: no component contains a constraint with >= 3 taxa; "
-        "nothing is enumerable");
-
-  plan.labels = detail::id_labels(plan.split);
-
-  for (const Component& comp : plan.split.components) {
-    if (!comp.enumerable) {
-      for (const std::size_t c : comp.constraint_indices)
-        plan.passthrough.push_back(constraints[c]);
-      continue;
-    }
-    auto representative = detail::probe_representative(
-        subset_constraints(constraints, comp), plan.labels);
-    if (!representative) {
-      plan.empty_component = true;
-      continue;
-    }
-    plan.representatives.push_back(std::move(*representative));
-  }
-
-  plan.residual_constraints = plan.representatives;
-  plan.residual_constraints.insert(plan.residual_constraints.end(),
-                                   plan.passthrough.begin(),
-                                   plan.passthrough.end());
+  ShardPlan plan = plan_components(constraints);
+  plan_residual(plan, constraints);
   return plan;
 }
 
 Result run_sharded(const std::vector<phylo::Tree>& constraints,
-                   const Options& options, const ShardRunOptions& run) {
+                   const Options& options, const ShardRunOptions& run,
+                   ResultCache* cache) {
   core::validate_options(options, core::OptionsSurface::kSharded);
-  ShardPlan plan = plan_shards(constraints);
-  const Options base = shard_options(options);
+  ShardPlan plan = plan_components(constraints);
+  const Options base = detail::shard_options(options);
+  const std::uint64_t evictions_before =
+      cache != nullptr ? cache->evictions() : 0;
+  detail::ResidualClosedForm closed;
+  if (run.residual_closed_form)
+    closed = detail::closed_form_residual(plan.split);
+
+  // Every component is looked up before any of them runs, so an insert of
+  // this run cannot evict an entry a later component would have hit.
+  std::vector<Shard> components;
+  for (const Component& comp : plan.split.components) {
+    if (!comp.enumerable) continue;
+    Shard s = look_up(Kind::kComponent, comp.taxa.size(),
+                      detail::subset_constraints(constraints, comp), cache);
+    if (s.hit && !serves_component(*s.hit, options)) s.hit.reset();
+    // A hit shows an empty stand before anything runs, so no component is
+    // collected in vain; a run shows it only afterwards (below).
+    if (s.hit && s.hit->stand_trees == 0) plan.empty_component = true;
+    components.push_back(std::move(s));
+  }
+  // Only an enumerated residual needs representatives. The closed form
+  // probes nothing and learns of an empty component from the results.
+  if (!closed.applicable) plan_residual(plan, constraints);
 
   Result out;
   out.reason = StopReason::kCompleted;
   std::uint64_t product = 1;
-  std::vector<double> makespans;
+  std::vector<double> makespans;  // executed shards only: a hit costs no
+                                  // dispatch, run, or merge
   // Collected component stands (internal labels), one sorted list per
   // enumerable component, feeding the cross-product streamer below.
   std::vector<std::vector<std::string>> component_stands;
+  const bool collect = options.collect_trees && !plan.empty_component;
 
-  for (const Component& comp : plan.split.components) {
-    if (!comp.enumerable) continue;
-    Options comp_opts = base;
-    if (options.collect_trees && !plan.empty_component) {
-      comp_opts.collect_trees = true;
-      comp_opts.collect_limit = options.collect_limit;
-      comp_opts.tree_names = &plan.labels;
-    } else {
-      comp_opts.collect_trees = false;
+  // Serves a shard from its hit, or runs it and caches a finished run;
+  // returns its rollup.
+  const auto serve = [&](const Shard& s) -> ShardStats {
+    const bool component = s.kind == Kind::kComponent;
+    const bool collect_stand = component && collect;
+    if (s.hit) {
+      ShardStats stats = s.hit->stats;
+      stats.kind = s.kind;  // one instance can be keyed as either kind
+      stats.reused = true;
+      out.shards.push_back(stats);
+      out.cache.hits += 1;
+      out.cache.reused_states += stats.intermediate_states;
+      if (component) out.cache.reused_components += 1;
+      if (collect_stand)
+        component_stands.push_back(
+            from_rank_space(s.hit->stands, s.canon.order, plan.labels));
+      return stats;
     }
-    Result r = run_one_shard(subset_constraints(constraints, comp),
-                             comp_opts, run);
-    out.shards.push_back(make_stats(ShardStats::Kind::kComponent,
-                                    comp.taxa.size(),
-                                    comp.constraint_indices.size(), r));
+
+    Options opts = base;
+    opts.collect_trees = collect_stand;
+    if (collect_stand) {
+      opts.collect_limit = options.collect_limit;
+      opts.tree_names = &plan.labels;
+    }
+    Result r = run_one_shard(s.instance, opts, run);
+    const ShardStats stats = make_stats(s.kind, s.n_taxa, s.instance.size(), r);
+    out.shards.push_back(stats);
     accumulate(out, r);
-    product = saturating_mul(product, r.stand_trees, out.count_saturated);
     makespans.push_back(r.virtual_makespan);
-    if (comp_opts.collect_trees) {
-      // Canonical tuple order must not depend on the backend's worker
-      // interleaving: sort each component's stand lexicographically.
-      std::sort(r.trees.begin(), r.trees.end());
-      component_stands.push_back(std::move(r.trees));
+    // Canonical tuple order must not depend on the backend's worker
+    // interleaving: sort each component's stand lexicographically.
+    if (collect_stand) std::sort(r.trees.begin(), r.trees.end());
+    if (cache != nullptr) {
+      out.cache.misses += 1;
+      out.cache.recomputed_states += r.intermediate_states;
+      if (component) out.cache.recomputed_components += 1;
+      if (finished(r.reason)) {
+        CacheEntry entry;
+        entry.encoding = s.canon.encoding;
+        entry.stand_trees = r.stand_trees;
+        entry.stats = stats;
+        if (collect_stand && r.trees.size() == r.stand_trees) {
+          entry.stands = to_rank_space(r.trees, s.canon.order, plan.labels);
+          entry.stands_complete = true;
+        }
+        cache->insert(s.canon.fp, std::move(entry));
+      }
     }
+    if (collect_stand) component_stands.push_back(std::move(r.trees));
+    return stats;
+  };
+
+  for (const Shard& s : components) {
+    const ShardStats stats = serve(s);
+    product = saturating_mul(product, stats.stand_trees, out.count_saturated);
+    if (stats.stand_trees == 0 && finished(stats.reason))
+      plan.empty_component = true;
   }
 
+  // An empty component empties the whole stand; the residual is skipped.
   std::uint64_t residual_count = 0;
-  detail::ResidualClosedForm closed;
-  if (run.residual_closed_form && !plan.empty_component)
-    closed = detail::closed_form_residual(plan.split);
-  if (closed.applicable) {
-    out.shards.push_back(detail::closed_form_stats(
-        plan.split, plan.residual_constraints.size(), closed.count));
+  if (!plan.empty_component && closed.applicable) {
+    out.shards.push_back(closed_form_stats(plan.split, closed.count));
     residual_count = closed.count;
     if (closed.saturated) out.count_saturated = true;
-    product = saturating_mul(product, residual_count, out.count_saturated);
   } else if (!plan.empty_component) {
-    Options res_opts = base;
-    res_opts.collect_trees = false;
-    const Result r = run_one_shard(plan.residual_constraints, res_opts, run);
-    out.shards.push_back(make_stats(ShardStats::Kind::kResidual,
-                                    detail::universe_size(plan.split),
-                                    plan.residual_constraints.size(), r));
-    accumulate(out, r);
-    residual_count = r.stand_trees;
-    product = saturating_mul(product, residual_count, out.count_saturated);
-    makespans.push_back(r.virtual_makespan);
-  } else {
-    product = 0;
+    // Looked up only now, after the components are cached: one instance
+    // can be keyed as a component and as the residual.
+    const Shard residual = look_up(Kind::kResidual, universe_size(plan.split),
+                                   plan.residual_constraints, cache);
+    residual_count = serve(residual).stand_trees;
   }
+  product = saturating_mul(product, residual_count, out.count_saturated);
 
   out.stand_trees = product;
   if (run.backend == ShardBackend::kVirtual)
@@ -368,12 +537,13 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
 
   // Cross-product streaming: tuple instances are enumerated serially (they
   // are interleaving-only and cheap: no component branching remains inside
-  // them). Shared with the incremental session (shard_exec.hpp) so both
-  // drivers stream the identical tree sequence.
-  if (options.collect_trees && product > 0 && !component_stands.empty())
+  // them).
+  if (product > 0 && !component_stands.empty())
     detail::stream_cross_product(component_stands, plan.passthrough,
                                  plan.labels, base, options, residual_count,
                                  out);
+  if (cache != nullptr)
+    out.cache.evictions = cache->evictions() - evictions_before;
   return out;
 }
 

@@ -27,6 +27,13 @@
 // serial probe run (default Options, collect one tree) — a deterministic
 // function of the component alone, so the residual shard, the shard order
 // and every trace line derived from them are reproducible byte for byte.
+// Only an enumerated residual needs representatives: under the closed-form
+// residual nothing is probed.
+//
+// An optional ResultCache (cache.hpp) keys every shard by its canonical
+// instance; a hit is served without a run. The incremental session
+// (src/incremental) is run_sharded over its current matrix with the
+// session's cache, so it equals an uncached run by construction.
 //
 // Shards run serially, on the real pool, or on the virtual-time simulator
 // (ShardBackend); virtual runs charge CostModel::shard_dispatch_cost /
@@ -38,6 +45,7 @@
 #include <string>
 #include <vector>
 
+#include "decompose/cache.hpp"
 #include "decompose/components.hpp"
 #include "gentrius/options.hpp"
 #include "parallel/pool.hpp"
@@ -85,11 +93,12 @@ struct ShardRunOptions {
   vthread::CostModel costs;  ///< virtual backend only
   /// Compute the residual shard's interleaving count in closed form,
   ///   M = (2n-5)!! / prod_i (2n_i-5)!!
-  /// (DESIGN.md "Decomposition"), instead of enumerating the residual
-  /// instance. Equal to the enumerated residual when every component has
-  /// <= 5 taxa (the product-law suite checks it against enumeration there);
-  /// from 6 taxa on the interleaving count varies with the representatives'
-  /// shapes, so neither value makes the product exact. Applied only when
+  /// (DESIGN.md "Decomposition"), instead of probing representatives and
+  /// enumerating the residual instance. Equal to the enumerated residual
+  /// when every component has <= 5 taxa (the product-law suite checks it
+  /// against enumeration there); from 6 taxa on the interleaving count
+  /// varies with the representatives' shapes, so neither value makes the
+  /// product exact. Applied only when
   /// every component is enumerable; instances with pass-through constraints
   /// fall back to enumeration. Off by default: the enumerated residual run
   /// (and its golden trace lines) is part of the paper-faithful output. This is
@@ -145,9 +154,20 @@ ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints);
 /// indices and orders are meaningless inside a shard); every other option
 /// applies per shard. options.decompose is ignored — calling this function
 /// *is* the opt-in.
+///
+/// With a `cache`, each component and an enumerated residual are keyed by
+/// core::canonicalize_instance. Every component is looked up before any
+/// runs, the residual only after the components' results are inserted. A
+/// hit is served under the consumer's shard kind with ShardStats::reused
+/// set; a collecting component is served only from an entry that holds its
+/// complete stand. Finished misses are inserted. Result::cache reports the
+/// traffic, and the summed counters, scheduler and selection stats and the
+/// virtual makespan cover executed shards only. Counts, per-shard counts
+/// and stands equal an uncached run's.
 core::Result run_sharded(const std::vector<phylo::Tree>& constraints,
                          const core::Options& options,
-                         const ShardRunOptions& run = {});
+                         const ShardRunOptions& run = {},
+                         ResultCache* cache = nullptr);
 
 // ---- decompose-aware entry points -----------------------------------------
 // Dispatch on options.decompose: kOff forwards to the paper-faithful

@@ -266,11 +266,12 @@ struct SelectionStats {
   }
 };
 
-/// Incremental-session cache observability (src/incremental): how much of a
-/// re-enumeration was served from the fingerprint-keyed ResultCache versus
-/// recomputed through the engine. `reused_states` counts the intermediate
-/// states the cached shard runs had expanded when first computed — work this
-/// run did *not* repeat; `recomputed_states` is the work it did.
+/// Result-cache observability of a cached decompose::run_sharded (the
+/// incremental session's re-enumerations): how much of the run was served
+/// from the canonically keyed decompose::ResultCache versus recomputed
+/// through the engine. `reused_states` counts the intermediate states the
+/// cached shard runs had expanded when first computed — work this run did
+/// *not* repeat; `recomputed_states` is the work it did.
 struct CacheStats {
   std::uint64_t hits = 0;       ///< lookups answered from cache (components + residual)
   std::uint64_t misses = 0;     ///< lookups that fell through to enumeration
@@ -310,8 +311,9 @@ struct ShardStats {
   SelectionStats selection;              ///< selection work within the shard
   SchedulerStats sched;                  ///< scheduler traffic within the shard
   double virtual_makespan = 0.0;         ///< virtual-backend shard makespan
-  /// Incremental sessions only: this shard's result was served from the
-  /// ResultCache (the stats describe the run that originally computed it).
+  /// Cached runs only (run_sharded with a ResultCache): this shard's result
+  /// was served from the cache (the stats describe the run that originally
+  /// computed it, under this shard's kind).
   bool reused = false;
 };
 
@@ -348,8 +350,9 @@ struct Result {
   std::vector<ShardStats> shards;
   bool count_saturated = false;
 
-  // Incremental runs only (incremental::IncrementalSession): cache traffic
-  // of this re-enumeration. All-zero for every other driver.
+  // Cached runs only (decompose::run_sharded with a ResultCache, as the
+  // incremental session runs it): cache traffic of this run. All-zero for
+  // every other run.
   CacheStats cache;
 };
 

@@ -448,9 +448,4 @@ CanonicalInstance canonicalize_instance(
   return out;
 }
 
-support::Fingerprint instance_fingerprint(
-    const std::vector<phylo::Tree>& constraints) {
-  return canonicalize_instance(constraints).fp;
-}
-
 }  // namespace gentrius::core

@@ -44,7 +44,7 @@ Problem build_problem(std::vector<phylo::Tree> constraints,
 /// invariant under taxon relabeling and constraint reordering, plus its
 /// 128-bit fingerprint. Two instances with equal encodings are isomorphic —
 /// the encoding is a full serialization of the constraint trees over
-/// canonical taxon ranks, so consumers (the incremental ResultCache) compare
+/// canonical taxon ranks, so consumers (decompose::ResultCache) compare
 /// encodings byte for byte on every fingerprint hit and a hash collision can
 /// cost a recomputation but never a wrong answer.
 ///
@@ -79,16 +79,12 @@ std::string canonical_rank_label(std::size_t rank);
 /// Canonical Newick of one tree over canonical rank labels: rooted at the
 /// minimum-rank leaf, subtrees sorted lexicographically. `rank` maps taxon
 /// id -> canonical rank (entries for taxa outside the tree are ignored).
-/// This is the serialization the incremental ResultCache stores stands in —
+/// This is the serialization decompose::ResultCache stores stands in —
 /// id-independent, so cached results survive taxon relabeling.
 std::string rank_newick(const phylo::Tree& tree,
                         const std::vector<std::size_t>& rank);
 
 CanonicalInstance canonicalize_instance(
-    const std::vector<phylo::Tree>& constraints);
-
-/// Shorthand: fingerprint of the canonical encoding.
-support::Fingerprint instance_fingerprint(
     const std::vector<phylo::Tree>& constraints);
 
 }  // namespace gentrius::core

@@ -1,33 +1,21 @@
 // Incremental re-enumeration of a live dataset under PAM edits.
 //
-// An IncrementalSession is a thin cache in front of the decompose pipeline:
-// it owns a species tree, a presence/absence matrix and a ResultCache. Each
-// re-enumeration decomposes the current induced constraint set into
-// interaction-graph components (src/decompose) and keys every shard, each
-// enumerable component and the enumerated residual, by its canonical
-// instance encoding (core::canonicalize_instance). A shard whose key hits
-// the cache is served without expanding a single state; the others run
-// through the engine exactly as run_sharded would run them (serial / pool /
-// virtual backends). Labels, representatives, counts and stands go through
-// the helpers run_sharded uses (decompose/shard_exec.hpp), and every
-// representative is probed on the current instance, never taken from a
-// hit, so the combined Result's count, per-shard counts and stand set equal
-// a from-scratch decompose::run_sharded of the same instance at every edit
-// step.
-//
-// A stand depends only on its constraint instance up to taxon relabeling,
-// so the canonical key is exact for the residual at any component size: an
-// edit that reshapes a representative changes the residual's key. The
-// closed-form residual (ShardRunOptions::residual_closed_form) is a formula,
-// not a run, and bypasses the cache; it needs no representatives, so a
-// component hit skips the probe there.
+// An IncrementalSession is a cache in front of the decompose pipeline: it
+// owns a species tree, a presence/absence matrix and a decompose::
+// ResultCache. Each re-enumeration is decompose::run_sharded over the
+// current matrix's induced constraints with the session's cache, so its
+// count, per-shard counts and stand set equal a from-scratch run_sharded of
+// the same instance at every edit step by construction. Every shard, each
+// enumerable component and the enumerated residual, is keyed by its
+// canonical instance encoding (core::canonicalize_instance); a shard whose
+// key hits is served without expanding a single state.
 #pragma once
 
 #include <cstddef>
 
+#include "decompose/cache.hpp"
 #include "decompose/sharded.hpp"
 #include "gentrius/options.hpp"
-#include "incremental/cache.hpp"
 #include "incremental/delta.hpp"
 #include "pam/pam.hpp"
 #include "phylo/tree.hpp"
@@ -81,7 +69,7 @@ class IncrementalSession {
   phylo::Tree species_;
   pam::Pam pam_;
   SessionOptions options_;
-  ResultCache cache_;
+  decompose::ResultCache cache_;
   core::CacheStats lifetime_;
 };
 

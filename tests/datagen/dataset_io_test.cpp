@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "datagen/dataset.hpp"
 #include "datagen/dataset_io.hpp"
 #include "gentrius/serial.hpp"
 #include "phylo/topology.hpp"
+#include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace gentrius::datagen {
 namespace {
@@ -105,6 +111,85 @@ TEST_F(DatasetIo, PamAndConstraintsRoundTripBitForBit) {
 TEST_F(DatasetIo, MissingDirectoryFails) {
   EXPECT_THROW(load_dataset((dir_ / "nonexistent").string()),
                support::InvalidInput);
+}
+
+TEST(DatasetIoFuzz, CorruptedFilesThrowLibraryErrors) {
+  // Every file of a full dataset (species tree, PAM, overrides), then one
+  // file truncated or mutated per round: loading must either succeed or
+  // throw support::Error — never another exception type, never a crash
+  // (the ASan job runs this too). Its own directory: ctest runs the
+  // DatasetIo cases in parallel processes.
+  const auto dir =
+      std::filesystem::temp_directory_path() / "gentrius_io_fuzz_test";
+  std::filesystem::remove_all(dir);
+  SimulatedParams p;
+  p.n_taxa = 10;
+  p.n_loci = 3;
+  p.seed = 17;
+  Dataset ds = make_simulated(p);
+  ds.forced_initial_constraint = 1;
+  ds.forced_insertion_order = {2, 5, 7};
+  write_dataset(ds, dir.string());
+  std::map<std::string, std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    files[entry.path().filename().string()] = text.str();
+  }
+  ASSERT_EQ(files.size(), 5u);
+  ASSERT_TRUE(files.count("overrides.txt"));
+
+  support::Rng rng(0xda7a);
+  const std::string alphabet = "(),;:' \n\t-01x";
+  int loaded = 0;
+  int rejected = 0;
+  for (int round = 0; round < 600; ++round) {
+    auto corrupted = files;
+    auto it = corrupted.begin();
+    std::advance(it, static_cast<long>(rng.below(corrupted.size())));
+    std::string& text = it->second;
+    if (rng.bernoulli(0.3)) {
+      text.resize(rng.below(text.size() + 1));
+    } else {
+      const std::size_t mutations = 1 + rng.below(4);
+      for (std::size_t m = 0; m < mutations && !text.empty(); ++m) {
+        const std::size_t pos = rng.below(text.size());
+        const char c = alphabet[rng.below(alphabet.size())];
+        switch (rng.below(3)) {
+          case 0:
+            text.erase(pos, 1);
+            break;
+          case 1:
+            text.insert(pos, 1, c);
+            break;
+          default:
+            text[pos] = c;
+            break;
+        }
+      }
+    }
+    for (const auto& [name, content] : corrupted)
+      std::ofstream(dir / name) << content;
+
+    SCOPED_TRACE("round " + std::to_string(round) + ", " + it->first);
+    try {
+      const Dataset got = load_dataset(dir.string());
+      for (const auto& tree : got.constraints) tree.validate();
+      got.species_tree.validate();
+      ++loaded;
+    } catch (const support::InternalError& e) {
+      ADD_FAILURE() << "internal error: " << e.what();
+    } catch (const support::Error&) {
+      ++rejected;  // expected for most corruptions
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-library exception: " << e.what();
+    }
+  }
+  // Both outcomes occur, so the rounds reach past the first parse error.
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

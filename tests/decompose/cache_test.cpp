@@ -4,10 +4,10 @@
 
 #include <string>
 
-#include "incremental/cache.hpp"
+#include "decompose/cache.hpp"
 #include "support/fingerprint.hpp"
 
-namespace gentrius::incremental {
+namespace gentrius::decompose {
 namespace {
 
 CacheEntry entry_for(const std::string& encoding, std::uint64_t count) {
@@ -88,4 +88,4 @@ TEST(ResultCache, EvictionChurnKeepsBound) {
 }
 
 }  // namespace
-}  // namespace gentrius::incremental
+}  // namespace gentrius::decompose

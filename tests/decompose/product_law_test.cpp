@@ -165,6 +165,33 @@ TEST(ProductLaw, EmptyComponentYieldsEmptyStand) {
   EXPECT_EQ(mono.stand_trees, 0u);
 }
 
+TEST(ProductLaw, SixTaxonBlocksStreamTheMonolithicStand) {
+  // From 6 taxa on the interleaving count depends on the component trees'
+  // shapes, so the product is not the stand size here (297,295 against
+  // 296,783 monolithic; DESIGN.md "Decomposition") and the count is not
+  // asserted. The stand union holds at any size: the streamed cross
+  // product must be the monolithic stand, and streaming tuples of other
+  // shapes than the representatives' must not trip an invariant.
+  benchutil::MultiComponentParams p;
+  p.n_components = 2;
+  p.min_taxa_per_component = 6;
+  p.max_taxa_per_component = 6;
+  p.loci_per_component = 3;
+  p.missing_fraction = 0.4;
+  p.seed = 3;
+  const auto ds = benchutil::make_multi_component(p);
+  ASSERT_EQ(decompose::analyze_components(ds.constraints).enumerable_count,
+            2u);
+
+  Result reference = core::run_serial(ds.constraints, collecting());
+  ASSERT_EQ(reference.reason, StopReason::kCompleted);
+  Options opts = collecting();
+  opts.decompose = core::Decompose::kComponents;
+  Result sharded = decompose::run_serial(ds.constraints, opts);
+  EXPECT_EQ(sharded.reason, StopReason::kCompleted);
+  EXPECT_EQ(sorted_trees(sharded), sorted_trees(reference));
+}
+
 TEST(ProductLaw, ShardStoppingRulePropagates) {
   const auto ds = benchutil::make_multi_component(params_for_seed(9));
   Options opts;

@@ -147,12 +147,14 @@ class DeterminismRule:
     # which the policy-equivalence suite requires to match the virtual
     # drivers exactly — ambient time or randomness on that path would
     # silently diverge real from simulated scheduling.
-    # src/incremental joined with the edit-session cache: canonical
-    # fingerprints and cached rank-space stands must replay bit-identically
-    # against the from-scratch driver, and the result cache's eviction and
-    # lookup order feed directly into which components are re-enumerated —
-    # unordered iteration or ambient randomness there would make cache
-    # behavior (and therefore the reported per-edit cost) host-dependent.
+    # src/incremental joined with the edit session: its re-enumerations
+    # must replay bit-identically against the from-scratch driver. The
+    # result cache it runs through lives in src/decompose (cache.cpp):
+    # canonical fingerprints and cached rank-space stands must replay
+    # bit-identically too, and the cache's eviction and lookup order feed
+    # directly into which components are re-enumerated — unordered
+    # iteration or ambient randomness there would make cache behavior (and
+    # therefore the reported per-edit cost) host-dependent.
     dirs = ("src/vthread", "src/gentrius", "src/decompose", "src/parallel",
             "src/incremental")
 
@@ -219,19 +221,19 @@ class DeterminismRule:
                        "src/parallel/task_queue.hpp",
                        any(f.code == "rand"
                            for f in _lint_file(seeded_parallel))))
-        # Seeded violation in the newly scanned src/incremental directory:
-        # iterating the result cache's unordered index would make eviction
-        # order — and so the set of re-enumerated components — host-
-        # dependent; the planted walk must fire.
-        seeded_incremental = core.SourceFile(
-            "src/incremental/cache.cpp",
+        # Seeded violation in the result cache (src/decompose/cache.cpp):
+        # iterating its unordered index would make eviction order — and so
+        # the set of re-enumerated components — host-dependent; the planted
+        # walk must fire.
+        seeded_cache = core.SourceFile(
+            "src/decompose/cache.cpp",
             "std::unordered_map<Key, Entry> index_;\n"
             "for (const auto& kv : index_) evict(kv.first);\n",
             PATTERNS.keys())
         checks.append(("unordered-iter: fires on seeded violation in "
-                       "src/incremental/cache.cpp",
+                       "src/decompose/cache.cpp",
                        any(f.code == "unordered-iter"
-                           for f in _lint_file(seeded_incremental))))
+                           for f in _lint_file(seeded_cache))))
         return checks
 
 
