@@ -88,24 +88,18 @@ int run_scheduler_sweep() {
                   static_cast<unsigned long long>(
                       r.sched.queue_full_rejections),
                   static_cast<unsigned long long>(r.sched.max_queue_depth));
-      // The machine-parsable record behind the table above. The trailing
-      // offer-policy counters are zero under the default kPaperFixed policy
-      // (it evaluates nothing); they are populated uniformly by the real
-      // pool and both simulators when Options::offer_policy is adaptive.
+      // The machine-parsable record behind the table above.
       std::printf(
           "SCHED scheduler=%s nt=%zu makespan=%.2f speedup=%.4f "
           "tasks_offered=%llu tasks_stolen=%llu steal_attempts=%llu "
-          "failed_probes=%llu rejections=%llu max_depth=%llu "
-          "offers_evaluated=%llu offers_suppressed=%llu\n",
+          "failed_probes=%llu rejections=%llu max_depth=%llu\n",
           sched_name(sched), nt, r.virtual_makespan, speedup,
           static_cast<unsigned long long>(r.tasks_offered),
           static_cast<unsigned long long>(r.sched.tasks_stolen),
           static_cast<unsigned long long>(r.sched.steal_attempts),
           static_cast<unsigned long long>(r.sched.failed_steal_probes),
           static_cast<unsigned long long>(r.sched.queue_full_rejections),
-          static_cast<unsigned long long>(r.sched.max_queue_depth),
-          static_cast<unsigned long long>(r.sched.offers_evaluated),
-          static_cast<unsigned long long>(r.sched.offers_suppressed));
+          static_cast<unsigned long long>(r.sched.max_queue_depth));
     }
   }
   return 0;

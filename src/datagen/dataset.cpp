@@ -277,9 +277,8 @@ Dataset make_flood_instance(std::size_t depth, std::uint64_t seed) {
   // Every state of the search therefore has a small constant branch count
   // and no dead ends: 3^(depth-w)*5^w stand trees, and an offer-eligible
   // frame at every single state — the densest hand-off pressure the
-  // scheduler can face. With the paper's fixed offer rule the central
-  // queue's critical section becomes the bottleneck at high N_t; the
-  // adaptive policy keeps the tiny deep subtrees local.
+  // scheduler can face. With the paper's offer rule the central queue's
+  // critical section becomes the bottleneck at high N_t.
   for (std::size_t i = 0; i < depth; ++i) {
     const std::string fi = "f" + std::to_string(i);
     ds.constraints.push_back(

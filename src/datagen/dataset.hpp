@@ -89,15 +89,15 @@ Dataset make_plateau_instance(std::size_t chain_length, std::uint64_t seed);
 /// its budget in the barren region it descends first.
 Dataset make_superlinear_instance(std::size_t free_taxa, std::uint64_t seed);
 
-/// Granularity-stress instance ("hand-off flood"): every one of the
-/// `depth` missing taxa has exactly three admissible branches at every
-/// state (each is pinned to its own anchor cherry by one quartet), so the
-/// search tree is a complete ternary tree — 3^depth stand trees, no dead
-/// ends, and an offer-eligible frame at every state. Under the paper's
-/// fixed offer rule the hand-off traffic saturates the central queue's
-/// critical section at high N_t; the adaptive Galton–Watson policy keeps
-/// the tiny deep subtrees local. `seed` permutes the insertion order
-/// (same stand, independent scheduling repetitions).
+/// Granularity-stress instance ("hand-off flood"): each of the `depth`
+/// missing taxa is pinned to its own anchor clade by one quartet, so it has
+/// three admissible branches at every state, or five for the w = depth/4
+/// (at least 1) taxa whose clade is widened to a triple. The search tree
+/// holds 3^(depth-w)·5^w stand trees, no dead ends, and an offer-eligible
+/// frame at every state with >= 3 remaining taxa. Under the paper's offer
+/// rule the hand-off traffic saturates the central queue's critical
+/// section at high N_t. `seed` permutes the insertion order and picks the
+/// widened positions (same stand size, independent scheduling repetitions).
 Dataset make_flood_instance(std::size_t depth, std::uint64_t seed);
 
 /// Registers labels "T0".."T{n-1}" and returns their ids.

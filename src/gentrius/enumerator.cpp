@@ -11,22 +11,6 @@
 
 namespace gentrius::core {
 
-namespace {
-
-// kAdaptiveGW cutoff constants (maybe_offer_task).
-//
-// Hand-off cost in state units: the flat queue/deque round trip plus the
-// thief's per-path-entry replay. Mirrors CostModel (queue_cost +
-// replay_cost); an offer must at least repay this.
-constexpr double kOfferHandoffStates = 2.0;
-constexpr double kOfferHandoffPerPath = 0.3;
-// Backlog pressure: a full sink multiplies the bar by
-// 1 + kOfferWorkMultiple * handoff_penalty. A starved pool accepts anything
-// that repays its hand-off.
-constexpr double kOfferWorkMultiple = 4.0;
-
-}  // namespace
-
 Enumerator::Enumerator(const Problem& problem, const Options& options,
                        CounterSink& sink)
     : problem_(&problem),
@@ -34,9 +18,7 @@ Enumerator::Enumerator(const Problem& problem, const Options& options,
       terrace_(problem, options.incremental_mappings),
       counters_(sink, options.tree_flush_batch, options.state_flush_batch,
                 options.dead_end_flush_batch, options.time_check_flush_period),
-      sink_(&sink),
-      adaptive_(options.offer_policy == OfferPolicy::kAdaptiveGW) {
-  if (adaptive_) gw_model_.reset(problem.missing_count());
+      sink_(&sink) {
   if (!options.dynamic_taxon_order || !options.insertion_order.empty()) {
     if (!options.insertion_order.empty()) {
       static_order_ = options.insertion_order;
@@ -79,7 +61,6 @@ const Enumerator::Prefix& Enumerator::run_prefix(bool count) {
   }
   for (;;) {
     const auto choice = choose(branch_scratch_);
-    record_offspring(choice);
     if (choice.complete) {
       if (count) record_stand_tree();
       prefix_.outcome = Prefix::Outcome::kComplete;
@@ -122,12 +103,6 @@ std::size_t Enumerator::adopt_task(const Task& task) {
     path_.emplace_back(taxon, edge);
   }
   begin_branches(task.next_taxon, task.branches);
-  // Prediction-error accounting: remember what the producer's model claimed
-  // and how many states we had expanded; the delta is settled when this
-  // task's rewind returns to I0.
-  adopted_active_ = true;
-  adopted_predicted_ = task.predicted_states;
-  adopt_snapshot_ = states_applied_;
   return task.path.size();
 }
 
@@ -151,11 +126,6 @@ std::size_t Enumerator::rewind_to_split() {
   replay_records_.clear();
   GENTRIUS_DCHECK(path_.empty());  // back at I0: no residual insertions
   mode_ = Mode::kDone;
-  if (adopted_active_) {
-    adopted_active_ = false;
-    offer_stats_.adopted_predicted_states += adopted_predicted_;
-    offer_stats_.adopted_actual_states += states_applied_ - adopt_snapshot_;
-  }
   return removals;
 }
 
@@ -171,16 +141,6 @@ void Enumerator::record_stand_tree() {
   }
 }
 
-void Enumerator::record_offspring(const Terrace::Choice& choice) {
-  // kAdaptiveGW only: feed the per-stratum offspring histogram. A complete
-  // state has no offspring observation (remaining == 0); a dead end is the
-  // offspring-0 event of its stratum. choose() has not inserted anything,
-  // so remaining_count() is still this state's stratum.
-  if (!adaptive_ || choice.complete) return;
-  gw_model_.record(terrace_.remaining_count(),
-                   choice.dead_end ? 0 : branch_scratch_.size());
-}
-
 void Enumerator::maybe_offer_task(Frame& f) {
   if (task_sink_ == nullptr) return;
   // Paper §III-A: no task submission with fewer than offer_min_remaining
@@ -189,58 +149,13 @@ void Enumerator::maybe_offer_task(Frame& f) {
   if (terrace_.remaining_count() < options_->offer_min_remaining) return;
   if (f.branches.size() < 2) return;
   GENTRIUS_DCHECK(f.next == 0);  // frame freshly set up, nothing consumed yet
-  // Delegated share of the branch set. The floor of size * 0.5 equals the
-  // paper's size / 2 exactly, so kPaperFixed defaults split byte-identically.
-  std::size_t half = static_cast<std::size_t>(
-      static_cast<double>(f.branches.size()) * options_->offer_split_fraction);
-  half = std::clamp<std::size_t>(half, 1, f.branches.size() - 1);
-  double predicted = 0.0;
-  if (adaptive_) {
-    ++offer_stats_.offers_evaluated;
-    const std::size_t backlog = task_sink_->backlog();
-    const std::size_t limit = task_sink_->backlog_limit();
-    // Saturated sink: the push would be rejected anyway, so don't bounce
-    // the hand-off mutex to learn that. The lock-free backlog probe makes
-    // this bail strictly cheaper than kPaperFixed's full-queue rejection.
-    if (limit > 0 && backlog >= limit) {
-      ++offer_stats_.offers_suppressed;
-      return;
-    }
-    predicted = static_cast<double>(half) *
-                gw_model_.expected_branch_states(terrace_.remaining_count());
-    // The bar a delegated subtree must clear. The base is the uncontended
-    // round trip: the transfer itself plus the thief's replay of the
-    // producer's path — when the sink is empty the pool looks starved and
-    // any subtree repaying that much is worth handing off. As the sink
-    // fills, thieves are evidently already fed and every transfer competes
-    // for the serialized hand-off section, so the bar rises with the fill
-    // fraction, scaled by the sink's contention penalty (N_t for the
-    // central queue, whose one mutex is the whole pool's hand-off pipe; 1
-    // for per-worker deques): under pressure only kOfferWorkMultiple×
-    // penalty× coarser subtrees are worth queueing ahead of the backlog.
-    const double base =
-        kOfferHandoffStates +
-        kOfferHandoffPerPath * static_cast<double>(path_.size());
-    const double fill =
-        limit > 0 ? static_cast<double>(backlog) / static_cast<double>(limit)
-                  : (backlog > 0 ? 1.0 : 0.0);
-    // Quadratic in fill: one queued task in a wide ring barely raises the
-    // bar (small instances need every offer to feed the pool), while a ring
-    // approaching capacity pushes it toward the full penalty.
-    const double cutoff =
-        base * (1.0 + kOfferWorkMultiple * task_sink_->handoff_penalty() *
-                          fill * fill);
-    if (predicted < cutoff) {
-      ++offer_stats_.offers_suppressed;
-      return;
-    }
-  }
+  // The paper's split: the first half of the branch set goes to the thief.
+  const std::size_t half = f.branches.size() / 2;
   // Stage the offer in the pooled task outside any lock; an accepting sink
   // swaps the vectors for its slot's, so capacity keeps circulating between
   // the pool and the queue and steady-state offers never reallocate.
   offer_task_.path = path_;
   offer_task_.next_taxon = f.taxon;
-  offer_task_.predicted_states = predicted;
   offer_task_.branches.assign(
       f.branches.begin(),
       f.branches.begin() + static_cast<std::ptrdiff_t>(half));
@@ -249,7 +164,6 @@ void Enumerator::maybe_offer_task(Frame& f) {
     // erase(), the vector is left untouched.
     f.next = half;
     ++tasks_offered_;
-    offer_stats_.predicted_task_states += predicted;
   }
 }
 
@@ -259,10 +173,7 @@ void Enumerator::apply_branch(Frame& f, bool count) {
   f.rec = terrace_.insert(f.taxon, e);
   f.applied = true;
   path_.emplace_back(f.taxon, e);
-  if (count) {
-    counters_.count_state();
-    ++states_applied_;
-  }
+  if (count) counters_.count_state();
   mode_ = Mode::kChoose;
 }
 
@@ -276,7 +187,6 @@ Enumerator::Step Enumerator::count_last_taxon(const Frame& f) {
   for (std::size_t i = f.next; i < f.branches.size(); ++i) {
     if (i > f.next && sink_->stop_requested()) return Step::kStopped;
     counters_.count_state();
-    ++states_applied_;
     if (sink_->stop_requested()) return Step::kStopped;
     counters_.count_stand_tree();
   }
@@ -290,7 +200,6 @@ Enumerator::Step Enumerator::step() {
 
   if (mode_ == Mode::kChoose) {
     const auto choice = choose(branch_scratch_);
-    record_offspring(choice);
     if (choice.complete) {
       record_stand_tree();
       mode_ = Mode::kBacktrack;

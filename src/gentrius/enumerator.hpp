@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "gentrius/counters.hpp"
-#include "gentrius/offer_policy.hpp"
 #include "gentrius/options.hpp"
 #include "gentrius/terrace.hpp"
 
@@ -40,10 +39,6 @@ struct Task {
   std::vector<std::pair<TaxonId, EdgeId>> path;
   TaxonId next_taxon = kNoTaxon;
   std::vector<EdgeId> branches;
-  /// GW-model estimate of the states this task's subtrees hold, recorded at
-  /// offer time (0 under kPaperFixed). Travels with the task so the adopting
-  /// worker can report prediction error (SchedulerStats).
-  double predicted_states = 0.0;
 };
 
 /// Where offered tasks go. Implemented by the drivers (bounded queue for
@@ -58,35 +53,6 @@ class TaskSink {
  public:
   virtual ~TaskSink() = default;
   virtual bool try_push(Task& task) = 0;
-
-  /// Live starvation signal for the adaptive offer policy: approximately
-  /// how many tasks are already queued from this producer's point of view
-  /// (the central queue's occupancy; a worker's own deque depth). Advisory
-  /// and racy by design — it gates granularity, never correctness — and
-  /// must be cheap: it is read on *suppressed* offers too, so it may not
-  /// take the hand-off lock. 0 means the pool looks starved.
-  virtual std::size_t backlog() const { return 0; }
-
-  /// Capacity behind backlog(): the number of queued tasks at which
-  /// try_push starts rejecting (the central queue's ring size; a worker's
-  /// own deque ring size). 0 means unknown/unbounded. The adaptive policy
-  /// uses backlog()/backlog_limit() as a fill fraction and skips the push
-  /// attempt entirely once the ring looks full — the lock-free probe is far
-  /// cheaper than bouncing the hand-off mutex just to be rejected.
-  virtual std::size_t backlog_limit() const { return 0; }
-
-  /// Contention multiplier on the adaptive cutoff's backpressure term.
-  /// Every transfer through the shared central queue serializes on one
-  /// mutex whose per-acquisition cost grows with the number of workers
-  /// bouncing its cache line, and one unit of time inside that serial
-  /// section displaces N_t units of potential fleet progress — so the
-  /// central queue reports N_t, making a *filling* queue demand much
-  /// coarser tasks as the pool grows (an empty sink still accepts any
-  /// offer repaying the uncontended round trip). Per-worker steal deques
-  /// have no globally serialized section (owner traffic is private,
-  /// thieves serialize only per victim), so they keep the default 1:
-  /// fine-grained offers stay profitable under distributed stealing.
-  virtual double handoff_penalty() const { return 1.0; }
 };
 
 class Enumerator {
@@ -145,15 +111,6 @@ class Enumerator {
   const Terrace& terrace() const noexcept { return terrace_; }
   std::uint64_t tasks_offered() const noexcept { return tasks_offered_; }
 
-  /// Offer-policy observability: only the offers_* / *_states fields are
-  /// populated (the scheduler-side fields belong to the queue/deques).
-  /// Drivers merge this into Result::sched after the run.
-  const SchedulerStats& offer_stats() const noexcept { return offer_stats_; }
-
-  /// The online subtree-size estimator (kAdaptiveGW; empty histogram under
-  /// kPaperFixed). Exposed for tests and diagnostics.
-  const GwOfferModel& gw_model() const noexcept { return gw_model_; }
-
  private:
   struct Frame {
     TaxonId taxon = kNoTaxon;
@@ -165,7 +122,6 @@ class Enumerator {
 
   /// Next-taxon selection honoring the configured heuristics.
   Terrace::Choice choose(std::vector<EdgeId>& branches);
-  void record_offspring(const Terrace::Choice& choice);
   void maybe_offer_task(Frame& frame);
   void apply_branch(Frame& frame, bool count);
   /// Counts the frame's unconsumed branches of the last remaining taxon as
@@ -198,17 +154,6 @@ class Enumerator {
   std::vector<EdgeId> branch_scratch_;
   std::vector<std::string> collected_;
   std::uint64_t tasks_offered_ = 0;
-
-  // Offer policy (see options.hpp). `adaptive_` caches the policy check for
-  // the per-state recording branch; the model and stats are per-enumerator,
-  // so no synchronization is needed anywhere on this path.
-  bool adaptive_ = false;
-  GwOfferModel gw_model_;
-  SchedulerStats offer_stats_;  // offers_* / *_states fields only
-  std::uint64_t states_applied_ = 0;     // states counted by step()
-  std::uint64_t adopt_snapshot_ = 0;     // states_applied_ at adopt_task
-  double adopted_predicted_ = 0.0;       // prediction of the adopted task
-  bool adopted_active_ = false;
 };
 
 }  // namespace gentrius::core

@@ -17,13 +17,6 @@ void validate_options(const Options& options, OptionsSurface surface) {
         "Options: counter flush batches must be >= 1 (a batch of 0 would "
         "never publish local counts, so no stopping rule could fire)");
 
-  // Rejects NaN too: NaN fails both comparisons.
-  if (!(options.offer_split_fraction > 0.0 &&
-        options.offer_split_fraction < 1.0))
-    throw InvalidInput(
-        "Options::offer_split_fraction must lie strictly between 0 and 1 "
-        "(both sides of an accepted offer must keep work)");
-
   if (!options.insertion_order.empty() && options.shuffle_seed)
     throw InvalidInput(
         "Options: insertion_order and shuffle_seed are mutually exclusive — "

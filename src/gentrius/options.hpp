@@ -64,35 +64,6 @@ inline const char* to_string(Decompose d) {
   return "?";
 }
 
-/// Task-granularity policy: when does `Enumerator::maybe_offer_task` hand a
-/// frame's branches to another worker?
-///
-///  * kPaperFixed — the paper's §III-A rule, verbatim: offer half the
-///    admissible branches whenever at least `offer_min_remaining` taxa
-///    remain and the frame has >= 2 branches. Paper-faithful and the
-///    default; produces the byte-identical golden trace.
-///  * kAdaptiveGW — model-driven granularity. The enumerator records a
-///    per-stratum offspring histogram (admissible-branch count keyed by
-///    remaining-taxon count), fits an online Galton–Watson branching-
-///    process estimate of expected subtree size from it, and offers only
-///    when the predicted delegated work exceeds an adaptive cutoff derived
-///    from the hand-off cost (path replay + queue round-trip) and a live
-///    starvation signal (TaskSink::backlog). Starved pools accept any
-///    offer that repays its hand-off; deep backlogs demand proportionally
-///    larger subtrees, so tiny deep tasks stop flooding the queues at high
-///    thread counts. Counts and the stand set are policy-invariant: offers
-///    only redistribute who explores a branch, never whether it is
-///    explored.
-enum class OfferPolicy : std::uint8_t { kPaperFixed, kAdaptiveGW };
-
-inline const char* to_string(OfferPolicy p) {
-  switch (p) {
-    case OfferPolicy::kPaperFixed: return "paper-fixed";
-    case OfferPolicy::kAdaptiveGW: return "adaptive-gw";
-  }
-  return "?";
-}
-
 struct Options {
   /// Heuristic 1: start from the constraint tree sharing the most taxa with
   /// the others (paper §II-B). Off = start from `initial_constraint`
@@ -168,18 +139,11 @@ struct Options {
   /// Instance decomposition (see enum Decompose above).
   Decompose decompose = Decompose::kOff;
 
-  /// Task-granularity policy (see enum OfferPolicy above).
-  OfferPolicy offer_policy = OfferPolicy::kPaperFixed;
-
-  /// Paper §III-A offer floor: no task submission with fewer than this many
-  /// remaining taxa — finishing such a subtree locally is cheaper than the
-  /// stealing round-trip. The paper's constant is 3.
+  /// Paper §III-A offer floor: a frame with at least this many remaining
+  /// taxa and >= 2 admissible branches offers half of them (branches / 2)
+  /// to another worker; below it, finishing the subtree locally is cheaper
+  /// than the stealing round-trip. The paper's constant is 3.
   std::size_t offer_min_remaining = 3;
-
-  /// Fraction of a frame's admissible branches delegated by an accepted
-  /// offer (floor, clamped to [1, branches-1] so both sides keep work).
-  /// The paper splits in half; 0.5 reproduces `branches / 2` exactly.
-  double offer_split_fraction = 0.5;
 };
 
 enum class StopReason : std::uint8_t {
@@ -212,38 +176,12 @@ struct SchedulerStats {
   std::uint64_t queue_full_rejections = 0; ///< offers bounced off a full ring
   std::uint64_t max_queue_depth = 0;       ///< deepest any ring ever got
 
-  // Offer-policy observability (Options::offer_policy), reported uniformly
-  // by both pools and both simulators. Under kPaperFixed every offer site
-  // skips the model, so offers_evaluated stays 0; adopted_actual_states is
-  // maintained under both policies (mean stolen-task size).
-  std::uint64_t offers_evaluated = 0;   ///< adaptive cutoff evaluations
-  std::uint64_t offers_suppressed = 0;  ///< offers withheld by the cutoff
-  double predicted_task_states = 0.0;   ///< sum of predictions at accepted offers
-  double adopted_predicted_states = 0.0; ///< predictions of tasks actually adopted
-  std::uint64_t adopted_actual_states = 0; ///< states expanded inside adopted tasks
-
   void merge(const SchedulerStats& o) {
     tasks_stolen += o.tasks_stolen;
     steal_attempts += o.steal_attempts;
     failed_steal_probes += o.failed_steal_probes;
     queue_full_rejections += o.queue_full_rejections;
     if (o.max_queue_depth > max_queue_depth) max_queue_depth = o.max_queue_depth;
-    offers_evaluated += o.offers_evaluated;
-    offers_suppressed += o.offers_suppressed;
-    predicted_task_states += o.predicted_task_states;
-    adopted_predicted_states += o.adopted_predicted_states;
-    adopted_actual_states += o.adopted_actual_states;
-  }
-
-  /// Relative prediction error over adopted tasks: |Σpredicted - Σactual| /
-  /// max(1, Σactual). Meaningful only when predictions were made
-  /// (kAdaptiveGW); 0-prediction runs report the trivial error 0.
-  double offer_prediction_error() const {
-    if (adopted_predicted_states == 0.0) return 0.0;
-    const double actual = static_cast<double>(adopted_actual_states);
-    const double denom = actual < 1.0 ? 1.0 : actual;
-    const double diff = adopted_predicted_states - actual;
-    return (diff < 0 ? -diff : diff) / denom;
   }
 };
 

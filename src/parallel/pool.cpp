@@ -32,7 +32,6 @@ struct WorkerOutput {
   std::vector<std::string> trees;
   std::uint64_t tasks_offered = 0;
   std::uint64_t tasks_executed = 0;
-  core::SchedulerStats offer;  // enumerator-side offer-policy counters
   core::SelectionStats selection;
   Enumerator::Prefix::Outcome prefix_outcome =
       Enumerator::Prefix::Outcome::kEmpty;
@@ -173,7 +172,6 @@ void worker_body(std::size_t tid, std::size_t n_threads,
   e.counters().flush_all();
   out.trees = std::move(e.collected_trees());
   out.tasks_offered = e.tasks_offered();
-  out.offer = e.offer_stats();
   out.selection = e.terrace().selection_stats();
 }
 
@@ -228,9 +226,6 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
     result.tasks_executed += o.tasks_executed;
     result.tasks_offered += o.tasks_offered;
     result.selection.merge(o.selection);
-    // Producer/thief-side offer-policy counters join the scheduler-side
-    // stats: both pools and both simulators report them uniformly.
-    result.sched.merge(o.offer);
     result.trees.insert(result.trees.end(),
                         std::make_move_iterator(o.trees.begin()),
                         std::make_move_iterator(o.trees.end()));

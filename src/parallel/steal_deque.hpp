@@ -267,7 +267,6 @@ class StealDeque {
     const std::int64_t t = top_.load(std::memory_order_acquire);
     return b > t ? static_cast<std::size_t>(b - t) : 0;
   }
-  std::size_t capacity() const { return static_cast<std::size_t>(capacity_); }
   std::uint64_t rejections() const {
     // order: monotonic diagnostic counter, read after workers join
     return rejections_.load(std::memory_order_relaxed);
@@ -286,7 +285,6 @@ class StealDeque {
   static void swap_into(core::Task& dst, core::Task& src) {
     std::swap(dst.path, src.path);
     dst.next_taxon = src.next_taxon;
-    dst.predicted_states = src.predicted_states;
     std::swap(dst.branches, src.branches);
   }
 
@@ -368,21 +366,6 @@ class DequeScheduler final : public core::StopWaker {
     bool try_push(core::Task& task) override {
       return sched_->push_local(tid_, task);
     }
-
-    /// Adaptive-policy starvation signal: the owner's own deque depth (the
-    /// only ring this producer feeds). StealDeque::size() is a lock-free
-    /// advisory snapshot, exactly what the policy needs.
-    std::size_t backlog() const override {
-      return sched_->deques_[tid_].size();
-    }
-
-    /// Own ring size: at backlog() >= this, push_local would reject.
-    std::size_t backlog_limit() const override {
-      return sched_->deques_[tid_].capacity();
-    }
-
-    // handoff_penalty() keeps the TaskSink default of 1: deque hand-off has
-    // no globally serialized section, so fine granularity stays profitable.
 
    private:
     friend class DequeScheduler;

@@ -20,7 +20,6 @@
 // -Wthread-safety analysis (see support/thread_annotations.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -43,8 +42,7 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
  public:
   /// All `workers` participants start in the busy state.
   TaskQueue(std::size_t capacity, std::size_t workers)
-      : capacity_(capacity), workers_(workers), slots_(capacity),
-        busy_(workers) {}
+      : capacity_(capacity), slots_(capacity), busy_(workers) {}
 
   /// Producer side (called from inside Enumerator::step). Non-blocking:
   /// a full queue rejects the task — left untouched, the producer keeps
@@ -63,11 +61,8 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
       core::Task& slot = slots_[(head_ + size_) % capacity_];
       std::swap(slot.path, task.path);
       slot.next_taxon = task.next_taxon;
-      slot.predicted_states = task.predicted_states;
       std::swap(slot.branches, task.branches);
       ++size_;
-      // order: advisory mirror of size_ for the lock-free backlog() probe
-      approx_size_.store(size_, std::memory_order_relaxed);
       if (size_ > max_depth_) max_depth_ = size_;
     }
     cv_.notify_one();
@@ -97,12 +92,9 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
             // the slot and get reused by a later push.
             std::swap(out.path, slots_[head_].path);
             out.next_taxon = slots_[head_].next_taxon;
-            out.predicted_states = slots_[head_].predicted_states;
             std::swap(out.branches, slots_[head_].branches);
             head_ = (head_ + 1) % capacity_;
             --size_;
-            // order: advisory mirror of size_ for backlog(); see try_push
-            approx_size_.store(size_, std::memory_order_relaxed);
             ++busy_;
             ++pops_;
             got = true;
@@ -135,26 +127,6 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
     return size_;
   }
 
-  /// Adaptive-policy starvation signal (core::TaskSink): the queue's
-  /// occupancy from a lock-free mirror. Suppressed offers read this on
-  /// every candidate frame, so it must never touch the hand-off mutex; a
-  /// slightly stale value only shifts task granularity, never correctness.
-  std::size_t backlog() const override {
-    // order: advisory snapshot; staleness is tolerated by the policy
-    return approx_size_.load(std::memory_order_relaxed);
-  }
-
-  /// Ring size: at backlog() >= this, try_push would reject.
-  std::size_t backlog_limit() const override { return capacity_; }
-
-  /// Every hand-off serializes on the one shared mutex, and its cache line
-  /// is bounced by all workers — one unit of time spent inside that serial
-  /// section displaces N_t units of potential fleet progress, so the
-  /// adaptive cutoff's backpressure term scales with the worker count.
-  double handoff_penalty() const override {
-    return static_cast<double>(workers_);
-  }
-
   /// Scheduler observability. Every hand-off crosses the shared queue, so
   /// each pop counts as both an attempt and a transfer; the queue has no
   /// notion of a failed probe (consumers block instead of probing).
@@ -170,13 +142,11 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
 
  private:
   const std::size_t capacity_;
-  const std::size_t workers_;
   mutable support::Mutex mutex_{support::Rank::kTaskQueue};
   support::CondVar cv_;
   std::vector<core::Task> slots_ GENTRIUS_GUARDED_BY(mutex_);  // fixed ring
   std::size_t head_ GENTRIUS_GUARDED_BY(mutex_) = 0;
   std::size_t size_ GENTRIUS_GUARDED_BY(mutex_) = 0;
-  std::atomic<std::size_t> approx_size_{0};  // lock-free backlog() mirror
   std::size_t busy_ GENTRIUS_GUARDED_BY(mutex_);
   bool done_ GENTRIUS_GUARDED_BY(mutex_) = false;
   std::uint64_t pops_ GENTRIUS_GUARDED_BY(mutex_) = 0;

@@ -44,17 +44,13 @@ namespace {
 /// release) and occupies the lock for queue_cost. At high thread counts the
 /// aggregate hand-off demand exceeds what one lock can serve per unit of
 /// virtual time — the saturation the distributed scheduler removes. A
-/// rejected push is a free bail by default (charging it would retroactively
-/// change every pre-scheduler cost model), but the real try_push does take
-/// the mutex to learn the ring is full — CostModel::queue_reject_cost > 0
-/// restores that serialized hold for fidelity studies; either way it is
-/// counted in the stats.
+/// rejected push is counted in the stats but charged nothing: the real
+/// try_push holds the mutex just long enough to learn the ring is full, and
+/// the model leaves that hold out.
 class VirtualQueue final : public core::TaskSink {
  public:
-  VirtualQueue(std::size_t capacity, std::size_t workers, double queue_cost,
-               double reject_cost)
-      : capacity_(capacity), workers_(workers), queue_cost_(queue_cost),
-        reject_cost_(reject_cost), slots_(capacity) {}
+  VirtualQueue(std::size_t capacity, double queue_cost)
+      : capacity_(capacity), queue_cost_(queue_cost), slots_(capacity) {}
 
   /// The scheduler capability; the event loop holds it for the whole run.
   support::SequentialRole& role() GENTRIUS_RETURN_CAPABILITY(role_) {
@@ -71,16 +67,6 @@ class VirtualQueue final : public core::TaskSink {
     GENTRIUS_DCHECK_LE(size_, capacity_);
     if (size_ >= capacity_) {
       ++rejections_;
-      if (reject_cost_ > 0.0) {
-        // Faithful mode (CostModel::queue_reject_cost > 0): the rejected
-        // producer still holds the serialized mutex to learn the ring is
-        // full, exactly like the real try_push. Default mode charges
-        // nothing — the historical free-bail model.
-        GENTRIUS_DCHECK(producer_clock_ != nullptr);
-        const double start = std::max(*producer_clock_, lock_free_at_);
-        *producer_clock_ = start + reject_cost_;
-        lock_free_at_ = *producer_clock_;
-      }
       return false;
     }
     GENTRIUS_DCHECK(producer_clock_ != nullptr);
@@ -90,33 +76,11 @@ class VirtualQueue final : public core::TaskSink {
     Entry& slot = slots_[(head_ + size_) % capacity_];
     std::swap(slot.task.path, task.path);
     slot.task.next_taxon = task.next_taxon;
-    slot.task.predicted_states = task.predicted_states;
     std::swap(slot.task.branches, task.branches);
     slot.available_at = *producer_clock_;
     ++size_;
     if (size_ > max_depth_) max_depth_ = size_;
     return true;
-  }
-
-  // Adaptive-policy starvation probe, reached like try_push from inside
-  // Enumerator::step under the event loop's role. The real TaskQueue answers
-  // from a lock-free occupancy mirror; here the occupancy itself is the
-  // deterministic simulated state, so backlog reads cannot perturb replay.
-  std::size_t backlog() const override GENTRIUS_REQUIRES(role_) {
-    return size_;
-  }
-
-  /// Twin of TaskQueue::backlog_limit: the ring size behind backlog().
-  std::size_t backlog_limit() const override GENTRIUS_REQUIRES(role_) {
-    return capacity_;
-  }
-
-  /// Twin of TaskQueue::handoff_penalty: every hand-off crosses the one
-  /// simulated mutex (the lock_free_at_ serial resource), so the adaptive
-  /// cutoff's backpressure term scales with the worker count, exactly as
-  /// in the real pool.
-  double handoff_penalty() const override GENTRIUS_REQUIRES(role_) {
-    return static_cast<double>(workers_);
   }
 
   bool empty() const GENTRIUS_REQUIRES(role_) { return size_ == 0; }
@@ -136,7 +100,6 @@ class VirtualQueue final : public core::TaskSink {
     GENTRIUS_DCHECK_GE(start, lock_free_at_);
     std::swap(out.path, slots_[head_].task.path);
     out.next_taxon = slots_[head_].task.next_taxon;
-    out.predicted_states = slots_[head_].task.predicted_states;
     std::swap(out.branches, slots_[head_].task.branches);
     head_ = (head_ + 1) % capacity_;
     --size_;
@@ -160,9 +123,7 @@ class VirtualQueue final : public core::TaskSink {
     double available_at = 0.0;
   };
   const std::size_t capacity_;
-  const std::size_t workers_;
   const double queue_cost_;
-  const double reject_cost_;
   support::SequentialRole role_;
   std::vector<Entry> slots_ GENTRIUS_GUARDED_BY(role_);  // fixed ring
   std::size_t head_ GENTRIUS_GUARDED_BY(role_) = 0;
@@ -211,20 +172,6 @@ class VirtualDeques {
     // Reached from Enumerator::step while the event loop holds the role.
     bool try_push(Task& task) override GENTRIUS_REQUIRES(owner_->role_) {
       return owner_->push(tid_, task);
-    }
-
-    // Adaptive-policy starvation probe: the owner's own ring depth, the
-    // deterministic twin of parallel::DequeScheduler::Handle::backlog.
-    std::size_t backlog() const override GENTRIUS_REQUIRES(owner_->role_) {
-      return owner_->deques_[tid_].size;
-    }
-
-    // Twin of Handle::backlog_limit: the owner's own ring size. The
-    // handoff_penalty stays the TaskSink default of 1, like the real
-    // deques — no globally serialized hand-off section to repay.
-    std::size_t backlog_limit() const override
-        GENTRIUS_REQUIRES(owner_->role_) {
-      return owner_->deques_[tid_].slots.size();
     }
 
    private:
@@ -365,7 +312,6 @@ class VirtualDeques {
   static void swap_out(Task& dst, Task& src) {
     std::swap(dst.path, src.path);
     dst.next_taxon = src.next_taxon;
-    dst.predicted_states = src.predicted_states;
     std::swap(dst.branches, src.branches);
   }
 
@@ -411,7 +357,6 @@ struct VWorker {
   std::uint64_t last_counted = 0;  // for per-unit state_cost charges
   std::uint64_t tasks_executed = 0;
   std::size_t sweep_start = 0;  // victim-scan origin for this idle episode
-  std::uint64_t last_offer_evals = 0;  // for offer_eval_cost deltas
 };
 
 Result run_simulation(const Problem& problem, const Options& user_options,
@@ -445,15 +390,9 @@ Result run_simulation(const Problem& problem, const Options& user_options,
   // The central queue's per-op cost grows with the number of workers
   // bouncing its cache line (see CostModel::queue_contention).
   VirtualQueue queue(
-      parallel::queue_capacity_for(n_threads), n_threads,
+      parallel::queue_capacity_for(n_threads),
       costs.queue_cost +
-          costs.queue_contention * static_cast<double>(n_threads - 1),
-      // A rejected push holds the same contended mutex (when charged at
-      // all; the default 0 keeps the historical free-bail model).
-      costs.queue_reject_cost > 0.0
-          ? costs.queue_reject_cost +
-                costs.queue_contention * static_cast<double>(n_threads - 1)
-          : 0.0);
+          costs.queue_contention * static_cast<double>(n_threads - 1));
   VirtualDeques deques(n_threads, costs, options.steal_seed);
   // Single-threaded simulation: assume the scheduler role for the whole run.
   support::RoleGuard scheduler(queue.role());
@@ -563,7 +502,7 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     // per call. A step that counts a whole last-taxon frame covers several
     // units; if a stopping rule cut it short, it also pays for the call
     // that would have found the stop. The first unit carries the step's
-    // flush and offer charges and the rest follow as separate additions, so
+    // flush charge and the rest follow as separate additions, so
     // the clock sums the same terms as if every unit were its own step (a
     // flush inside a frame is charged with the frame's first unit).
     const std::uint64_t counted = w.enumerator->counters().counted();
@@ -575,17 +514,6 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     w.clock += costs.state_cost +
                static_cast<double>(flushes - w.last_flushes) * flush_unit;
     w.last_flushes = flushes;
-    // Adaptive-offer accounting: each cutoff evaluation this step performed
-    // (accepted or suppressed) costs offer_eval_cost. kPaperFixed evaluates
-    // nothing, so default-policy schedules are charged exactly as before.
-    {
-      const std::uint64_t evals =
-          w.enumerator->offer_stats().offers_evaluated;
-      GENTRIUS_DCHECK_GE(evals, w.last_offer_evals);
-      w.clock += static_cast<double>(evals - w.last_offer_evals) *
-                 costs.offer_eval_cost;
-      w.last_offer_evals = evals;
-    }
     for (std::uint64_t u = 1; u < units; ++u) w.clock += costs.state_cost;
 
     switch (step) {
@@ -638,10 +566,6 @@ Result run_simulation(const Problem& problem, const Options& user_options,
   if (result.reason != StopReason::kEmptyStand) result.reason = sink.reason();
   result.virtual_makespan = makespan;
   result.sched = distributed ? deques.stats() : queue.stats();
-  // Enumerator-side offer-policy counters join the scheduler-side stats,
-  // mirroring the real pool's assemble().
-  for (VWorker& w : workers)
-    result.sched.merge(w.enumerator->offer_stats());
   result.seconds = wall.seconds();
   return result;
 }

@@ -41,16 +41,6 @@ struct CostModel {
   double replay_cost = 0.15;  ///< per insertion when replaying a stolen task's path
   double rewind_cost = 0.05;  ///< per removal returning to I0
   double queue_cost = 0.5;    ///< one queue push or pop (critical section)
-  /// Serialized mutex hold charged to a producer whose push bounces off a
-  /// full ring. The real TaskQueue::try_push acquires the contended mutex
-  /// even when it only learns the queue is full, so on flooding workloads
-  /// the rejected offers are real serialized traffic; the historical model
-  /// treated them as free bails, and the default 0 preserves that (and
-  /// every golden trace). Sensitivity/bench runs set it to ~queue_cost to
-  /// make the simulated clock follow the real lock (the hold is the same
-  /// acquisition; only the O(1) swap is skipped). Like queue_cost it gains
-  /// the queue_contention surcharge per extra worker when non-zero.
-  double queue_reject_cost = 0.0;
   double spawn_cost = 200.0;  ///< per-thread creation/teardown (N_t > 1 only)
 
   // Distributed-scheduler terms (Options::Scheduler::kDistributedDeques),
@@ -82,14 +72,6 @@ struct CostModel {
   /// expansion (paper §III-B cites [18]: up to a few thousand cycles).
   double flush_cost = 0.02;
   double flush_contention = 0.0015;  ///< extra cost per extra thread
-
-  /// Adaptive offer policy (Options::OfferPolicy::kAdaptiveGW): one cutoff
-  /// evaluation — GW-table lookup, backlog probe, threshold compare —
-  /// charged per offer *evaluated*, accepted or suppressed, so the model's
-  /// own overhead shows up in the simulated makespan. A suppressed offer
-  /// costs exactly this (it never reaches the sink, so no queue charge);
-  /// kPaperFixed evaluates nothing and is unaffected.
-  double offer_eval_cost = 0.02;
 
   // Sharded-run terms (decompose::run_virtual): a decomposed run dispatches
   // each shard as its own simulation and merges the results afterwards.

@@ -5,9 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
 #include "datagen/dataset.hpp"
 #include "gentrius/serial.hpp"
+#include "gentrius/terrace.hpp"
 #include "oracle/brute_force.hpp"
 #include "vthread/virtual_pool.hpp"
 
@@ -105,6 +107,28 @@ std::uint64_t flood_stand_size(std::size_t depth) {
   for (std::size_t i = 0; i < depth - wide; ++i) n *= 3;
   for (std::size_t i = 0; i < wide; ++i) n *= 5;
   return n;
+}
+
+TEST(FloodInstance, HasTheDesignedShape) {
+  // Every missing taxon has three admissible branches, or five at the
+  // depth/4 widened positions, and nothing is forced: the search splits
+  // at the very first state.
+  const std::size_t depth = 8;
+  const auto ds = datagen::make_flood_instance(depth, /*seed=*/2);
+  const auto opts = crafted_options(ds);
+  const auto problem = core::build_problem(ds.constraints, opts);
+  ASSERT_EQ(problem.missing_count(), depth);
+  core::Terrace terrace(problem);
+  std::vector<core::EdgeId> branches;
+  std::size_t wide = 0;
+  for (const auto taxon : problem.missing_taxa) {
+    terrace.choose_static(taxon, branches);
+    ASSERT_TRUE(branches.size() == 3 || branches.size() == 5)
+        << "taxon " << taxon << " has " << branches.size() << " branches";
+    if (branches.size() == 5) ++wide;
+  }
+  EXPECT_EQ(wide, depth / 4);
+  EXPECT_EQ(core::run_serial(problem, opts).prefix_length, 0u);
 }
 
 TEST(FloodInstance, EnumeratesTheDesignedProductStand) {

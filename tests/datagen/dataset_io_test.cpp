@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <exception>
 #include <filesystem>
@@ -18,10 +19,20 @@
 namespace gentrius::datagen {
 namespace {
 
+/// A temporary directory unique to the running test and process. ctest runs
+/// every case in its own process, in parallel under -j, so a shared path
+/// would let one case's clean-up delete the files another case is reading.
+std::filesystem::path unique_temp_dir() {
+  const auto* test = ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::filesystem::temp_directory_path() /
+         ("gentrius_" + std::string(test->test_suite_name()) + "_" +
+          test->name() + "_" + std::to_string(::getpid()));
+}
+
 class DatasetIo : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "gentrius_io_test";
+    dir_ = unique_temp_dir();
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -117,10 +128,8 @@ TEST(DatasetIoFuzz, CorruptedFilesThrowLibraryErrors) {
   // Every file of a full dataset (species tree, PAM, overrides), then one
   // file truncated or mutated per round: loading must either succeed or
   // throw support::Error — never another exception type, never a crash
-  // (the ASan job runs this too). Its own directory: ctest runs the
-  // DatasetIo cases in parallel processes.
-  const auto dir =
-      std::filesystem::temp_directory_path() / "gentrius_io_fuzz_test";
+  // (the ASan job runs this too).
+  const auto dir = unique_temp_dir();
   std::filesystem::remove_all(dir);
   SimulatedParams p;
   p.n_taxa = 10;

@@ -1,10 +1,13 @@
 // ResultCache unit tests: LRU eviction order, the byte-compare collision
-// guard, replace-in-place, and the capacity-0 kill switch.
+// guard, replace-in-place, and the capacity-0 kill switch; and the rule
+// that run_sharded caches only shards that no stopping rule cut short.
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "benchutil/corpus.hpp"
 #include "decompose/cache.hpp"
+#include "decompose/sharded.hpp"
 #include "support/fingerprint.hpp"
 
 namespace gentrius::decompose {
@@ -85,6 +88,114 @@ TEST(ResultCache, EvictionChurnKeepsBound) {
   EXPECT_NE(cache.find(fp("e49"), "e49"), nullptr);
   EXPECT_NE(cache.find(fp("e47"), "e47"), nullptr);
   EXPECT_EQ(cache.find(fp("e0"), "e0"), nullptr);
+}
+
+// A state limit between the two components' sizes lets the smaller one
+// finish and cuts the larger one short. A later run without the limit must
+// reuse the finished component, enumerate the cut one again, and count
+// what an uncached run counts.
+TEST(ShardedCache, StoresOnlyFinishedShards) {
+  benchutil::MultiComponentParams p;
+  p.n_components = 2;
+  p.min_taxa_per_component = 4;
+  p.max_taxa_per_component = 5;
+  p.loci_per_component = 2;
+  p.seed = 8;  // components of 3 and 1 states
+  const auto ds = benchutil::make_multi_component(p);
+  core::Options opts;
+  opts.decompose = core::Decompose::kComponents;
+  const core::Result reference = run_sharded(ds.constraints, opts);
+  ASSERT_EQ(reference.reason, core::StopReason::kCompleted);
+  ASSERT_EQ(reference.shards.size(), 3u);  // two components, the residual
+  const std::uint64_t states0 = reference.shards[0].intermediate_states;
+  const std::uint64_t states1 = reference.shards[1].intermediate_states;
+  ASSERT_GT(states0 > states1 ? states0 - states1 : states1 - states0, 1u);
+  const std::size_t small = states0 < states1 ? 0 : 1;
+  const std::size_t large = 1 - small;
+
+  ResultCache cache(16);
+  core::Options limited = opts;
+  limited.stop.max_states = (states0 + states1) / 2;
+  const core::Result cut = run_sharded(ds.constraints, limited, {}, &cache);
+  ASSERT_EQ(cut.shards[small].reason, core::StopReason::kCompleted);
+  ASSERT_EQ(cut.shards[large].reason, core::StopReason::kStateLimit);
+
+  const core::Result again = run_sharded(ds.constraints, opts, {}, &cache);
+  EXPECT_TRUE(again.shards[small].reused);
+  EXPECT_FALSE(again.shards[large].reused);
+  EXPECT_EQ(again.shards[large].reason, core::StopReason::kCompleted);
+  EXPECT_EQ(again.reason, core::StopReason::kCompleted);
+  EXPECT_EQ(again.stand_trees, reference.stand_trees);
+}
+
+// A run with no stopping rule caches every shard it enumerates; a second
+// run on the same cache expands no state and counts the same stand.
+TEST(ShardedCache, SecondRunReusesEveryShard) {
+  benchutil::MultiComponentParams p;
+  p.n_components = 2;
+  p.min_taxa_per_component = 4;
+  p.max_taxa_per_component = 5;
+  p.loci_per_component = 2;
+  p.seed = 8;
+  const auto ds = benchutil::make_multi_component(p);
+  core::Options opts;
+  opts.decompose = core::Decompose::kComponents;
+  ResultCache cache(16);
+  const core::Result first = run_sharded(ds.constraints, opts, {}, &cache);
+  ASSERT_EQ(first.reason, core::StopReason::kCompleted);
+  EXPECT_EQ(first.cache.hits, 0u);
+  EXPECT_EQ(first.cache.recomputed_components, 2u);
+
+  const core::Result again = run_sharded(ds.constraints, opts, {}, &cache);
+  EXPECT_EQ(again.reason, core::StopReason::kCompleted);
+  EXPECT_EQ(again.stand_trees, first.stand_trees);
+  EXPECT_EQ(again.cache.misses, 0u);
+  EXPECT_EQ(again.cache.reused_components, 2u);
+  EXPECT_EQ(again.cache.recomputed_states, 0u);
+  EXPECT_EQ(again.cache.reused_states, first.cache.recomputed_states);
+  ASSERT_EQ(again.shards.size(), first.shards.size());
+  for (std::size_t i = 0; i < again.shards.size(); ++i) {
+    if (again.shards[i].kind != core::ShardStats::Kind::kComponent) continue;
+    EXPECT_TRUE(again.shards[i].reused) << "shard " << i;
+    EXPECT_EQ(again.shards[i].stand_trees, first.shards[i].stand_trees)
+        << "shard " << i;
+  }
+}
+
+// A tree limit cuts shards short too: the shard it stops is not stored,
+// and a later run without the limit enumerates it again.
+TEST(ShardedCache, TreeLimitedShardIsNotStored) {
+  benchutil::MultiComponentParams p;
+  p.n_components = 2;
+  p.min_taxa_per_component = 4;
+  p.max_taxa_per_component = 5;
+  p.loci_per_component = 2;
+  p.seed = 8;
+  const auto ds = benchutil::make_multi_component(p);
+  core::Options opts;
+  opts.decompose = core::Decompose::kComponents;
+  const core::Result reference = run_sharded(ds.constraints, opts);
+  ASSERT_EQ(reference.reason, core::StopReason::kCompleted);
+  const std::uint64_t trees0 = reference.shards[0].stand_trees;
+  const std::uint64_t trees1 = reference.shards[1].stand_trees;
+  ASSERT_GT(trees0 > trees1 ? trees0 - trees1 : trees1 - trees0, 1u);
+  const std::size_t small = trees0 < trees1 ? 0 : 1;
+  const std::size_t large = 1 - small;
+
+  ResultCache cache(16);
+  core::Options limited = opts;
+  limited.stop.max_stand_trees = (trees0 + trees1) / 2;
+  const core::Result cut = run_sharded(ds.constraints, limited, {}, &cache);
+  ASSERT_EQ(cut.shards[small].reason, core::StopReason::kCompleted);
+  ASSERT_EQ(cut.shards[large].reason, core::StopReason::kTreeLimit);
+
+  const core::Result again = run_sharded(ds.constraints, opts, {}, &cache);
+  EXPECT_TRUE(again.shards[small].reused);
+  EXPECT_FALSE(again.shards[large].reused);
+  EXPECT_EQ(again.shards[large].stand_trees,
+            reference.shards[large].stand_trees);
+  EXPECT_EQ(again.reason, core::StopReason::kCompleted);
+  EXPECT_EQ(again.stand_trees, reference.stand_trees);
 }
 
 }  // namespace

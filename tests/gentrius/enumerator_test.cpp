@@ -2,6 +2,11 @@
 // task-offer rules, adopt/rewind round trips, and counting discipline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "datagen/dataset.hpp"
 #include "gentrius/enumerator.hpp"
 #include "gentrius/serial.hpp"
@@ -16,11 +21,13 @@ class RecordingSink final : public TaskSink {
  public:
   explicit RecordingSink(std::size_t cap) : cap_(cap) {}
   bool try_push(Task& task) override {
+    offers.push_back(task);  // copy: the recording must outlive the pool
     if (tasks.size() >= cap_) return false;
-    tasks.push_back(task);  // copy: the recording must outlive the pool
+    tasks.push_back(task);
     return true;
   }
-  std::vector<Task> tasks;
+  std::vector<Task> offers;  // every try_push, accepted or rejected
+  std::vector<Task> tasks;   // the accepted ones
 
  private:
   std::size_t cap_;
@@ -33,6 +40,27 @@ datagen::Dataset hard_dataset(std::uint64_t seed = 2023) {
   sp.missing_fraction = 0.5;
   sp.seed = seed;
   return datagen::make_simulated(sp);
+}
+
+/// The hand-off flood instance's forced start tree and insertion order:
+/// every state with >= 3 remaining taxa holds an offer-eligible frame.
+Options flood_options(const datagen::Dataset& ds) {
+  Options opts;
+  opts.select_initial_tree = false;
+  opts.initial_constraint = ds.forced_initial_constraint;
+  opts.dynamic_taxon_order = false;
+  opts.insertion_order = ds.forced_insertion_order;
+  return opts;
+}
+
+/// Runs `e` over the whole instance from I0, offering into `tasks`.
+const Enumerator::Prefix& explore_all(Enumerator& e, TaskSink& tasks) {
+  e.set_task_sink(&tasks);
+  const auto& prefix = e.run_prefix(true);
+  if (prefix.outcome != Enumerator::Prefix::Outcome::kSplit) return prefix;
+  e.begin_branches(prefix.split_taxon, prefix.branches);
+  while (e.step() == Enumerator::Step::kWorked) {}
+  return prefix;
 }
 
 TEST(Enumerator, PrefixIsDeterministicAcrossInstances) {
@@ -155,6 +183,119 @@ TEST(Enumerator, OfferedTaskHalvesTheBranchSet) {
   ASSERT_EQ(tasks.tasks.size(), 1u);
   EXPECT_GE(tasks.tasks[0].branches.size(), 1u);
   EXPECT_EQ(e.tasks_offered(), 1u);
+}
+
+// With every offer rejected the producer explores each frame whole and in
+// order, so a frame's branches reappear as the last path entries of the
+// offers made one level below it. The offer must hold the first
+// floor(n/2) of the frame's n branches: the paper's split.
+TEST(Enumerator, OfferedTaskIsTheFirstHalfOfTheFrame) {
+  const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/3);
+  const Options opts = flood_options(ds);
+  const auto problem = build_problem(ds.constraints, opts);
+  CounterSink sink(opts.stop);
+  Enumerator e(problem, opts, sink);
+  RecordingSink log(0);
+  explore_all(e, log);
+  ASSERT_FALSE(log.offers.empty());
+
+  std::size_t checked = 0;
+  for (const Task& parent : log.offers) {
+    std::vector<EdgeId> frame;  // the parent frame's branches, in order
+    for (const Task& child : log.offers) {
+      if (child.path.size() != parent.path.size() + 1 ||
+          !std::equal(parent.path.begin(), parent.path.end(),
+                      child.path.begin()))
+        continue;
+      ASSERT_EQ(child.path.back().first, parent.next_taxon);
+      frame.push_back(child.path.back().second);
+    }
+    if (frame.empty()) continue;  // children fall below the offer floor
+    ASSERT_GE(frame.size(), 2u);
+    const auto half = static_cast<std::ptrdiff_t>(frame.size() / 2);
+    const std::vector<EdgeId> first_half(frame.begin(), frame.begin() + half);
+    EXPECT_EQ(parent.branches, first_half);
+    ++checked;
+  }
+  EXPECT_GT(checked, 10u);
+}
+
+// offer_min_remaining counts the remaining taxa at the frame, its own taxon
+// included: offers reach down to exactly that floor and never below it.
+TEST(Enumerator, OffersReachDownToTheOfferFloor) {
+  const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/3);
+  for (const std::size_t min_remaining : {1u, 2u, 3u, 4u}) {
+    Options opts = flood_options(ds);
+    opts.offer_min_remaining = min_remaining;
+    const auto problem = build_problem(ds.constraints, opts);
+    CounterSink sink(opts.stop);
+    Enumerator e(problem, opts, sink);
+    RecordingSink log(0);
+    const std::size_t prefix = explore_all(e, log).length;
+    ASSERT_FALSE(log.offers.empty()) << "min_remaining=" << min_remaining;
+    std::size_t lowest = problem.missing_count();
+    for (const Task& offer : log.offers) {
+      const std::size_t remaining =
+          problem.missing_count() - prefix - offer.path.size();
+      EXPECT_GE(remaining, min_remaining);
+      lowest = std::min(lowest, remaining);
+    }
+    EXPECT_EQ(lowest, min_remaining);
+  }
+}
+
+// A rejected offer leaves the producer its whole frame: one enumerator
+// alone still counts what the serial driver counts.
+TEST(Enumerator, RejectedOffersLeaveTheFrameWhole) {
+  const auto ds = hard_dataset(11);
+  Options opts;
+  const auto problem = build_problem(ds.constraints, opts);
+  const auto serial = run_serial(problem, opts);
+  CounterSink sink(opts.stop);
+  Enumerator e(problem, opts, sink);
+  RecordingSink log(0);
+  explore_all(e, log);
+  e.counters().flush_all();
+  EXPECT_FALSE(log.offers.empty());
+  EXPECT_EQ(e.tasks_offered(), 0u);
+  EXPECT_EQ(sink.stand_trees(), serial.stand_trees);
+  EXPECT_EQ(sink.states(), serial.intermediate_states);
+  EXPECT_EQ(sink.dead_ends(), serial.dead_ends);
+}
+
+// Accepting every offer splits every eligible frame in two. The producer
+// keeps the second halves, one thief works every task (offering again as it
+// goes), and together they count exactly what the serial driver counts.
+TEST(Enumerator, AcceptingEveryOfferKeepsTotalsExact) {
+  const auto flood = datagen::make_flood_instance(/*depth=*/6, /*seed=*/3);
+  const auto sim = hard_dataset(77);
+  for (const auto& [ds, opts] :
+       {std::pair{flood, flood_options(flood)}, std::pair{sim, Options{}}}) {
+    const auto problem = build_problem(ds.constraints, opts);
+    const auto serial = run_serial(problem, opts);
+    CounterSink sink(opts.stop);
+    Enumerator producer(problem, opts, sink);
+    RecordingSink queue(SIZE_MAX);
+    explore_all(producer, queue);
+    ASSERT_FALSE(queue.tasks.empty());
+    EXPECT_EQ(producer.tasks_offered(), queue.tasks.size());
+
+    Enumerator thief(problem, opts, sink);
+    thief.set_task_sink(&queue);
+    thief.run_prefix(false);
+    for (std::size_t i = 0; i < queue.tasks.size(); ++i) {
+      const Task task = queue.tasks[i];  // copy: the thief appends offers
+      thief.adopt_task(task);
+      while (thief.step() == Enumerator::Step::kWorked) {}
+      thief.rewind_to_split();
+    }
+    producer.counters().flush_all();
+    thief.counters().flush_all();
+    EXPECT_GT(queue.tasks.size(), producer.tasks_offered());
+    EXPECT_EQ(sink.stand_trees(), serial.stand_trees);
+    EXPECT_EQ(sink.states(), serial.intermediate_states);
+    EXPECT_EQ(sink.dead_ends(), serial.dead_ends);
+  }
 }
 
 TEST(Enumerator, StopFlagHaltsStepping) {

@@ -181,5 +181,22 @@ TEST(LastTaxonBatch, FloodOffersLastTaxonFramesAtMinRemainingOne) {
   EXPECT_EQ(with.stand_trees, without.stand_trees);
 }
 
+// An offer floor above the taxon count leaves the workers only their
+// initial-split slices: nothing is offered, and the count stays exact.
+TEST(OfferMinRemaining, FloorAboveEveryFrameDisablesAllOffers) {
+  const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/1);
+  Options opts;
+  opts.select_initial_tree = false;
+  opts.initial_constraint = *ds.forced_initial_constraint;
+  opts.dynamic_taxon_order = false;
+  opts.insertion_order = ds.forced_insertion_order;
+  opts.offer_min_remaining = 1'000;  // no frame ever qualifies
+  const auto problem = build_problem(ds.constraints, opts);
+  const Result want = run_serial(problem, opts);
+  const Result r = vthread::run_virtual(problem, opts, 4);
+  EXPECT_EQ(r.tasks_offered, 0u);
+  EXPECT_EQ(r.stand_trees, want.stand_trees);
+}
+
 }  // namespace
 }  // namespace gentrius::core

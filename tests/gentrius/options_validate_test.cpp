@@ -3,8 +3,6 @@
 // combinations are pinned here once instead of per driver.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "gentrius/options.hpp"
 #include "support/error.hpp"
 
@@ -40,21 +38,6 @@ TEST(ValidateOptions, ZeroFlushBatchRejectedEverywhere) {
     o = valid_for(surface);
     o.dead_end_flush_batch = 0;
     EXPECT_THROW(validate_options(o, surface), support::InvalidInput);
-  }
-}
-
-TEST(ValidateOptions, OfferSplitFractionMustBeInteriorAndFinite) {
-  for (const auto surface : kSurfaces) {
-    SCOPED_TRACE(to_string(surface));
-    for (const double bad :
-         {0.0, 1.0, -0.5, 2.0, std::nan("")}) {
-      Options o = valid_for(surface);
-      o.offer_split_fraction = bad;
-      EXPECT_THROW(validate_options(o, surface), support::InvalidInput);
-    }
-    Options o = valid_for(surface);
-    o.offer_split_fraction = 0.25;
-    EXPECT_NO_THROW(validate_options(o, surface));
   }
 }
 

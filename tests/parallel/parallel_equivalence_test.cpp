@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
+#include <vector>
 
 #include "datagen/dataset.hpp"
 #include "gentrius/serial.hpp"
@@ -30,6 +33,14 @@ struct EqCase {
   std::uint64_t seed;
   bool empirical;
 };
+
+// gtest prints a parameter it has no printer for as its raw bytes, padding
+// included, and ctest names each case after that print: a stable printer
+// keeps the test names the same from build to build.
+void PrintTo(const EqCase& c, std::ostream* os) {
+  *os << (c.empirical ? "empirical" : "simulated") << "_" << c.n_taxa
+      << "taxa_seed" << c.seed;
+}
 
 class Equivalence : public ::testing::TestWithParam<EqCase> {};
 

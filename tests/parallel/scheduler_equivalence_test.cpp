@@ -5,9 +5,12 @@
 // dead-end counts and the identical canonical stand set at every thread
 // count. This is the §IV "exact same results" check extended to the
 // scheduler axis.
+// The inputs are simulated instances and the hand-off flood family, which
+// has an offer-eligible frame at every state.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "datagen/dataset.hpp"
 #include "gentrius/serial.hpp"
@@ -27,28 +30,11 @@ std::vector<std::string> sorted(std::vector<std::string> v) {
   return v;
 }
 
-struct SchedCase {
-  std::size_t n_taxa;
-  std::size_t n_loci;
-  double missing;
-  std::uint64_t seed;
-};
-
-class SchedulerEquivalence : public ::testing::TestWithParam<SchedCase> {};
-
-TEST_P(SchedulerEquivalence, BothSchedulersMatchSerialRealAndVirtual) {
-  const auto p = GetParam();
-  datagen::SimulatedParams sp;
-  sp.n_taxa = p.n_taxa;
-  sp.n_loci = p.n_loci;
-  sp.missing_fraction = p.missing;
-  sp.seed = p.seed;
-  const auto ds = datagen::make_simulated(sp);
-
-  Options opts;
-  opts.collect_trees = true;
-  const auto problem = core::build_problem(ds.constraints, opts);
-
+/// Runs serial, then the real pool and the simulator under both schedulers
+/// at N_t in {2, 4, 8}, and expects every parallel run to match serial.
+/// `opts` must collect trees and leave the stopping rules quiet.
+void expect_drivers_match_serial(const core::Problem& problem,
+                                 const Options& opts) {
   const Result serial = core::run_serial(problem, opts);
   ASSERT_EQ(serial.reason, StopReason::kCompleted);
   const auto expected_trees = sorted(serial.trees);
@@ -102,10 +88,55 @@ TEST_P(SchedulerEquivalence, BothSchedulersMatchSerialRealAndVirtual) {
   }
 }
 
+struct SchedCase {
+  std::size_t n_taxa;
+  std::size_t n_loci;
+  double missing;
+  std::uint64_t seed;
+};
+
+class SchedulerEquivalence : public ::testing::TestWithParam<SchedCase> {};
+
+TEST_P(SchedulerEquivalence, BothSchedulersMatchSerialRealAndVirtual) {
+  const auto p = GetParam();
+  datagen::SimulatedParams sp;
+  sp.n_taxa = p.n_taxa;
+  sp.n_loci = p.n_loci;
+  sp.missing_fraction = p.missing;
+  sp.seed = p.seed;
+  const auto ds = datagen::make_simulated(sp);
+
+  Options opts;
+  opts.collect_trees = true;
+  expect_drivers_match_serial(core::build_problem(ds.constraints, opts), opts);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Instances, SchedulerEquivalence,
     ::testing::Values(SchedCase{12, 4, 0.4, 311}, SchedCase{16, 5, 0.45, 312},
                       SchedCase{20, 5, 0.5, 313}, SchedCase{24, 6, 0.45, 314}));
+
+// The flood family schedules very differently from the simulated
+// instances: every state offers, so the queues run full all the time. Its
+// seeds permute the insertion order, so each seed splits at other taxa.
+class FloodSchedulerEquivalence
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FloodSchedulerEquivalence, BothSchedulersMatchSerialRealAndVirtual) {
+  const auto ds = datagen::make_flood_instance(/*depth=*/6, GetParam());
+  Options opts;
+  opts.collect_trees = true;
+  opts.select_initial_tree = false;
+  opts.initial_constraint = *ds.forced_initial_constraint;
+  opts.dynamic_taxon_order = false;
+  opts.insertion_order = ds.forced_insertion_order;
+  const auto problem = core::build_problem(ds.constraints, opts);
+  ASSERT_GT(core::run_serial(problem, opts).stand_trees, 100u);
+  expect_drivers_match_serial(problem, opts);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FloodSchedulerEquivalence,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 // The distributed scheduler's counts must not depend on the victim-
 // selection seed (the schedule may differ; the enumeration may not).

@@ -168,6 +168,46 @@ TEST(DequeScheduler, ThiefStealsAcrossWorkersAndPoolTerminates) {
   EXPECT_EQ(sched.pending(), 0u);
 }
 
+// The TaskSink contract through a worker's handle: an accepted task reaches
+// the thief whole, and a push into a full own deque is rejected, counted,
+// and leaves the task untouched.
+TEST(DequeScheduler, HandleKeepsTheTaskSinkContract) {
+  core::CounterSink sink({});
+  DequeScheduler sched(2, 1);
+  core::TaskSink* own = sched.sink_for(0);
+  core::Task first = make_task(1);
+  first.path = {{2, 3}};
+  first.branches = {4, 5};
+  const core::Task sent = first;
+  ASSERT_TRUE(own->try_push(first));
+  std::size_t accepted = 1;
+  for (;;) {
+    core::Task filler = make_task(0);
+    if (!own->try_push(filler)) break;
+    ++accepted;
+    ASSERT_LT(accepted, 10'000u) << "the own deque never filled";
+  }
+  EXPECT_EQ(accepted, steal_deque_capacity_for(2));
+
+  core::Task rejected = make_task(6);
+  rejected.path = {{7, 8}};
+  rejected.branches = {9, 10, 11};
+  const core::Task before = rejected;
+  EXPECT_FALSE(own->try_push(rejected));
+  EXPECT_EQ(tag_of(rejected), tag_of(before));
+  EXPECT_EQ(rejected.path, before.path);
+  EXPECT_EQ(rejected.branches, before.branches);
+  EXPECT_EQ(sched.stats().queue_full_rejections, 2u);
+
+  // A thief steals the oldest task: the first one pushed.
+  core::Task out;
+  ASSERT_TRUE(sched.acquire(1, sink, out));
+  EXPECT_EQ(tag_of(out), tag_of(sent));
+  EXPECT_EQ(out.path, sent.path);
+  EXPECT_EQ(out.branches, sent.branches);
+  EXPECT_EQ(sched.stats().tasks_stolen, 1u);
+}
+
 TEST(DequeScheduler, PushRejectedAfterStop) {
   core::CounterSink sink({});
   DequeScheduler sched(2, 1);

@@ -34,6 +34,50 @@ TEST(TaskQueue, RejectsWhenFull) {
   EXPECT_FALSE(push(q, make_task(3)));
 }
 
+// The TaskSink contract: a rejected offer leaves the task whole, so the
+// producer keeps every branch it tried to hand off.
+TEST(TaskQueue, RejectedPushLeavesTheTaskUntouched) {
+  TaskQueue q(1, /*workers=*/2);
+  ASSERT_TRUE(push(q, make_task(1)));
+  core::Task t = make_task(2);
+  t.path = {{3, 4}, {5, 6}};
+  t.branches = {7, 8, 9};
+  const core::Task before = t;
+  EXPECT_FALSE(q.try_push(t));
+  EXPECT_EQ(t.next_taxon, before.next_taxon);
+  EXPECT_EQ(t.path, before.path);
+  EXPECT_EQ(t.branches, before.branches);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.stats().queue_full_rejections, 1u);
+}
+
+// An accepted task reaches its consumer whole, and size() follows every
+// push and pop.
+TEST(TaskQueue, PopDeliversThePushedTaskAndSizeFollows) {
+  core::CounterSink sink({});
+  TaskQueue q(3, /*workers=*/2);
+  std::vector<core::Task> sent;
+  for (int tag = 1; tag <= 2; ++tag) {
+    core::Task t = make_task(tag);
+    t.path = {{static_cast<core::TaxonId>(tag), 10}};
+    t.branches = {static_cast<core::EdgeId>(tag), 20};
+    sent.push_back(t);
+    ASSERT_TRUE(q.try_push(t));
+    EXPECT_EQ(q.size(), sent.size());
+  }
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    core::Task out;
+    ASSERT_TRUE(q.pop(sink, out));
+    EXPECT_EQ(out.next_taxon, sent[i].next_taxon);
+    EXPECT_EQ(out.path, sent[i].path);
+    EXPECT_EQ(out.branches, sent[i].branches);
+    EXPECT_EQ(q.size(), sent.size() - i - 1);
+  }
+  const auto s = q.stats();
+  EXPECT_EQ(s.max_queue_depth, 2u);
+  EXPECT_EQ(s.tasks_stolen, 2u);
+}
+
 TEST(TaskQueue, SingleWorkerTerminatesImmediately) {
   core::CounterSink sink({});
   TaskQueue q(2, 1);

@@ -23,6 +23,34 @@ core::Problem make_problem(std::size_t n_taxa, double missing,
   return core::build_problem(ds.constraints, opts);
 }
 
+// The hand-off flood bounces most offers off a full ring, the schedule's
+// most contended path: the simulator must still replay it bit for bit.
+TEST(VirtualPool, FloodRunsAreBitIdentical) {
+  const auto ds = datagen::make_flood_instance(/*depth=*/7, /*seed=*/1);
+  Options opts;
+  opts.select_initial_tree = false;
+  opts.initial_constraint = ds.forced_initial_constraint;
+  opts.dynamic_taxon_order = false;
+  opts.insertion_order = ds.forced_insertion_order;
+  const auto problem = core::build_problem(ds.constraints, opts);
+  for (const core::Scheduler sched :
+       {core::Scheduler::kCentralQueue, core::Scheduler::kDistributedDeques}) {
+    Options o = opts;
+    o.scheduler = sched;
+    const auto a = vthread::run_virtual(problem, o, 8);
+    const auto b = vthread::run_virtual(problem, o, 8);
+    EXPECT_GT(a.sched.queue_full_rejections, 0u) << to_string(sched);
+    EXPECT_EQ(a.virtual_makespan, b.virtual_makespan) << to_string(sched);
+    EXPECT_EQ(a.tasks_offered, b.tasks_offered) << to_string(sched);
+    EXPECT_EQ(a.tasks_executed, b.tasks_executed) << to_string(sched);
+    EXPECT_EQ(a.sched.queue_full_rejections, b.sched.queue_full_rejections)
+        << to_string(sched);
+    EXPECT_EQ(a.sched.tasks_stolen, b.sched.tasks_stolen) << to_string(sched);
+    EXPECT_EQ(a.sched.steal_attempts, b.sched.steal_attempts)
+        << to_string(sched);
+  }
+}
+
 TEST(VirtualPool, SmallDatasetsSlowDownUnderThreads) {
   // Paper §IV-A: datasets with tiny serial runtimes are *slower* in
   // parallel because of thread creation and task-distribution overhead.

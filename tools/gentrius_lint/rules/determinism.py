@@ -142,11 +142,10 @@ class DeterminismRule:
     # src/decompose joined in PR 8: the sharded driver feeds golden traces
     # and product-law differentials, so it carries the same bit-identical
     # replay promise as the engine and the simulator.
-    # src/parallel joined with the adaptive offer policy: the pool's
-    # backlog/handoff signals now feed the enumerator's offer decisions,
-    # which the policy-equivalence suite requires to match the virtual
-    # drivers exactly — ambient time or randomness on that path would
-    # silently diverge real from simulated scheduling.
+    # src/parallel: its seeded VictimSelector (steal_deque.hpp) also picks
+    # the simulator's steal victims, so the virtual-time schedule — and the
+    # makespans the golden trace pins — depend on it. Ambient time or
+    # randomness there would make simulated runs host-dependent.
     # src/incremental joined with the edit session: its re-enumerations
     # must replay bit-identically against the from-scratch driver. The
     # result cache it runs through lives in src/decompose (cache.cpp):
@@ -210,15 +209,15 @@ class DeterminismRule:
                        "src/decompose/sharded.cpp",
                        any(f.code == "wall-clock"
                            for f in _lint_file(seeded_decompose))))
-        # Seeded violation in the newly scanned src/parallel directory:
-        # ambient randomness planted in the task queue's backlog probe —
-        # the adaptive offer policy's decision input — must fire.
+        # Seeded violation in src/parallel: ambient randomness planted in
+        # the victim selector, whose seeded draws order the simulator's
+        # steals, must fire.
         seeded_parallel = core.SourceFile(
-            "src/parallel/task_queue.hpp",
-            "std::mt19937 gen; return gen() % capacity_;\n",
+            "src/parallel/steal_deque.hpp",
+            "std::mt19937 gen; return gen() % n_workers_;\n",
             PATTERNS.keys())
         checks.append(("rand: fires on seeded violation in "
-                       "src/parallel/task_queue.hpp",
+                       "src/parallel/steal_deque.hpp",
                        any(f.code == "rand"
                            for f in _lint_file(seeded_parallel))))
         # Seeded violation in the result cache (src/decompose/cache.cpp):

@@ -19,14 +19,6 @@ What it runs (from a Release build tree):
     multi-component instance under the virtual-time simulator at N_t in
     {1,2,4,8}. Also deterministic; the hard gate requires sharded
     throughput >= monolithic (speedup >= 1.0) at every N_t.
-  * bench/bench_offer_policy (with --offer-policies) — the paper's fixed
-    task-splitting rule vs the adaptive Galton-Watson granularity
-    controller (Options::offer_policy), both schedulers, N_t in
-    {2,8,16,32,48}, over the skewed hand-off-flood family (4 seeded
-    replicate instances) and the nontrivial empirical corpus members.
-    Deterministic; the hard gate requires every skewed seed's *median*
-    adaptive advantage over the N_t >= 8 grid to be >= 1.15x and every
-    instance to stay within 3% of the fixed policy at N_t <= 2.
   * bench/bench_incremental_edits (with --incremental) — an
     IncrementalSession (src/incremental) absorbing a structure-preserving
     PAM edit stream vs a from-scratch decompose::run_sharded at every step.
@@ -70,28 +62,20 @@ Output schema (BENCH_9.json):
                                       "stands_ok", "speedup"}],
                            "median_speedup", "amortized_speedup",
                            "max_dirty", "equal": bool}}} | null,
-    "offer_policy": {"instances": {name:
-                         {"family": "skewed" | "corpus",
-                          "serial_makespan", "serial_states", ...,
-                          "central" | "distributed":
-                              {nt: {"fixed": {...}, "adaptive": {...},
-                                    "ratio": float}}}}} | null,
     "derived": {"multi_constraint_states_per_sec", "per_state_ns",
                 "speedup_vs_baseline",
                 "distributed_over_central_speedup_at_48",
                 "max_scheduler_mismatch_percent_at_low_nt",
                 "sharded_over_mono_speedup_at_1",
-                "offer_policy_skewed_median_advantage",
-                "offer_policy_skewed_min_advantage",
                 "incremental_median_speedup",
                 "incremental_amortized_speedup"}
   }
 
 Typical use:
   python3 tools/run_benchmarks.py --build-dir build-bench --schedulers \
-      --decompose --offer-policies --incremental
+      --decompose --incremental
   python3 tools/run_benchmarks.py --min-time 0.1 --mapping-scale 0.2 \
-      --schedulers --decompose --offer-policies --incremental \
+      --schedulers --decompose --incremental \
       --check-against BENCH_9.json  # CI smoke
 
 --check-against compares every micro-benchmark present in both reports
@@ -201,8 +185,7 @@ def run_mapping_update(build_dir: pathlib.Path, scale: float,
 SCHED_LINE = re.compile(
     r"^SCHED scheduler=(\w+) nt=(\d+) makespan=([0-9.]+) speedup=([0-9.]+) "
     r"tasks_offered=(\d+) tasks_stolen=(\d+) steal_attempts=(\d+) "
-    r"failed_probes=(\d+) rejections=(\d+) max_depth=(\d+)"
-    r"(?: offers_evaluated=(\d+) offers_suppressed=(\d+))?")
+    r"failed_probes=(\d+) rejections=(\d+) max_depth=(\d+)")
 SCHED_SERIAL = re.compile(
     r"^SCHED serial makespan=([0-9.]+) states=(\d+) trees=(\d+) "
     r"reason=(\S+)")
@@ -242,9 +225,6 @@ def run_scheduler_sweep(build_dir: pathlib.Path) -> dict:
             "failed_probes": int(m.group(8)),
             "rejections": int(m.group(9)),
             "max_depth": int(m.group(10)),
-            # Offer-policy counters (absent in pre-BENCH-8 output).
-            "offers_evaluated": int(m.group(11) or 0),
-            "offers_suppressed": int(m.group(12) or 0),
         }
     if not sweep["central"] or not sweep["distributed"]:
         sys.exit("error: no SCHED lines parsed from "
@@ -325,155 +305,6 @@ def print_decompose_table(sweep: dict) -> None:
         print(f"  {nt:>4} {e['mono_makespan']:12.1f} "
               f"{e['sharded_seq_makespan']:12.1f} "
               f"{e['speedup_seq']:8.2f}x")
-
-
-OFFER_SERIAL = re.compile(
-    r"^OFFER serial instance=(\S+) family=(\w+) makespan=([0-9.]+) "
-    r"states=(\d+) trees=(\d+) dead_ends=(\d+)")
-OFFER_LINE = re.compile(
-    r"^OFFER instance=(\S+) family=(\w+) scheduler=(\w+) nt=(\d+) "
-    r"policy=(\w+) makespan=([0-9.]+) speedup=([0-9.]+) tasks_offered=(\d+) "
-    r"rejections=(\d+) offers_evaluated=(\d+) offers_suppressed=(\d+) "
-    r"prediction_error=([0-9.]+)")
-
-# The adaptive-policy acceptance bars. Multi-threaded advantage is judged on
-# the *median* ratio across the N_t >= 8 grid per instance — the virtual-time
-# simulator is deterministic, so replication comes from the >= 4 skewed
-# instance seeds rather than from repeated identical runs.
-OFFER_MULTI_NTS = (8, 16, 32, 48)
-OFFER_SKEWED_MIN_ADVANTAGE = 1.15  # median over OFFER_MULTI_NTS, per seed
-OFFER_LOW_NT_TOLERANCE = 0.03      # |ratio - 1| at N_t <= 2, every instance
-
-
-def run_offer_policy_sweep(build_dir: pathlib.Path) -> dict:
-    exe = build_dir / "bench" / "bench_offer_policy"
-    if not exe.exists():
-        sys.exit(f"error: {exe} not found - build the bench targets first "
-                 f"(cmake --build {build_dir} --target bench_offer_policy)")
-    cmd = [str(exe)]
-    print(f"+ {' '.join(cmd)}", file=sys.stderr)
-    proc = subprocess.run(cmd, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit("error: bench_offer_policy failed (count identity "
-                 f"violated?):\n{proc.stdout[-2000:]}")
-    sweep: dict = {"instances": {}}
-    for line in proc.stdout.splitlines():
-        sm = OFFER_SERIAL.match(line)
-        if sm:
-            sweep["instances"][sm.group(1)] = {
-                "family": sm.group(2),
-                "serial_makespan": float(sm.group(3)),
-                "serial_states": int(sm.group(4)),
-                "serial_trees": int(sm.group(5)),
-                "serial_dead_ends": int(sm.group(6)),
-                "central": {},
-                "distributed": {},
-            }
-            continue
-        m = OFFER_LINE.match(line)
-        if not m:
-            continue
-        inst = sweep["instances"].get(m.group(1))
-        if inst is None:
-            continue
-        entry = inst[m.group(3)].setdefault(m.group(4), {})
-        entry[m.group(5)] = {
-            "makespan": float(m.group(6)),
-            "speedup": float(m.group(7)),
-            "tasks_offered": int(m.group(8)),
-            "rejections": int(m.group(9)),
-            "offers_evaluated": int(m.group(10)),
-            "offers_suppressed": int(m.group(11)),
-            "prediction_error": float(m.group(12)),
-        }
-        if "fixed" in entry and "adaptive" in entry:
-            entry["ratio"] = (entry["fixed"]["makespan"] /
-                              entry["adaptive"]["makespan"])
-    if not sweep["instances"]:
-        sys.exit("error: no OFFER lines parsed from bench_offer_policy")
-    return sweep
-
-
-def _median(values: list) -> float:
-    vs = sorted(values)
-    n = len(vs)
-    return vs[n // 2] if n % 2 else (vs[n // 2 - 1] + vs[n // 2]) / 2.0
-
-
-def offer_policy_derived(sweep: dict) -> dict:
-    """Per-instance median adaptive/fixed advantage over the N_t >= 8 grid
-    (central queue — the scheduler whose single mutex the policy protects)
-    plus the battery-level skewed median that --check-against gates."""
-    per_instance: dict = {}
-    for name, inst in sweep["instances"].items():
-        ratios = [inst["central"][str(nt)]["ratio"]
-                  for nt in OFFER_MULTI_NTS
-                  if str(nt) in inst["central"] and
-                  "ratio" in inst["central"][str(nt)]]
-        if ratios:
-            per_instance[name] = {
-                "family": inst["family"],
-                "median_advantage": _median(ratios),
-            }
-    out = {"per_instance": per_instance}
-    skewed = [e["median_advantage"] for e in per_instance.values()
-              if e["family"] == "skewed"]
-    if skewed:
-        out["skewed_median_advantage"] = _median(skewed)
-        out["skewed_min_advantage"] = min(skewed)
-    return out
-
-
-def gate_offer_policy(sweep: dict, derived: dict) -> bool:
-    """Hard gate (deterministic virtual time, so exact):
-      * every skewed instance's median adaptive advantage over the
-        N_t >= 8 grid must be >= OFFER_SKEWED_MIN_ADVANTAGE;
-      * at N_t <= 2 every instance under both schedulers must be within
-        OFFER_LOW_NT_TOLERANCE of the fixed policy (the controller may not
-        tax runs that have nothing to adapt to);
-      * count identity across policies is enforced by the binary itself
-        (it exits non-zero on any mismatch)."""
-    ok = True
-    for name, entry in sorted(derived["per_instance"].items()):
-        if entry["family"] != "skewed":
-            continue
-        good = entry["median_advantage"] >= OFFER_SKEWED_MIN_ADVANTAGE
-        print(f"offer gate: {name} median advantage "
-              f"{entry['median_advantage']:.3f}x "
-              f"(need >= {OFFER_SKEWED_MIN_ADVANTAGE}): "
-              f"{'OK' if good else 'FAIL'}")
-        ok &= good
-    for name, inst in sorted(sweep["instances"].items()):
-        for sched in ("central", "distributed"):
-            for nt, entry in sorted(inst[sched].items(), key=lambda kv:
-                                    int(kv[0])):
-                if int(nt) > 2 or "ratio" not in entry:
-                    continue
-                good = abs(entry["ratio"] - 1.0) <= OFFER_LOW_NT_TOLERANCE
-                if not good:
-                    print(f"offer gate: {name} {sched} nt={nt} low-thread "
-                          f"ratio {entry['ratio']:.3f} outside "
-                          f"{OFFER_LOW_NT_TOLERANCE:.0%}: FAIL")
-                ok &= good
-    if ok:
-        print("offer gate: all low-thread ratios within "
-              f"{OFFER_LOW_NT_TOLERANCE:.0%}")
-    return ok
-
-
-def print_offer_policy_table(sweep: dict, derived: dict) -> None:
-    print("offer-policy ablation (fixed/adaptive makespan, central queue):")
-    nts = [str(nt) for nt in (2,) + OFFER_MULTI_NTS]
-    print(f"  {'instance':<24} {'family':<7} " +
-          " ".join(f"nt={nt:>2}" for nt in nts) + "   median(nt>=8)")
-    for name, inst in sorted(sweep["instances"].items()):
-        cells = []
-        for nt in nts:
-            e = inst["central"].get(nt, {})
-            cells.append(f"{e['ratio']:5.2f}" if "ratio" in e else "    -")
-        med = derived["per_instance"].get(name, {}).get("median_advantage")
-        print(f"  {name:<24} {inst['family']:<7} " + " ".join(cells) +
-              (f"   {med:8.2f}x" if med else ""))
 
 
 def sweep_derived(sweep: dict) -> dict:
@@ -679,11 +510,6 @@ def main() -> int:
                     help="also run the sharded-vs-monolithic decomposition "
                          "sweep (bench_decompose_sharding); hard-gates "
                          "sharded throughput >= monolithic")
-    ap.add_argument("--offer-policies", action="store_true",
-                    help="also run the fixed-vs-adaptive offer-policy sweep "
-                         "(bench_offer_policy); hard-gates the skewed-"
-                         "family median advantage at N_t >= 8 and the "
-                         "low-thread parity of the adaptive controller")
     ap.add_argument("--incremental", action="store_true",
                     help="also run the incremental re-enumeration sweep "
                          "(bench_incremental_edits); hard-gates >= 5x "
@@ -722,8 +548,6 @@ def main() -> int:
                             if args.schedulers else None),
         "decompose_sharding": (run_decompose_sweep(args.build_dir)
                                if args.decompose else None),
-        "offer_policy": (run_offer_policy_sweep(args.build_dir)
-                         if args.offer_policies else None),
         "incremental_edits": (run_incremental_sweep(args.build_dir)
                               if args.incremental else None),
     }
@@ -742,14 +566,6 @@ def main() -> int:
         s1 = report["decompose_sharding"]["by_nt"].get("1", {})
         if "speedup_seq" in s1:
             derived["sharded_over_mono_speedup_at_1"] = s1["speedup_seq"]
-    offer_derived = None
-    if report["offer_policy"]:
-        offer_derived = offer_policy_derived(report["offer_policy"])
-        if "skewed_median_advantage" in offer_derived:
-            derived["offer_policy_skewed_median_advantage"] = (
-                offer_derived["skewed_median_advantage"])
-            derived["offer_policy_skewed_min_advantage"] = (
-                offer_derived["skewed_min_advantage"])
     if report["incremental_edits"]:
         for fam in report["incremental_edits"]["families"].values():
             if not fam.get("collect") and \
@@ -774,10 +590,6 @@ def main() -> int:
     if report["decompose_sharding"]:
         print_decompose_table(report["decompose_sharding"])
         if not gate_decompose(report["decompose_sharding"]):
-            return 1
-    if report["offer_policy"]:
-        print_offer_policy_table(report["offer_policy"], offer_derived)
-        if not gate_offer_policy(report["offer_policy"], offer_derived):
             return 1
     if report["incremental_edits"]:
         print_incremental_table(report["incremental_edits"])
@@ -851,19 +663,6 @@ def main() -> int:
                       f"{base_s1:.2f}x (floor {floor:.2f}x): {verdict}")
                 if s1 < floor:
                     return 1
-        base_offer = (base.get("derived") or {}).get(
-            "offer_policy_skewed_median_advantage")
-        fresh_offer = derived.get("offer_policy_skewed_median_advantage")
-        if base_offer and fresh_offer:
-            # Virtual time is exact, so the deterministic sweep gates with
-            # a tight tolerance rather than the wall-clock factor.
-            floor = base_offer * 0.98
-            verdict = "OK" if fresh_offer >= floor else "REGRESSION"
-            print(f"offer check: skewed median advantage {fresh_offer:.3f}x "
-                  f"vs baseline {base_offer:.3f}x (floor {floor:.3f}x): "
-                  f"{verdict}")
-            if fresh_offer < floor:
-                return 1
         base_inc = (base.get("derived") or {}).get(
             "incremental_median_speedup")
         fresh_inc = derived.get("incremental_median_speedup")
