@@ -5,7 +5,9 @@
 // 15-30 % of total runtime, motivating a mapping-structure redesign as
 // future work. This library implements both regimes:
 //   incremental — constraints not containing the inserted taxon get an O(1)
-//                 bucket update (this library's redesign),
+//                 bucket update, and those containing it have the one
+//                 common-subtree edge the taxon attaches to split in place
+//                 (this library's redesign, docs/ALGORITHM.md §3),
 //   recompute   — every active constraint's mapping is rebuilt per state
 //                 (an upper bound on any per-state maintenance scheme).
 // The difference isolates the mapping-maintenance share of runtime. It is

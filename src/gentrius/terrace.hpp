@@ -14,9 +14,11 @@
 // C-taxa on one side (side-symmetric via min(h, h ^ H_C)), rooted at the
 // lowest-id common taxon; edges with no common taxa below inherit the key
 // at their attachment point. One DFS over the agile tree keys every agile
-// edge, one DFS over T_i keys the attachment edge ê_i(x) of every
-// not-yet-inserted taxon x in Y_i; x is admissible on an agile edge iff the
-// keys agree for every constraining i.
+// edge, one DFS over T_i keys every T_i edge, among them the attachment edge
+// ê_i(x) of every not-yet-inserted taxon x in Y_i; x is admissible on an
+// agile edge iff the keys agree for every constraining i. Those two sweeps (rebuild_constraint)
+// run only to build a mapping; afterwards an insertion or removal of one of
+// T_i's own taxa is applied to the mapping in place (see below).
 //
 // Hot-path engineering (see docs/PERFORMANCE.md):
 //  * Keys are interned per rebuild into dense slot ids via a scratch
@@ -43,6 +45,23 @@
 //    discipline); remove() must receive the record of the most recent
 //    insert(). The journal-delta proof and the dancing-links remaining-taxa
 //    list both rely on this.
+//  * Local maintenance of a constraint's own taxa (docs/ALGORITHM.md §3):
+//    an admissible insertion of x in Y_i changes only the S-edge ê_i(x),
+//    which splits into three at x's attachment point. insert() pushes a
+//    pending SplitRecord; the next ensure_mappings re-slots just that
+//    edge's preimage, walking it from x's leaf in the agile tree and in T_i
+//    (one walk, run on both trees; the two ends of ê_i(x) are matched
+//    between the walks by a boundary signature), and keeps the largest part
+//    on the old slot; the matching remove() merges the two new slots back.
+//    Until then, and for good when x was T_i's last open taxon (the
+//    constraint is parked), the mapping treats x as a foreign taxon. The
+//    foreign-taxon updates are batched the same way, so inserts undone
+//    before the next choose (probes, replays rewound, the last taxon of a
+//    collecting run) touch no mapping. Inadmissible insertions, insertions
+//    at |C_i| = 2 (the one S-edge's preimage is the whole tree, so a
+//    rebuild is cheaper than a split), and removals whose record was
+//    discarded because the constraint went dirty in between, fall back to a
+//    rebuild.
 //  * Per-constraint mapping storage is allocated on first activation, so
 //    constraints that never reach |C| >= 2 with open taxa cost no memory.
 #pragma once
@@ -70,12 +89,13 @@ using phylo::kNoTaxon;
 class Terrace {
  public:
   /// incremental: maintain the double-edge mappings across insertions and
-  /// removals (a taxon insertion recomputes only the constraints that
-  /// contain the taxon; for every other computed constraint the two new
-  /// edges provably map onto the same common-subtree edge as the split
-  /// edge, an O(1) slot update). Off = recompute every active constraint
-  /// at every state, the cost profile the paper's future-work section
-  /// measures at 15-30 % of total runtime.
+  /// removals. For a computed constraint that does not contain the taxon
+  /// the two new edges provably map onto the same common-subtree edge as
+  /// the split edge, an O(1) slot update; for one that contains it, the
+  /// common-subtree edge the taxon attaches to is split in place (or the
+  /// mapping parked, when the taxon was its last open one). Off = recompute
+  /// every active constraint at every state, the cost profile the paper's
+  /// future-work section measures at 15-30 % of total runtime.
   explicit Terrace(const Problem& problem, bool incremental = true);
 
   const phylo::Tree& agile() const noexcept { return agile_; }
@@ -131,12 +151,12 @@ class Terrace {
   using SelectionStats = core::SelectionStats;
   const SelectionStats& selection_stats() const noexcept { return stats_; }
 
-  /// True once constraint i's mapping storage (edge slots, preimage lists,
-  /// target slots) has been allocated. Never-activated constraints stay
-  /// unallocated for the lifetime of the terrace.
-  bool constraint_storage_allocated(std::size_t i) const {
-    return !edge_slot_[i].empty();
-  }
+  /// Bytes currently allocated for constraint i's mapping storage (edge
+  /// and T_i-edge slots, preimage lists, target slots and keys, traversal,
+  /// ledger and split records). Zero until the constraint first activates;
+  /// never-activated constraints stay at zero for the lifetime of the
+  /// terrace.
+  std::size_t constraint_storage_bytes(std::size_t i) const;
   /// Bytes currently allocated for per-constraint mapping storage.
   std::size_t mapping_storage_bytes() const;
 
@@ -159,13 +179,71 @@ class Terrace {
     std::vector<TaxonId> taxon;
   };
 
+  struct TravItem {
+    VertexId v = kNoId;
+    std::uint32_t parent_pos = 0;
+    EdgeId pedge = kNoId;
+  };
+
+  /// Record of the insertion of x into constraint i's own taxa, pushed by
+  /// insert(x) and consumed by the matching remove(). It starts pending
+  /// (the mapping treats x as a foreign taxon); ensure_mappings applies it
+  /// as a split, which keeps the split S-edge's slot on its largest part and
+  /// hands the two new slots n_slots_-2 and n_slots_-1 to the others.
+  struct SplitRecord {
+    TaxonId taxon = kNoTaxon;
+    std::uint32_t slot = kNoSlot;  ///< slot of ê_i(x) before the split
+    VertexId cmedian = kNoId;      ///< T_i vertex x attaches at; kNoId: pending
+  };
+
+  /// Preorder walk over the preimage of one S-edge (the edges whose slot is
+  /// s), rooted at the pendant edge of a leaf. Position k holds the region
+  /// edge edge[k], its endpoint far[k] away from the start leaf and the
+  /// position parent[k] of the edge entering its near endpoint; a subtree is
+  /// the position range [k, k + size[k]). The walk stops at the two ends of
+  /// the S-edge and identifies them by signature: a C-leaf by its taxon
+  /// (tagged), an S-node by the smaller of its two other edges' slots.
+  /// part[j] is the median's child position toward end j; the rest of the
+  /// region is the start leaf's part.
+  struct RegionWalk {
+    std::vector<EdgeId> edge;
+    std::vector<VertexId> far;
+    std::vector<std::uint32_t> parent, depth, size;
+    std::uint64_t sig[2] = {0, 0};
+    std::uint32_t part[2] = {0, 0};
+    VertexId median = kNoId;
+  };
+
   void ensure_mappings();
   void ensure_constraint_storage(std::size_t i);
   void rebuild_constraint(std::size_t i, TaxonId root);
   /// (Re)builds `out` as the flat traversal of `tree` rooted at the leaf of
-  /// taxon `root`.
-  void build_traversal(const phylo::Tree& tree, TaxonId root,
-                       FlatTraversal& out);
+  /// taxon `root`; `stack` is scratch.
+  static void build_traversal(const phylo::Tree& tree, TaxonId root,
+                              FlatTraversal& out,
+                              std::vector<TravItem>& stack);
+  /// Walks the preimage region of slot s from leaf `start`; in_c(t) tells
+  /// whether a reached leaf is an end (a taxon of the common set). False
+  /// when the region does not have the shape of one S-edge's preimage.
+  template <typename InC>
+  bool walk_region(const phylo::Tree& tree, const std::uint32_t* slot,
+                   std::uint32_t s, VertexId start, InC in_c, RegionWalk& w);
+  /// Applies constraint i's pending records in insertion order, or marks it
+  /// dirty when one of them cannot be applied.
+  void apply_pending(std::size_t i);
+  /// Splits ê_i(x) in place for the pending record r of taxon x and fills
+  /// in r. False when x's insertion was inadmissible or the walks disagree;
+  /// the caller then falls back to a rebuild.
+  bool split_constraint(std::size_t i, SplitRecord& r);
+  /// Exact inverse of split_constraint, consuming its record.
+  void merge_constraint(std::size_t i, const SplitRecord& r);
+  /// Invalidates constraint i's mapping until the next ensure_mappings; its
+  /// split records describe the old mapping and are dropped.
+  void mark_dirty(std::size_t i);
+  /// Expensive invariant: constraint i's agile and T_i edge partitions and
+  /// its open-taxon targets equal what rebuild_constraint would produce, up
+  /// to slot relabeling.
+  bool mapping_matches_rebuild(std::size_t i) const;
   /// Exact number of admissible branches for x (mappings must be current),
   /// via the cache when its validity window holds, else recomputed.
   std::size_t admissible_count(TaxonId x);
@@ -212,14 +290,15 @@ class Terrace {
 
   // Mapping state. computed_[i]: the slot arrays hold a valid mapping for
   // constraint i; dirty_[i]: constraint must be recomputed at the next
-  // ensure_mappings (its common taxon set changed).
+  // ensure_mappings (its common taxon set changed and the mapping could not
+  // be updated in place).
   bool incremental_ = true;
   std::vector<char> computed_;
   std::vector<char> dirty_;
   std::size_t max_edges_ = 0;  // agile edge-capacity bound, fixed at build
 
   // Slot-interned mapping storage, per constraint, allocated lazily — from
-  // the arena, so one activation lays a constraint's six arrays out
+  // the arena, so one activation lays a constraint's arrays out
   // back-to-back. edge_slot_[i][e] / target_slot_[i][x] identify the
   // common-subtree edge an agile edge / a remaining taxon maps onto
   // (kNoSlot: none on the agile side). slot_count_[i][s] is the preimage
@@ -231,19 +310,34 @@ class Terrace {
   std::vector<AVec<EdgeId>> slot_head_;
   std::vector<AVec<EdgeId>> link_next_;
   std::vector<AVec<EdgeId>> link_prev_;
-  std::vector<std::uint32_t> n_slots_;  // live slots after latest rebuild
+  std::vector<std::uint32_t> n_slots_;  // live slots
   support::KeyMap slot_map_;            // scratch key -> slot+1, per rebuild
 
-  // Constraint-side pass elision. target_key_[i][x] is the canonical key of
-  // the attachment edge of open taxon x in T_i, valid for the DFS root and
-  // common set C_i of constraint i's last full constraint-side pass;
-  // cdelta_[i] is an exact ledger of net C_i changes since then (LIFO
-  // insert/remove discipline makes push/cancel exact). When the ledger is
-  // empty and the root is unchanged, a rebuild reuses the stored keys and
-  // only re-probes them against the fresh agile-side interning — the
-  // dominant case when the enumerator steps a taxon to its next branch.
-  std::vector<AVec<std::uint64_t>> target_key_;
-  std::vector<char> have_target_keys_;
+  // cslot_[i][f]: slot of T_i edge f (kNoSlot: its S-edge has no agile
+  // preimage), set by every rebuild and maintained by splits and merges;
+  // an open taxon's target is the slot of its pendant edge. splits_[i]:
+  // LIFO SplitRecords of constraint i's own taxa inserted since its last
+  // rebuild, applied ones below the pending_[i] pending ones.
+  std::vector<AVec<std::uint32_t>> cslot_;
+  std::vector<std::vector<SplitRecord>> splits_;
+  std::vector<std::uint32_t> pending_;
+  // Inserts since the last ensure_mappings, whose foreign-taxon slot update
+  // has not reached the clean constraints yet; a remove before the next
+  // ensure_mappings pops its insert here and touches no mapping.
+  std::vector<InsertRecord> unflushed_;
+  RegionWalk awalk_, cwalk_;  // split scratch: agile side, T_i side
+  support::Bitset deferred_;  // apply_pending scratch: still-pending taxa
+
+  // Constraint-side sweep elision. ckey_[i][f] is the canonical key of T_i
+  // edge f, valid for the DFS root and common set C_i of constraint i's
+  // last constraint-side sweep; cdelta_[i] is an exact ledger of net C_i
+  // changes since then (LIFO insert/remove discipline makes push/cancel
+  // exact). When the ledger is empty and the root is unchanged, a rebuild
+  // reuses the stored keys and only re-probes them against the fresh
+  // agile-side interning — the common case when the enumerator steps the
+  // taxon of a rebuilt (not split) constraint to its next branch.
+  std::vector<AVec<std::uint64_t>> ckey_;
+  std::vector<char> have_ckeys_;
   std::vector<std::vector<std::int32_t>> cdelta_;  // +(x+1) insert, -(x+1) remove
 
   // Flat traversals: constraint-side cached per constraint (static trees,
@@ -252,12 +346,7 @@ class Terrace {
   std::vector<FlatTraversal> ctrav_;
   FlatTraversal atrav_;
   std::vector<std::pair<TaxonId, std::uint32_t>> rebuild_order_;  // scratch
-  struct TravItem {
-    VertexId v = kNoId;
-    std::uint32_t parent_pos = 0;
-    EdgeId pedge = kNoId;
-  };
-  std::vector<TravItem> trav_stack_;  // build_traversal scratch
+  std::vector<TravItem> trav_stack_;  // traversal and walk scratch
 
   // Incremental candidate-count cache. cached_count_[x] is exact as of
   // mutation index cache_mut_[x]; it can be advanced to the present by
