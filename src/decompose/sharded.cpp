@@ -10,6 +10,7 @@
 #include "decompose/shard_exec.hpp"
 #include "gentrius/problem.hpp"
 #include "gentrius/serial.hpp"
+#include "parallel/pool.hpp"
 #include "phylo/newick.hpp"
 #include "support/check.hpp"
 #include "support/error.hpp"
@@ -116,7 +117,7 @@ Result run_one_shard(const std::vector<phylo::Tree>& constraints,
       return core::run_serial(constraints, options);
     case ShardBackend::kPool:
       return parallel::run_parallel(core::build_problem(constraints, options),
-                                    options, run.n_threads, run.launch_mode);
+                                    options, run.n_threads);
     case ShardBackend::kVirtual:
       return vthread::run_virtual(core::build_problem(constraints, options),
                                   options, run.n_threads, run.costs);
@@ -557,15 +558,13 @@ Result run_serial(const std::vector<phylo::Tree>& constraints,
 }
 
 Result run_parallel(const std::vector<phylo::Tree>& constraints,
-                    const Options& options, std::size_t n_threads,
-                    parallel::LaunchMode mode) {
+                    const Options& options, std::size_t n_threads) {
   if (options.decompose == core::Decompose::kOff)
     return parallel::run_parallel(core::build_problem(constraints, options),
-                                  options, n_threads, mode);
+                                  options, n_threads);
   ShardRunOptions run;
   run.backend = ShardBackend::kPool;
   run.n_threads = n_threads;
-  run.launch_mode = mode;
   return run_sharded(constraints, options, run);
 }
 

@@ -120,13 +120,6 @@ struct Options {
   std::uint32_t state_flush_batch = 1u << 13;
   std::uint32_t dead_end_flush_batch = 1u << 10;
 
-  /// Stopping rule 3 (wall clock) is evaluated at most once per this many
-  /// counter flushes. The documented granularity is every flush (default 1);
-  /// raising it trades clock syscalls for a proportionally coarser time
-  /// rule, bounded by (threads * batch * period) extra work before the rule
-  /// lands. Counter totals and flush counts are unaffected.
-  std::uint32_t time_check_flush_period = 1;
-
   /// Work-distribution scheduler for the parallel drivers.
   Scheduler scheduler = Scheduler::kCentralQueue;
 
@@ -187,12 +180,13 @@ struct SchedulerStats {
 
 /// Candidate-selection work counters, accumulated by each Terrace and
 /// aggregated over all workers of a run (Terrace::SelectionStats is an
-/// alias for this type). The four counters partition the selection work a
-/// run performed: full recounts vs journal-replay cache refreshes vs
-/// zero/nonzero-only probes, plus constraint-mapping rebuild sweeps.
+/// alias for this type): admissible counts vs zero/nonzero-only probes,
+/// plus constraint-mapping rebuild sweeps. Every count is fresh, so
+/// cached_counts always reads 0; it stays only because the wall-clock
+/// benchmark (wallbench/workloads.cpp) prints it.
 struct SelectionStats {
-  std::uint64_t fresh_counts = 0;     ///< full admissible-count recomputations
-  std::uint64_t cached_counts = 0;    ///< journal-replay cache refreshes
+  std::uint64_t fresh_counts = 0;     ///< admissible counts
+  std::uint64_t cached_counts = 0;    ///< always 0 (see above)
   std::uint64_t existence_checks = 0; ///< zero/nonzero-only dead-end probes
   std::uint64_t mappings_rebuilt = 0; ///< constraint mapping DFS rebuilds
 

@@ -11,12 +11,6 @@ Result run_serial(const Problem& problem, const Options& options) {
   opts.tree_flush_batch = 1;
   opts.state_flush_batch = 1;
   opts.dead_end_flush_batch = 1;
-  // Exact counting (batches of 1) would otherwise evaluate the time rule —
-  // an atomic increment plus a clock syscall — once per state. Amortize it
-  // over 256 flushes when the caller left the default cadence; at serial
-  // state rates this keeps the time rule's granularity well under a
-  // millisecond while removing the syscall from the hot loop.
-  if (opts.time_check_flush_period <= 1) opts.time_check_flush_period = 256;
 
   // Diagnostic wall time for Result::seconds; never feeds the enumeration.
   support::Stopwatch clock;  // lint:allow(wall-clock)

@@ -7,16 +7,6 @@
 
 namespace gentrius::core {
 
-namespace {
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 64;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 Terrace::Terrace(const Problem& problem, bool incremental)
     : arena_(std::make_shared<support::Arena>()),
       problem_(&problem),
@@ -24,7 +14,6 @@ Terrace::Terrace(const Problem& problem, bool incremental)
       inserted_(problem.n_taxa),
       incremental_(incremental),
       slot_map_(64, arena_),
-      journal_(support::ArenaAllocator<MutEvent>(arena_)),
       xorv_(support::ArenaAllocator<std::uint64_t>(arena_)),
       cnt_(support::ArenaAllocator<std::uint32_t>(arena_)),
       ctxk_(support::ArenaAllocator<std::uint64_t>(arena_)),
@@ -64,7 +53,6 @@ Terrace::Terrace(const Problem& problem, bool incremental)
 
   computed_.assign(m, 0);
   dirty_.assign(m, 1);
-  dirty_mut_.assign(m, 0);
 
   const std::size_t n_total = problem.all_taxa.count();
   max_edges_ = n_total < 2 ? 1 : 2 * n_total;  // capacity bound
@@ -83,24 +71,12 @@ Terrace::Terrace(const Problem& problem, bool incremental)
   link_prev_.assign(m, AVec<EdgeId>(support::ArenaAllocator<EdgeId>(arena_)));
   n_slots_.assign(m, 0);
   ctrav_.resize(m);
-  ckey_.assign(m, AVec<std::uint64_t>(
-                      support::ArenaAllocator<std::uint64_t>(arena_)));
-  have_ckeys_.assign(m, 0);
-  cdelta_.resize(m);
   cslot_.assign(m, AVec<std::uint32_t>(
                        support::ArenaAllocator<std::uint32_t>(arena_)));
   splits_.resize(m);
   pending_.assign(m, 0);
   deferred_.resize(problem.n_taxa);
-
-  cached_count_.assign(problem.n_taxa, 0);
-  cache_mut_.assign(problem.n_taxa, 0);
-  cache_valid_.assign(problem.n_taxa, 0);
   common_scratch_.resize(problem.n_taxa);
-  edge_gen_.assign(max_edges_, 0);
-  // Ring must comfortably hold one full DFS path of insert events plus the
-  // backtracking churn between two evaluations of the same taxon.
-  journal_.resize(pow2_at_least(4 * n_total + 64));
 
   std::size_t max_vertices = 2 * n_total;  // agile bound
   for (const auto& t : problem.constraints)
@@ -129,9 +105,7 @@ void Terrace::ensure_constraint_storage(std::size_t i) {
   slot_head_[i].assign(max_edges_, kNoId);
   link_next_[i].assign(max_edges_, kNoId);
   link_prev_[i].assign(max_edges_, kNoId);
-  const std::size_t tree_edges = problem_->constraints[i].edge_capacity();
-  ckey_[i].assign(tree_edges, 0);
-  cslot_[i].assign(tree_edges, kNoSlot);
+  cslot_[i].assign(problem_->constraints[i].edge_capacity(), kNoSlot);
 }
 
 std::size_t Terrace::constraint_storage_bytes(std::size_t i) const {
@@ -141,10 +115,8 @@ std::size_t Terrace::constraint_storage_bytes(std::size_t i) const {
          slot_head_[i].capacity() * sizeof(EdgeId) +
          link_next_[i].capacity() * sizeof(EdgeId) +
          link_prev_[i].capacity() * sizeof(EdgeId) +
-         ckey_[i].capacity() * sizeof(std::uint64_t) +
          cslot_[i].capacity() * sizeof(std::uint32_t) +
          splits_[i].capacity() * sizeof(SplitRecord) +
-         cdelta_[i].capacity() * sizeof(std::int32_t) +
          ctrav_[i].parent_pos.capacity() * sizeof(std::uint32_t) +
          ctrav_[i].edge.capacity() * sizeof(EdgeId) +
          ctrav_[i].taxon.capacity() * sizeof(TaxonId);
@@ -179,14 +151,6 @@ void Terrace::preimage_unlink(std::size_t i, std::uint32_t s, EdgeId e) {
   if (n != kNoId) prev[n] = p;
 }
 
-void Terrace::journal_push(EdgeId split_edge, std::int8_t sign) {
-  journal_[mutation_count_ & (journal_.size() - 1)] =
-      MutEvent{split_edge, edge_gen_[split_edge], sign};
-  ++mutation_count_;
-  if (mutation_count_ - journal_base_ > journal_.size())
-    journal_base_ = mutation_count_ - journal_.size();
-}
-
 void Terrace::mark_dirty(std::size_t i) {
   dirty_[i] = 1;
   splits_[i].clear();
@@ -195,22 +159,9 @@ void Terrace::mark_dirty(std::size_t i) {
 
 InsertRecord Terrace::insert(TaxonId x, EdgeId e) {
   GENTRIUS_DCHECK(!inserted_.test(x));
-  const std::uint64_t ev = mutation_count_;
-  const std::int32_t tok = static_cast<std::int32_t>(x) + 1;
   for (const std::uint32_t i : problem_->trees_of_taxon[x]) {
     ++common_count_[i];
     --remaining_in_[i];
-    dirty_mut_[i] = ev;  // the common taxon set of T_i changed
-    // The C_i ledger is maintained in both modes: recompute-mode rebuilds
-    // also elide the constraint-side DFS when the net common set is
-    // unchanged — for them that is the dominant case, since every
-    // constraint rebuilds per state but only the inserted taxon's trees
-    // actually change.
-    auto& d = cdelta_[i];
-    if (!d.empty() && d.back() == -tok)
-      d.pop_back();  // cancels the matching remove: net C_i change is nil
-    else
-      d.push_back(tok);
     if (!incremental_ || !computed_[i] || dirty_[i]) {
       mark_dirty(i);
     } else {
@@ -224,12 +175,7 @@ InsertRecord Terrace::insert(TaxonId x, EdgeId e) {
       active_[i] = remaining_in_[i] > 0 ? 1 : 0;
     }
   }
-  if (!incremental_) {
-    for (std::size_t i = 0; i < dirty_.size(); ++i) {
-      dirty_[i] = 1;
-      dirty_mut_[i] = ev;
-    }
-  }
+  if (!incremental_) std::fill(dirty_.begin(), dirty_.end(), 1);
   const InsertRecord rec = agile_.insert_leaf(x, e);
   if (incremental_) unflushed_.push_back(rec);
   inserted_.set(x);
@@ -239,23 +185,14 @@ InsertRecord Terrace::insert(TaxonId x, EdgeId e) {
   rem_prev_[rem_next_[x]] = rem_prev_[x];
   --remaining_count_;
   atrav_.root = kNoTaxon;  // agile topology changed
-  journal_push(e, +1);
   return rec;
 }
 
 void Terrace::remove(const InsertRecord& rec) {
   const TaxonId x = rec.taxon;
-  const std::uint64_t ev = mutation_count_;
-  const std::int32_t tok = static_cast<std::int32_t>(x) + 1;
   for (const std::uint32_t i : problem_->trees_of_taxon[x]) {
     --common_count_[i];
     ++remaining_in_[i];
-    dirty_mut_[i] = ev;
-    auto& d = cdelta_[i];
-    if (!d.empty() && d.back() == tok)
-      d.pop_back();
-    else
-      d.push_back(-tok);
     auto& undo = splits_[i];
     if (!incremental_ || !computed_[i] || dirty_[i] || undo.empty() ||
         undo.back().taxon != x) {
@@ -273,10 +210,7 @@ void Terrace::remove(const InsertRecord& rec) {
     active_[i] = 1;
   }
   if (!incremental_) {
-    for (std::size_t i = 0; i < dirty_.size(); ++i) {
-      dirty_[i] = 1;
-      dirty_mut_[i] = ev;
-    }
+    std::fill(dirty_.begin(), dirty_.end(), 1);
   } else if (!unflushed_.empty()) {
     // No ensure_mappings since the insert: no mapping has seen it.
     GENTRIUS_DCHECK(unflushed_.back().leaf_edge == rec.leaf_edge);
@@ -294,16 +228,11 @@ void Terrace::remove(const InsertRecord& rec) {
     }
   }
   agile_.remove_leaf(rec);
-  // Both ids just went back to the free list; retire them so journal
-  // replays can tell a later reuse apart from the occupant they recorded.
-  ++edge_gen_[rec.leaf_edge];
-  ++edge_gen_[rec.moved_edge];
   inserted_.reset(x);
   rem_next_[rem_prev_[x]] = x;
   rem_prev_[rem_next_[x]] = x;
   ++remaining_count_;
   atrav_.root = kNoTaxon;
-  journal_push(rec.split_edge, -1);
 #if GENTRIUS_ENABLE_EXPENSIVE_INVARIANTS
   for (const std::uint32_t i : problem_->trees_of_taxon[x])
     GENTRIUS_EXPENSIVE_DCHECK(dirty_[i] || pending_[i] != 0 ||
@@ -422,59 +351,50 @@ void Terrace::rebuild_constraint(std::size_t i, TaxonId root) {
   n_slots_[i] = n_slots;
 
   // ---- constraint side: slot every T_i edge and open-taxon target ------
+  // The same sweep over T_i; a T_i edge whose S-edge has no agile preimage
+  // gets kNoSlot.
   FlatTraversal& ct = ctrav_[i];
-  auto& ckey = ckey_[i];
-  if (have_ckeys_[i] == 0 || !cdelta_[i].empty() || ct.root != root) {
-    // Key every T_i edge. When C_i and the DFS root match the last pass's,
-    // the stored keys are unchanged and this sweep is skipped — the
-    // dominant case when the enumerator steps a taxon to its next branch —
-    // leaving only the re-probe below against the fresh agile interning.
-    if (ct.root != root)
-      build_traversal(problem_->constraints[i], root, ct, trav_stack_);
-    const std::size_t nc = ct.parent_pos.size();
-    std::fill_n(xorv_.begin(), nc, 0);
-    std::fill_n(cnt_.begin(), nc, 0);
-    for (std::size_t k = nc; k-- > 1;) {
-      const TaxonId t = ct.taxon[k];
-      if (t != kNoTaxon && common_scratch_.test(t)) {
-        cnt_[k] += 1;
-        xorv_[k] ^= keys[t];
-      }
-      const std::uint32_t p0 = ct.parent_pos[k];
-      cnt_[p0] += cnt_[k];
-      xorv_[p0] ^= xorv_[k];
+  if (ct.root != root)
+    build_traversal(problem_->constraints[i], root, ct, trav_stack_);
+  const std::size_t nc = ct.parent_pos.size();
+  std::fill_n(xorv_.begin(), nc, 0);
+  std::fill_n(cnt_.begin(), nc, 0);
+  for (std::size_t k = nc; k-- > 1;) {
+    const TaxonId t = ct.taxon[k];
+    if (t != kNoTaxon && common_scratch_.test(t)) {
+      cnt_[k] += 1;
+      xorv_[k] ^= keys[t];
     }
-    xorv_[0] ^= keys[root];
-    ++cnt_[0];
-    GENTRIUS_DCHECK(xorv_[0] == hc);  // same C on both sides
-    for (std::size_t k = 1; k < nc; ++k) {
-      const std::uint32_t p = ct.parent_pos[k];
-      std::uint64_t key;
-      if (cnt_[k] > 0) {
-        const std::uint64_t h = xorv_[k];
-        const std::uint64_t hx = h ^ hc;
-        key = h < hx ? h : hx;
-      } else {
-        key = ckey[ct.edge[p]];  // hangs inside the parent's S-edge
-      }
-      ckey[ct.edge[k]] = key;
-    }
-    have_ckeys_[i] = 1;
-    cdelta_[i].clear();
+    const std::uint32_t p0 = ct.parent_pos[k];
+    cnt_[p0] += cnt_[k];
+    xorv_[p0] ^= xorv_[k];
   }
+  xorv_[0] ^= keys[root];
+  ++cnt_[0];
+  GENTRIUS_DCHECK(xorv_[0] == hc);  // same C on both sides
   auto& cs = cslot_[i];
   auto& tslot = target_slot_[i];
-  for (std::size_t k = 1; k < ct.parent_pos.size(); ++k) {
-    const EdgeId f = ct.edge[k];
-    const EdgeId pf = ct.edge[ct.parent_pos[k]];
+  for (std::size_t k = 1; k < nc; ++k) {
+    const std::uint32_t p = ct.parent_pos[k];
+    std::uint64_t key;
     std::uint32_t s;
-    if (k > 1 && ckey[f] == ckey[pf]) {
-      s = cs[pf];  // same S-edge as the parent edge: no probe
+    if (cnt_[k] > 0) {
+      const std::uint64_t h = xorv_[k];
+      const std::uint64_t hx = h ^ hc;
+      key = h < hx ? h : hx;
+      if (p != 0 && key == ctxk_[p]) {
+        s = ctxs_[p];
+      } else {
+        const std::uint32_t v = slot_map_.get(key, 0);
+        s = v == 0 ? kNoSlot : v - 1;
+      }
     } else {
-      const std::uint32_t v = slot_map_.get(ckey[f], 0);
-      s = v == 0 ? kNoSlot : v - 1;
+      key = ctxk_[p];  // hangs inside the parent's S-edge
+      s = ctxs_[p];
     }
-    cs[f] = s;
+    ctxk_[k] = key;
+    ctxs_[k] = s;
+    cs[ct.edge[k]] = s;
     const TaxonId t = ct.taxon[k];
     if (t != kNoTaxon && !inserted_.test(t)) tslot[t] = s;
   }
@@ -805,7 +725,7 @@ bool Terrace::mapping_matches_rebuild(std::size_t i) const {
     return key;
   };
   const auto akey = edge_keys(agile_);
-  const auto ckey = edge_keys(tree);
+  const auto tkey = edge_keys(tree);
 
   const std::uint32_t n_slots = n_slots_[i];
   std::vector<std::uint64_t> slot_key(n_slots, 0);
@@ -839,11 +759,11 @@ bool Terrace::mapping_matches_rebuild(std::size_t i) const {
     if (!tree.vertex_alive(v) || tree.vertex(v).degree != 1) continue;
     const TaxonId t = tree.vertex(v).taxon;
     if (!inserted_.test(t) &&
-        target_slot_[i][t] != expected(ckey[tree.vertex(v).adj[0].edge]))
+        target_slot_[i][t] != expected(tkey[tree.vertex(v).adj[0].edge]))
       return false;
   }
   for (EdgeId f = 0; f < tree.edge_capacity(); ++f)
-    if (tree.edge_alive(f) && cslot_[i][f] != expected(ckey[f])) return false;
+    if (tree.edge_alive(f) && cslot_[i][f] != expected(tkey[f])) return false;
   return true;
 }
 
@@ -862,169 +782,8 @@ void Terrace::gather_constraints(TaxonId x) {
   }
 }
 
-bool Terrace::edge_admissible(EdgeId e) const {
-  for (std::size_t k = 0; k < scratch_eslot_.size(); ++k)
-    if (scratch_eslot_[k][e] != scratch_target_[k]) return false;
-  return true;
-}
-
-std::size_t Terrace::count_fresh(TaxonId x) {
-  gather_constraints(x);
-  if (scratch_js_.empty()) return agile_.edge_count();
-  if (scratch_js_.size() == 1) {
-    const std::uint32_t ts = scratch_target_[0];
-    return ts == kNoSlot ? 0 : slot_count_[scratch_js_[0]][ts];
-  }
-  // Multiple constraints: walk the smallest constraint's preimage list and
-  // probe the others through the gathered pointer caches.
-  const std::size_t nj = scratch_js_.size();
-  std::size_t best_k = 0;
-  std::uint32_t best_n = 0xffffffffu;
-  for (std::size_t k = 0; k < nj; ++k) {
-    const std::uint32_t ts = scratch_target_[k];
-    if (ts == kNoSlot) return 0;
-    const std::uint32_t sc = slot_count_[scratch_js_[k]][ts];
-    if (sc == 0) return 0;
-    if (sc < best_n) {
-      best_n = sc;
-      best_k = k;
-    }
-  }
-  std::size_t count = 0;
-  const std::uint32_t best_i = scratch_js_[best_k];
-  const auto& next = link_next_[best_i];
-  for (EdgeId e = slot_head_[best_i][scratch_target_[best_k]]; e != kNoId;
-       e = next[e]) {
-    bool ok = true;
-    for (std::size_t k = 0; k < nj; ++k) {
-      if (k == best_k) continue;
-      if (scratch_eslot_[k][e] != scratch_target_[k]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) ++count;
-  }
-  return count;
-}
-
-std::size_t Terrace::admissible_count(TaxonId x) {
-  gather_constraints(x);
-  if (scratch_js_.size() <= 1) {
-    // Degenerate constraint degree: a fresh count is O(1) either way
-    // (edge_count or one slot_count lookup), cheaper than any journal
-    // replay — bypass the cache machinery entirely.
-    std::size_t c;
-    if (scratch_js_.empty()) {
-      c = agile_.edge_count();
-    } else {
-      const std::uint32_t ts = scratch_target_[0];
-      c = ts == kNoSlot ? 0 : slot_count_[scratch_js_[0]][ts];
-    }
-    cached_count_[x] = static_cast<std::uint32_t>(c);
-    cache_mut_[x] = mutation_count_;
-    cache_valid_[x] = 1;
-    ++stats_.fresh_counts;
-    return c;
-  }
-  bool valid = cache_valid_[x] != 0 && cache_mut_[x] >= journal_base_;
-  if (valid) {
-    for (const std::uint32_t i : problem_->trees_of_taxon[x]) {
-      if (dirty_mut_[i] >= cache_mut_[x]) {
-        valid = false;
-        break;
-      }
-    }
-  }
-  if (valid) {
-    // Replay the journal window: an insert splits an edge into three that
-    // agree on every constraint slot of x, so the admissible set gains (or
-    // on remove, loses) exactly two edges iff the split edge is admissible.
-    // Evaluating admissibility with the *current* slots is exact only for
-    // events whose edge survived to the present: its slot is untouched
-    // since x's constraints were last rebuilt, and paired insert/remove
-    // events cancel. An event whose edge id died since (generation
-    // mismatch) may have been recycled by a later insert — the id's slot
-    // then reflects the new occupant, not the edge the event recorded — so
-    // the window is unreplayable and we recount from scratch. (x's probe
-    // caches were gathered above.)
-    std::int64_t c = static_cast<std::int64_t>(cached_count_[x]);
-    const std::size_t mask = journal_.size() - 1;
-    bool replayable = true;
-    for (std::uint64_t u = cache_mut_[x]; u < mutation_count_; ++u) {
-      const MutEvent& evt = journal_[u & mask];
-      if (edge_gen_[evt.edge] != evt.gen) {
-        replayable = false;
-        break;
-      }
-      if (edge_admissible(evt.edge)) c += 2 * evt.sign;
-    }
-    if (replayable) {
-      GENTRIUS_DCHECK(c >= 0);
-      // Cross-check against a full recount: O(edges) per refresh, so it is
-      // off even in debug builds (which then exercise the cache as the
-      // authoritative count, like release); enable with
-      // -DGENTRIUS_EXPENSIVE_CHECKS=ON when touching the journal logic.
-      GENTRIUS_EXPENSIVE_DCHECK(static_cast<std::size_t>(c) ==
-                                count_fresh(x));
-      cached_count_[x] = static_cast<std::uint32_t>(c);
-      cache_mut_[x] = mutation_count_;
-      ++stats_.cached_counts;
-      return static_cast<std::size_t>(c);
-    }
-  }
-  const std::size_t c = count_fresh(x);
-  cached_count_[x] = static_cast<std::uint32_t>(c);
-  cache_mut_[x] = mutation_count_;
-  cache_valid_[x] = 1;
-  ++stats_.fresh_counts;
-  return c;
-}
-
-bool Terrace::has_admissible(TaxonId x) {
-  gather_constraints(x);
-  if (scratch_js_.empty()) return agile_.edge_count() > 0;
-  const std::size_t nj = scratch_js_.size();
-  std::size_t best_k = 0;
-  std::uint32_t best_n = 0xffffffffu;
-  for (std::size_t k = 0; k < nj; ++k) {
-    const std::uint32_t ts = scratch_target_[k];
-    if (ts == kNoSlot) return false;
-    const std::uint32_t sc = slot_count_[scratch_js_[k]][ts];
-    if (sc == 0) return false;
-    if (sc < best_n) {
-      best_n = sc;
-      best_k = k;
-    }
-  }
-  if (nj == 1) return true;  // nonzero preimage suffices
-  const std::uint32_t best_i = scratch_js_[best_k];
-  const auto& next = link_next_[best_i];
-  for (EdgeId e = slot_head_[best_i][scratch_target_[best_k]]; e != kNoId;
-       e = next[e]) {
-    bool ok = true;
-    for (std::size_t k = 0; k < nj; ++k) {
-      if (k == best_k) continue;
-      if (scratch_eslot_[k][e] != scratch_target_[k]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) return true;
-  }
-  return false;
-}
-
-void Terrace::collect_branches(TaxonId x, std::vector<EdgeId>& out) {
-  out.clear();
-  gather_constraints(x);
-  if (scratch_js_.empty()) {
-    // Unconstrained taxon: every live edge, ascending.
-    const std::size_t cap = agile_.edge_capacity();
-    for (EdgeId e = 0; e < cap; ++e)
-      if (agile_.edge_alive(e)) out.push_back(e);
-    return;
-  }
+template <typename Visit>
+void Terrace::for_each_admissible(Visit&& visit) {
   const std::size_t nj = scratch_js_.size();
   std::size_t best_k = 0;
   std::uint32_t best_n = 0xffffffffu;
@@ -1050,8 +809,51 @@ void Terrace::collect_branches(TaxonId x, std::vector<EdgeId>& out) {
         break;
       }
     }
-    if (ok) out.push_back(e);
+    if (ok && !visit(e)) return;
   }
+}
+
+std::size_t Terrace::admissible_count(TaxonId x) {
+  ++stats_.fresh_counts;
+  gather_constraints(x);
+  if (scratch_js_.empty()) return agile_.edge_count();
+  if (scratch_js_.size() == 1) {
+    const std::uint32_t ts = scratch_target_[0];
+    return ts == kNoSlot ? 0 : slot_count_[scratch_js_[0]][ts];
+  }
+  std::size_t count = 0;
+  for_each_admissible([&](EdgeId) {
+    ++count;
+    return true;
+  });
+  return count;
+}
+
+bool Terrace::has_admissible(TaxonId x) {
+  gather_constraints(x);
+  if (scratch_js_.empty()) return agile_.edge_count() > 0;
+  bool found = false;
+  for_each_admissible([&](EdgeId) {
+    found = true;
+    return false;
+  });
+  return found;
+}
+
+void Terrace::collect_branches(TaxonId x, std::vector<EdgeId>& out) {
+  out.clear();
+  gather_constraints(x);
+  if (scratch_js_.empty()) {
+    // Unconstrained taxon: every live edge, ascending.
+    const std::size_t cap = agile_.edge_capacity();
+    for (EdgeId e = 0; e < cap; ++e)
+      if (agile_.edge_alive(e)) out.push_back(e);
+    return;
+  }
+  for_each_admissible([&](EdgeId e) {
+    out.push_back(e);
+    return true;
+  });
   // Preimage lists are maintained in mutation order; the enumerator's branch
   // order contract (and the seed engine) is ascending edge id.
   std::sort(out.begin(), out.end());

@@ -31,20 +31,10 @@
 //    arrays). Constraint trees are static, so their traversal is cached per
 //    DFS root; the agile structural pass is shared by all constraints
 //    rebuilt at the same root in one ensure_mappings batch.
-//  * Per-taxon admissible counts are cached and maintained incrementally: a
-//    bounded journal records every insert/remove (the split edge, its reuse
-//    generation and a sign), and a cached count is advanced by +/-2 per
-//    journaled event whose edge is admissible for the taxon — exact because
-//    an insertion splits one edge into three that agree on every clean
-//    constraint's key. Caches invalidate when one of the taxon's own
-//    constraints went dirty, and a replay falls back to a fresh recount
-//    when an event's edge id died and was recycled since the event (the
-//    tree's LIFO free lists reuse ids, so the id's current slot would not
-//    be the one the event was journaled against).
 //  * Insertions and removals are strictly LIFO (the enumerator's DFS
 //    discipline); remove() must receive the record of the most recent
-//    insert(). The journal-delta proof and the dancing-links remaining-taxa
-//    list both rely on this.
+//    insert(). The split records, the batched foreign-taxon updates and the
+//    dancing-links remaining-taxa list all rely on this.
 //  * Local maintenance of a constraint's own taxa (docs/ALGORITHM.md §3):
 //    an admissible insertion of x in Y_i changes only the S-edge ê_i(x),
 //    which splits into three at x's attachment point. insert() pushes a
@@ -142,20 +132,18 @@ class Terrace {
   /// Must hold before enumeration starts; when it fails the stand is empty.
   bool initial_state_consistent() const;
 
-  // ---- introspection (tests, benchmarks, virtual-time cost model) ---------
+  // ---- introspection (tests, benchmarks, run reports) ---------------------
 
-  /// Cumulative counters of selection work; the virtual-time simulator uses
-  /// the deltas to charge cheap cached refreshes and expensive recomputes
-  /// differently (vthread::CostModel), and every driver rolls the final
-  /// totals of its workers into core::Result::selection.
+  /// Cumulative counters of selection work; every driver, the virtual-time
+  /// simulator included, sums the final totals of its workers into
+  /// core::Result::selection.
   using SelectionStats = core::SelectionStats;
   const SelectionStats& selection_stats() const noexcept { return stats_; }
 
   /// Bytes currently allocated for constraint i's mapping storage (edge
-  /// and T_i-edge slots, preimage lists, target slots and keys, traversal,
-  /// ledger and split records). Zero until the constraint first activates;
-  /// never-activated constraints stay at zero for the lifetime of the
-  /// terrace.
+  /// and T_i-edge slots, preimage lists, target slots, traversal and split
+  /// records). Zero until the constraint first activates; never-activated
+  /// constraints stay at zero for the lifetime of the terrace.
   std::size_t constraint_storage_bytes(std::size_t i) const;
   /// Bytes currently allocated for per-constraint mapping storage.
   std::size_t mapping_storage_bytes() const;
@@ -244,16 +232,18 @@ class Terrace {
   /// its open-taxon targets equal what rebuild_constraint would produce, up
   /// to slot relabeling.
   bool mapping_matches_rebuild(std::size_t i) const;
-  /// Exact number of admissible branches for x (mappings must be current),
-  /// via the cache when its validity window holds, else recomputed.
+  /// Exact number of admissible branches for x (mappings must be current).
   std::size_t admissible_count(TaxonId x);
-  std::size_t count_fresh(TaxonId x);
   /// Whether x has at least one admissible branch (early-exit probe).
   bool has_admissible(TaxonId x);
-  /// Every active constraint of the gathered taxon agrees on edge e (reads
-  /// the probe caches of the latest gather_constraints call).
-  bool edge_admissible(EdgeId e) const;
+  /// x's admissible branches, ascending.
   void collect_branches(TaxonId x, std::vector<EdgeId>& out);
+  /// Calls visit(e) for every admissible branch e of the gathered taxon, in
+  /// preimage-list order, until visit returns false: walks the smallest
+  /// active constraint's preimage list and probes the others. Needs at
+  /// least one active constraint; with one, it visits that preimage list.
+  template <typename Visit>
+  void for_each_admissible(Visit&& visit);
   /// Active constraint slots of x: |C_i| >= 2. Fills scratch_js_ plus the
   /// probe caches (edge_slot_ row pointers and x's target slots).
   void gather_constraints(TaxonId x);
@@ -261,9 +251,6 @@ class Terrace {
   // Intrusive preimage-list maintenance for constraint i, slot s.
   void preimage_push(std::size_t i, std::uint32_t s, EdgeId e);
   void preimage_unlink(std::size_t i, std::uint32_t s, EdgeId e);
-
-  // Mutation journal (insert/remove events) for the count cache.
-  void journal_push(EdgeId split_edge, std::int8_t sign);
 
   // Per-worker arena backing every hot scratch container below (declared
   // first: members are initialized in declaration order and the containers
@@ -328,18 +315,6 @@ class Terrace {
   RegionWalk awalk_, cwalk_;  // split scratch: agile side, T_i side
   support::Bitset deferred_;  // apply_pending scratch: still-pending taxa
 
-  // Constraint-side sweep elision. ckey_[i][f] is the canonical key of T_i
-  // edge f, valid for the DFS root and common set C_i of constraint i's
-  // last constraint-side sweep; cdelta_[i] is an exact ledger of net C_i
-  // changes since then (LIFO insert/remove discipline makes push/cancel
-  // exact). When the ledger is empty and the root is unchanged, a rebuild
-  // reuses the stored keys and only re-probes them against the fresh
-  // agile-side interning — the common case when the enumerator steps the
-  // taxon of a rebuilt (not split) constraint to its next branch.
-  std::vector<AVec<std::uint64_t>> ckey_;
-  std::vector<char> have_ckeys_;
-  std::vector<std::vector<std::int32_t>> cdelta_;  // +(x+1) insert, -(x+1) remove
-
   // Flat traversals: constraint-side cached per constraint (static trees,
   // invalidated only when the DFS root changes); agile-side rebuilt on
   // demand and shared across same-root rebuilds in one batch.
@@ -347,30 +322,6 @@ class Terrace {
   FlatTraversal atrav_;
   std::vector<std::pair<TaxonId, std::uint32_t>> rebuild_order_;  // scratch
   std::vector<TravItem> trav_stack_;  // traversal and walk scratch
-
-  // Incremental candidate-count cache. cached_count_[x] is exact as of
-  // mutation index cache_mut_[x]; it can be advanced to the present by
-  // replaying the journal window iff no constraint of x was dirtied at or
-  // after cache_mut_[x] (dirty_mut_) and the window is still in the ring.
-  std::vector<std::uint32_t> cached_count_;
-  std::vector<std::uint64_t> cache_mut_;
-  std::vector<char> cache_valid_;
-  std::vector<std::uint64_t> dirty_mut_;   // [constraint]
-  struct MutEvent {
-    EdgeId edge = kNoId;      ///< split edge of the insert / matching remove
-    std::uint32_t gen = 0;    ///< edge_gen_[edge] when the event was journaled
-    std::int8_t sign = 0;     ///< +1 insert, -1 remove
-  };
-  AVec<MutEvent> journal_;  // ring, power-of-two size, arena-backed
-  std::uint64_t mutation_count_ = 1;
-  std::uint64_t journal_base_ = 1;  // oldest retained event index
-  // Per-edge-id reuse generation: bumped whenever an edge id is returned to
-  // the tree's LIFO free list (remove() frees the moved and pendant edges).
-  // phylo::Tree recycles ids, so a journaled event whose edge died since —
-  // its generation no longer matches — must not be replayed against the
-  // id's *current* occupant: the incremental clean-constraint update gave
-  // the recycled id the new split edge's slot without dirtying anything.
-  std::vector<std::uint32_t> edge_gen_;
 
   SelectionStats stats_;
 

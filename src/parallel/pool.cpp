@@ -13,10 +13,6 @@
 #include "support/invariant.hpp"
 #include "support/stopwatch.hpp"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace gentrius::parallel {
 
 using core::CounterSink;
@@ -176,11 +172,11 @@ void worker_body(std::size_t tid, std::size_t n_threads,
 }
 
 /// The first exception any worker threw. Nothing may leave a worker — an
-/// exception escaping a std::jthread or an OpenMP region terminates the
-/// process — so each worker's body runs under run_worker, which records the
-/// error and halts the sink: busy workers see the stop at their next step,
-/// parked ones are woken by the sink's StopWaker. The calling thread
-/// rethrows after every worker has joined.
+/// exception escaping a std::jthread terminates the process — so each
+/// worker's body runs under run_worker, which records the error and halts
+/// the sink: busy workers see the stop at their next step, parked ones are
+/// woken by the sink's StopWaker. The calling thread rethrows after every
+/// worker has joined.
 class FirstError {
  public:
   void capture(CounterSink& sink) {
@@ -234,7 +230,7 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
 }
 
 Result run_pool(const Problem& problem, const Options& options,
-                std::size_t n_threads, LaunchMode mode, bool work_stealing) {
+                std::size_t n_threads, bool work_stealing) {
   core::validate_options(options, core::OptionsSurface::kSingleInstance);
   // Wall clock for Result::seconds (reported diagnostics, never a
   // scheduling input) and for stopping rule 3, real-time by definition.
@@ -264,13 +260,6 @@ Result run_pool(const Problem& problem, const Options& options,
   if (n_threads == 1) {
     // Degenerate pool: still exercises the worker path, minus stealing.
     work(0);
-  } else if (mode == LaunchMode::kOpenMP && openmp_available()) {
-#ifdef _OPENMP
-    // Paper fidelity: OpenMP creates/destroys the threads while the
-    // condition-variable synchronization stays with the C++ thread library.
-#pragma omp parallel num_threads(static_cast<int>(n_threads))
-    work(static_cast<std::size_t>(omp_get_thread_num()));
-#endif
   } else {
     std::vector<std::jthread> threads;
     threads.reserve(n_threads);
@@ -285,22 +274,13 @@ Result run_pool(const Problem& problem, const Options& options,
 }  // namespace
 
 Result run_parallel(const Problem& problem, const Options& options,
-                    std::size_t n_threads, LaunchMode mode) {
-  return run_pool(problem, options, n_threads, mode, /*work_stealing=*/true);
+                    std::size_t n_threads) {
+  return run_pool(problem, options, n_threads, /*work_stealing=*/true);
 }
 
 Result run_static_split(const Problem& problem, const Options& options,
                         std::size_t n_threads) {
-  return run_pool(problem, options, n_threads, LaunchMode::kStdThread,
-                  /*work_stealing=*/false);
-}
-
-bool openmp_available() noexcept {
-#ifdef _OPENMP
-  return true;
-#else
-  return false;
-#endif
+  return run_pool(problem, options, n_threads, /*work_stealing=*/false);
 }
 
 }  // namespace gentrius::parallel

@@ -1,7 +1,7 @@
 // Monotonic arena allocator for per-worker scratch state.
 //
 // A Terrace owns ~30 separately-malloc'd arrays (mapping-sweep scratch,
-// slot-interning tables, journal ring, per-constraint storage). All of them
+// slot-interning tables, per-constraint storage). All of them
 // share one lifetime — the Terrace's — and all are hot: the mapping-rebuild
 // sweep streams cnt_/xorv_/ctx_ in lockstep, the admissibility probes walk
 // edge_slot_/target_slot_ pairs. Backing them with one bump-pointer arena

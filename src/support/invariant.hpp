@@ -72,12 +72,12 @@ template <typename A, typename B>
 #endif  // GENTRIUS_ENABLE_INVARIANTS
 
 // GENTRIUS_EXPENSIVE_DCHECK: invariants whose *check* has asymptotically
-// higher cost than the code path it guards (e.g. cross-checking a cached
-// value against a full recomputation). Off by default even when
+// higher cost than the code path it guards (e.g. comparing a mapping kept
+// current in place with a full rebuild). Off by default even when
 // GENTRIUS_ENABLE_INVARIANTS is on — otherwise debug/sanitizer runs only
-// ever exercise "cached equals fresh" and never the cached value standing
-// on its own, and the cached path's debug cost degenerates to the fresh
-// path's. Enable with -DGENTRIUS_EXPENSIVE_CHECKS=ON (sets
+// ever exercise "in place equals rebuilt" and never the in-place result
+// standing on its own, and the in-place path's debug cost degenerates to
+// the rebuild's. Enable with -DGENTRIUS_EXPENSIVE_CHECKS=ON (sets
 // GENTRIUS_ENABLE_EXPENSIVE_INVARIANTS=1) when working on the guarded
 // machinery itself.
 #if !defined(GENTRIUS_ENABLE_EXPENSIVE_INVARIANTS)

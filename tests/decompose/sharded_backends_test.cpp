@@ -10,6 +10,7 @@
 #include "decompose/sharded.hpp"
 #include "gentrius/problem.hpp"
 #include "gentrius/serial.hpp"
+#include "parallel/pool.hpp"
 #include "support/error.hpp"
 #include "testutil.hpp"
 

@@ -1,22 +1,19 @@
-// Regression coverage for the incremental admissible-count cache under
-// edge-id recycling (phylo::Tree hands out edge ids from LIFO free lists).
+// Mapping maintenance under edge-id recycling (phylo::Tree hands out edge
+// ids from LIFO free lists), checked through choose_dynamic against the
+// recompute reference: an incremental = false terrace, which rebuilds every
+// mapping at every state.
 //
-// A randomized DFS with heavy backtracking makes journal events reference
-// edge ids that died — their creating insert was backtracked — and were
-// re-allocated by later inserts between two evaluations of the same taxon.
-// Replaying such an event against the *current* slot of the recycled id
-// would corrupt the cached count by +/-2; the per-edge generation stamps in
-// the journal must detect this and force a fresh recount instead.
-//
-// The walk advances via choose_static (which journals mutations but never
-// refreshes the count cache) and only periodically calls choose_dynamic, so
-// cache windows span long stretches of free-list churn. Loci are kept
-// sparse so many taxon pairs share no constraint and caches stay formally
-// valid across the churn. The cache is authoritative here: the count_fresh
-// cross-check inside admissible_count is gated behind
+// A randomized DFS with heavy backtracking frees edge ids and hands them to
+// later inserts while the incremental terrace keeps its mappings current in
+// place: batched foreign-taxon slot updates, splits at the next choice of a
+// taxon and merges on removal. The walk advances via choose_static and
+// compares choose_dynamic's choice and branch set with the reference every
+// fifth step. Loci are kept sparse so many taxon pairs share no
+// constraint. The in-place mapping is authoritative here: its comparison
+// with a rebuild (mapping_matches_rebuild) is gated behind
 // GENTRIUS_ENABLE_EXPENSIVE_INVARIANTS (off by default even in debug), so
-// divergence surfaces as a mismatch against the non-incremental reference
-// engine, exactly as it would in a release build.
+// divergence surfaces as a mismatch against the reference engine, exactly
+// as it would in a release build.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -52,7 +49,7 @@ TEST_P(CacheChurn, DynamicChoiceMatchesNonIncrementalUnderBacktracking) {
   std::vector<EdgeId> bi, br;
   for (int step = 0; step < 1200; ++step) {
     // Periodic full comparison: every admissible count of the incremental
-    // engine (cached or fresh) must match the always-fresh reference.
+    // engine must match the rebuild-every-state reference.
     if (step % 5 == 0) {
       const auto ci = inc.choose_dynamic(bi);
       const auto cr = ref.choose_dynamic(br);
@@ -63,8 +60,8 @@ TEST_P(CacheChurn, DynamicChoiceMatchesNonIncrementalUnderBacktracking) {
       ASSERT_EQ(bi, br) << "taxon " << ci.taxon << " step " << step
                         << " seed " << GetParam();
     }
-    // Random backtracking keeps the free lists churning so freed edge ids
-    // get re-allocated while older journal events still reference them.
+    // Random backtracking keeps the free lists churning, so freed edge ids
+    // are re-allocated to later inserts while the mappings stay in place.
     if (!stack.empty() && (inc.remaining_count() == 0 || rng.bernoulli(0.4))) {
       inc.remove(stack.back().inc_rec);
       ref.remove(stack.back().ref_rec);
@@ -72,8 +69,8 @@ TEST_P(CacheChurn, DynamicChoiceMatchesNonIncrementalUnderBacktracking) {
       continue;
     }
     if (inc.remaining_count() == 0) break;
-    // Advance along a random admissible insertion without touching the
-    // count cache (choose_static never calls admissible_count).
+    // Advance along a random admissible insertion (choose_static counts no
+    // other taxon).
     const auto remaining = inc.remaining();
     const TaxonId pick = remaining[rng.below(remaining.size())];
     inc.choose_static(pick, bi);

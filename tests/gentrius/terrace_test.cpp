@@ -302,30 +302,115 @@ TEST(InitialState, ClusterCheckAgreesWithCompatible) {
   EXPECT_GT(inconsistent, 50u);
 }
 
-TEST(Terrace, DynamicChoiceIsTheMinimum) {
-  support::Rng rng(404);
+// choose_dynamic against its definition at every state of random LIFO
+// walks: for both variants, the expected choice is derived from the
+// choose_static branch counts of remaining() and from the active degrees
+// (constraints of the taxon with >= 2 inserted taxa). The instances overlap
+// heavily, so most candidates have >= 2 active constraints and the counts,
+// existence probes and branch sets come from the multi-constraint preimage
+// walk. Every choice applies the pending splits, so the unwinds merge them;
+// a complete tree unwinds to a random depth, which keeps the walk among the
+// middle depths where dead ends occur.
+class DynamicChoice : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DynamicChoice, MatchesItsDefinitionOnRandomWalks) {
+  support::Rng rng(GetParam());
   datagen::SimulatedParams sp;
-  sp.n_taxa = 12;
-  sp.n_loci = 3;
-  sp.missing_fraction = 0.45;
-  sp.seed = 404;
+  sp.n_taxa = 20 + rng.below(12);
+  sp.n_loci = 8 + rng.below(4);
+  sp.missing_fraction = 0.55 + 0.1 * rng.uniform();
+  sp.seed = GetParam() * 6007 + 11;
   const auto ds = datagen::make_simulated(sp);
-  Options opts;
-  const auto problem = build_problem(ds.constraints, opts);
+  const auto problem = build_problem(ds.constraints, Options{});
+  ASSERT_GT(problem.missing_count(), 0u);
   Terrace terrace(problem);
 
-  std::vector<EdgeId> branches, other;
-  while (terrace.remaining_count() > 0) {
-    const auto choice = terrace.choose_dynamic(branches);
-    if (choice.complete || choice.dead_end) break;
-    for (const TaxonId x : terrace.remaining()) {
-      terrace.choose_static(x, other);
-      EXPECT_GE(other.size(), branches.size());
+  auto degree = [&](TaxonId x) {
+    std::size_t d = 0;
+    for (const auto& y : problem.constraint_taxa) {
+      if (!y.test(x)) continue;
+      std::size_t common = 0;
+      y.for_each([&](std::size_t t) {
+        common += terrace.is_inserted(static_cast<TaxonId>(t)) ? 1 : 0;
+      });
+      if (common >= 2) ++d;
     }
-    terrace.choose_static(choice.taxon, branches);
-    terrace.insert(choice.taxon, branches[0]);
+    return d;
+  };
+
+  std::size_t candidates = 0;
+  std::size_t multi = 0;
+  std::size_t dead_ends_after_one = 0;
+  std::size_t unwinds = 0;
+  std::vector<InsertRecord> path;
+  std::vector<EdgeId> branches;
+  std::vector<EdgeId> expected;
+  for (int step = 0; step < 2000; ++step) {
+    const std::vector<TaxonId> remaining = terrace.remaining();
+    if (remaining.empty()) {
+      for (std::size_t k = 1 + rng.below(path.size()); k > 0; --k) {
+        terrace.remove(path.back());
+        path.pop_back();
+      }
+      continue;
+    }
+    const std::size_t n = remaining.size();
+    std::vector<std::size_t> count(n);
+    std::vector<std::size_t> deg(n);
+    for (std::size_t k = 0; k < n; ++k) {
+      terrace.choose_static(remaining[k], expected);
+      count[k] = expected.size();
+      deg[k] = degree(remaining[k]);
+      ++candidates;
+      if (deg[k] >= 2) ++multi;
+    }
+    // Lowest-id zero; lowest-id minimum; most constrained, then fewest
+    // branches, then lowest id.
+    const std::size_t dead = static_cast<std::size_t>(
+        std::find(count.begin(), count.end(), 0u) - count.begin());
+    std::size_t fewest = 0;
+    std::size_t most = 0;
+    for (std::size_t k = 1; k < n; ++k) {
+      if (count[k] < count[fewest]) fewest = k;
+      if (deg[k] > deg[most] || (deg[k] == deg[most] && count[k] < count[most]))
+        most = k;
+    }
+    // kMinBranches switches to existence probes at the first count of 1.
+    if (dead < n && std::find(count.begin(), count.begin() + dead, 1u) !=
+                        count.begin() + dead)
+      ++dead_ends_after_one;
+    for (const auto variant : {Options::DynamicVariant::kMinBranches,
+                               Options::DynamicVariant::kMostConstrained}) {
+      const bool min_branches =
+          variant == Options::DynamicVariant::kMinBranches;
+      SCOPED_TRACE("step " + std::to_string(step) +
+                   (min_branches ? " kMinBranches" : " kMostConstrained"));
+      const std::size_t want = dead < n ? dead : min_branches ? fewest : most;
+      const auto choice = terrace.choose_dynamic(branches, variant);
+      ASSERT_FALSE(choice.complete);
+      ASSERT_EQ(choice.dead_end, dead < n);
+      ASSERT_EQ(choice.taxon, remaining[want]);
+      terrace.choose_static(choice.taxon, expected);
+      ASSERT_EQ(branches, expected);
+    }
+    if (!path.empty() && (dead < n || rng.bernoulli(0.2))) {
+      terrace.remove(path.back());
+      path.pop_back();
+      ++unwinds;
+      continue;
+    }
+    ASSERT_EQ(dead, n);  // the initial state of a simulated instance is live
+    const TaxonId x = remaining[rng.below(n)];
+    terrace.choose_static(x, expected);
+    path.push_back(terrace.insert(x, expected[rng.below(expected.size())]));
   }
+  EXPECT_GT(2 * multi, candidates);
+  EXPECT_GT(dead_ends_after_one, 0u);
+  EXPECT_GT(unwinds, 0u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DynamicChoice,
+                         ::testing::Range<std::uint64_t>(1, 25));
 
 TEST(Terrace, NeverActivatedConstraintStaysUnallocated) {
   // Constraint 1's taxa all sit inside the initial tree (constraint 0), so

@@ -113,27 +113,6 @@ std::vector<EqCase> eq_cases() {
 INSTANTIATE_TEST_SUITE_P(Instances, Equivalence,
                          ::testing::ValuesIn(eq_cases()));
 
-TEST(OpenMpDriver, MatchesStdThreadDriver) {
-  if (!parallel::openmp_available()) GTEST_SKIP() << "compiled without OpenMP";
-  datagen::SimulatedParams sp;
-  sp.n_taxa = 14;
-  sp.n_loci = 4;
-  sp.missing_fraction = 0.4;
-  sp.seed = 99;
-  const auto ds = datagen::make_simulated(sp);
-  Options opts;
-  opts.collect_trees = true;
-  const auto problem = core::build_problem(ds.constraints, opts);
-  const auto a =
-      parallel::run_parallel(problem, opts, 4, parallel::LaunchMode::kStdThread);
-  const auto b =
-      parallel::run_parallel(problem, opts, 4, parallel::LaunchMode::kOpenMP);
-  EXPECT_EQ(a.stand_trees, b.stand_trees);
-  EXPECT_EQ(a.intermediate_states, b.intermediate_states);
-  EXPECT_EQ(a.dead_ends, b.dead_ends);
-  EXPECT_EQ(sorted(a.trees), sorted(b.trees));
-}
-
 TEST(VirtualDeterminism, SameSeedSameMakespan) {
   datagen::SimulatedParams sp;
   sp.n_taxa = 16;

@@ -1,7 +1,7 @@
 // Worker failures: an exception thrown inside a pool worker reaches the
 // caller of run_parallel / run_static_split as that same exception, after
 // the other workers have stopped and joined. It must never escape a
-// std::jthread or an OpenMP region, where it would terminate the process.
+// std::jthread, where it would terminate the process.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -39,26 +39,17 @@ Options bad_insertion_order(const core::Problem& problem) {
   return opts;
 }
 
-std::vector<parallel::LaunchMode> launch_modes() {
-  std::vector<parallel::LaunchMode> modes{parallel::LaunchMode::kStdThread};
-  if (parallel::openmp_available())
-    modes.push_back(parallel::LaunchMode::kOpenMP);
-  return modes;
-}
-
 TEST(WorkerFailure, PoolRethrowsBadInsertionOrder) {
   const auto problem = instance();
   for (const Scheduler sched :
        {Scheduler::kCentralQueue, Scheduler::kDistributedDeques}) {
     Options opts = bad_insertion_order(problem);
     opts.scheduler = sched;
-    for (const auto mode : launch_modes()) {
-      for (const std::size_t nt : {1UL, 2UL, 4UL}) {
-        SCOPED_TRACE(std::string(to_string(sched)) + " nt=" +
-                     std::to_string(nt));
-        EXPECT_THROW(parallel::run_parallel(problem, opts, nt, mode),
-                     support::InvalidInput);
-      }
+    for (const std::size_t nt : {1UL, 2UL, 4UL}) {
+      SCOPED_TRACE(std::string(to_string(sched)) + " nt=" +
+                   std::to_string(nt));
+      EXPECT_THROW(parallel::run_parallel(problem, opts, nt),
+                   support::InvalidInput);
     }
   }
 }
@@ -87,13 +78,11 @@ TEST(WorkerFailure, MidRunFailureStopsThePoolAndRethrows) {
     opts.scheduler = sched;
     opts.collect_trees = true;
     opts.tree_names = &names;
-    for (const auto mode : launch_modes()) {
-      for (const std::size_t nt : {2UL, 4UL}) {
-        SCOPED_TRACE(std::string(to_string(sched)) + " nt=" +
-                     std::to_string(nt));
-        EXPECT_THROW(parallel::run_parallel(problem, opts, nt, mode),
-                     std::out_of_range);
-      }
+    for (const std::size_t nt : {2UL, 4UL}) {
+      SCOPED_TRACE(std::string(to_string(sched)) + " nt=" +
+                   std::to_string(nt));
+      EXPECT_THROW(parallel::run_parallel(problem, opts, nt),
+                   std::out_of_range);
     }
   }
 }
