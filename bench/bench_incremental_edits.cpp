@@ -72,7 +72,6 @@ void run_family(const FamilyConfig& cfg) {
   }
 
   core::Options opts;
-  opts.decompose = core::Decompose::kComponents;
   if (cfg.collect) {
     opts.collect_trees = true;
     opts.tree_names = &ds.taxa;

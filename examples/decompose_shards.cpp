@@ -11,8 +11,8 @@
 // where M — measured here by the residual shard itself — counts the ways to
 // interleave one fixed tree per component into a tree on the whole taxon
 // universe. The virtual-time sweep at the end compares the monolithic
-// schedule against the sharded one (sequential and concurrent shard
-// placement) at several worker counts, all deterministic simulated time.
+// schedule against the sharded one (shards back to back on one machine)
+// at several worker counts, all deterministic simulated time.
 #include <cstdio>
 #include <cstdlib>
 
@@ -77,21 +77,16 @@ int main(int argc, char** argv) {
                   ? "agree"
                   : "DISAGREE");
 
-  std::printf("\n%8s | %14s | %14s %8s | %14s %8s\n", "threads", "monolithic",
-              "shard seq", "speedup", "shard conc", "speedup");
-  core::Options vopts = options;
-  vopts.decompose = core::Decompose::kComponents;
+  std::printf("\n%8s | %14s | %14s %8s\n", "threads", "monolithic",
+              "sharded", "speedup");
   for (const std::size_t t : {1u, 2u, 4u, 8u}) {
     const auto m = vthread::run_virtual(problem, options, t);
-    const auto seq = decompose::run_virtual(dataset.constraints, vopts, t, {},
-                                            decompose::ShardSchedule::kSequential);
-    const auto conc = decompose::run_virtual(dataset.constraints, vopts, t, {},
-                                             decompose::ShardSchedule::kConcurrent);
-    std::printf("%8zu | %14.1f | %14.1f %8.2f | %14.1f %8.2f\n", t,
-                m.virtual_makespan, seq.virtual_makespan,
-                m.virtual_makespan / seq.virtual_makespan,
-                conc.virtual_makespan,
-                m.virtual_makespan / conc.virtual_makespan);
+    decompose::ShardRunOptions run;
+    run.backend = decompose::ShardBackend::kVirtual;
+    run.n_threads = t;
+    const auto v = decompose::run_sharded(dataset.constraints, options, run);
+    std::printf("%8zu | %14.1f | %14.1f %8.2f\n", t, m.virtual_makespan,
+                v.virtual_makespan, m.virtual_makespan / v.virtual_makespan);
   }
   return sharded.stand_trees == mono.stand_trees ? 0 : 1;
 }

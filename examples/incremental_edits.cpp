@@ -39,7 +39,6 @@ int main(int argc, char** argv) {
   auto dataset = benchutil::make_multi_component(params);
 
   core::Options options;
-  options.decompose = core::Decompose::kComponents;
   options.collect_trees = true;
   options.tree_names = &dataset.taxa;
 

@@ -1,6 +1,7 @@
 // Dataset persistence: write/read a Dataset as a plain-text directory so
-// generated corpora can be consumed by external tools (or by the
-// stand_explorer CLI) and reproduced exactly.
+// generated corpora can be consumed by external tools and reproduced
+// exactly. The stand_explorer CLI does not load this layout; its own reader
+// takes <dir>/constraints.nwk as --trees.
 //
 // Layout:
 //   <dir>/constraints.nwk   one Newick per line (the Gentrius input)

@@ -12,12 +12,13 @@
 // where the residual instance consists of one representative stand tree per
 // component (DESIGN.md "Decomposition"). The law, and the closed form
 // M = (2n-5)!! / prod_i (2n_i-5)!! for the residual count, are guaranteed
-// only when every enumerable component has <= 5 taxa: every binary tree on
-// <= 5 taxa has the same shape, so the residual count cannot depend on
-// which representatives were fixed. From 6 taxa on it can, and then the
-// product is not the stand size (two 6-taxon blocks: 1,473,675 sharded against
-// 1,484,939 monolithic; 19!!/(7!!)^2 is not even an integer). The
-// per-component counts stay exact. The analyzer below computes the
+// only when at most one enumerable component has >= 6 taxa: every binary
+// tree on <= 5 taxa has the same shape, so such a component cannot make the
+// residual count depend on which representatives were fixed. Two larger
+// components can, and then the product is not the stand size (two 6-taxon
+// blocks: 1,473,675 sharded against 1,484,939 monolithic; 19!!/(7!!)^2 is
+// not even an integer) and run_sharded reports Result::count_exact false.
+// The per-component counts stay exact. The analyzer below computes the
 // partition; sharded.hpp turns it into runnable shards.
 //
 // Components are reported in canonical order — ascending smallest taxon id

@@ -22,8 +22,7 @@ std::vector<phylo::Tree> subset_constraints(
 
 /// Shard-local option view: whole-instance overrides cannot survive into a
 /// shard (initial_constraint indexes the whole constraint list, an
-/// insertion_order permutes the whole missing-taxa set), and the shard
-/// itself must never recurse into decomposition.
+/// insertion_order permutes the whole missing-taxa set).
 core::Options shard_options(const core::Options& options);
 
 /// Closed-form residual interleaving count (ShardRunOptions::
@@ -48,8 +47,8 @@ ResidualClosedForm closed_form_residual(const ComponentSplit& split);
 /// to caller.collect_limit; tuple instances run serially (they are
 /// interleaving-only and cheap). `base` must be the shard-local option
 /// view; `caller` supplies collect_limit / tree_names; `residual_count` is
-/// the interleaving count every tuple instance of trees on <= 5 taxa must
-/// reproduce (DCHECKed).
+/// the interleaving count every tuple instance with at most one tree of
+/// >= 6 taxa must reproduce (DCHECKed).
 void stream_cross_product(
     const std::vector<std::vector<std::string>>& component_stands,
     const std::vector<phylo::Tree>& passthrough, phylo::TaxonSet& labels,

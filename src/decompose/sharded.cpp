@@ -136,8 +136,6 @@ ShardStats make_stats(Kind kind, std::size_t n_taxa, std::size_t n_constraints,
   s.intermediate_states = r.intermediate_states;
   s.dead_ends = r.dead_ends;
   s.reason = r.reason;
-  s.selection = r.selection;
-  s.sched = r.sched;
   s.virtual_makespan = r.virtual_makespan;
   return s;
 }
@@ -171,12 +169,25 @@ void accumulate(Result& out, const Result& r) {
     out.reason = r.reason;
 }
 
-/// Every tree has <= 5 taxa. All binary trees on as many taxa then share one
-/// shape, so the interleaving count cannot depend on which trees are fixed.
-/// Only invariant builds evaluate it.
-[[maybe_unused]] bool at_most_five_taxa(const std::vector<phylo::Tree>& trees) {
-  return std::all_of(trees.begin(), trees.end(), [](const phylo::Tree& t) {
-    return t.leaf_count() <= 5;
+/// Whether the interleaving count is the same for every tuple of trees
+/// fixed on these parts (components, or the trees of one tuple), `taxa`
+/// giving a part's size: at most one part has >= 6 taxa. Every tree on
+/// <= 5 taxa is a relabeling of one shape, so such a part adds a
+/// shape-free factor, as free taxa do; two larger parts can make the count
+/// depend on the shapes fixed.
+template <class Parts, class TaxaOf>
+bool shape_free(const Parts& parts, TaxaOf taxa) {
+  std::size_t large = 0;
+  for (const auto& part : parts)
+    if (taxa(part) >= 6) ++large;
+  return large <= 1;
+}
+
+/// shape_free over the split's enumerable components: the product law
+/// guarantees the whole count.
+bool law_holds(const ComponentSplit& split) {
+  return shape_free(split.components, [](const Component& c) {
+    return c.enumerable ? c.taxa.size() : 0;
   });
 }
 
@@ -186,25 +197,15 @@ bool finished(StopReason reason) {
   return reason == StopReason::kCompleted || reason == StopReason::kEmptyStand;
 }
 
-/// Sharded virtual-time accounting (virtual backend only; see CostModel).
+/// Sharded virtual-time accounting (virtual backend only; see CostModel):
+/// the executed shards run back to back on one machine, each paying one
+/// dispatch and one merge.
 double combine_makespans(const std::vector<double>& makespans,
-                         const ShardRunOptions& run) {
-  const double dispatch = run.costs.shard_dispatch_cost;
-  const double merge = run.costs.shard_merge_cost;
-  const auto n = static_cast<double>(makespans.size());
-  if (run.schedule == ShardSchedule::kSequential) {
-    double total = 0.0;
-    for (const double m : makespans) total += dispatch + m + merge;
-    return total;
-  }
-  // Concurrent: one machine per shard. Dispatches leave the coordinator
-  // back to back, shards overlap, merges serialize on the coordinator
-  // after the last shard finishes.
-  double finish = 0.0;
-  for (std::size_t s = 0; s < makespans.size(); ++s)
-    finish = std::max(
-        finish, dispatch * static_cast<double>(s + 1) + makespans[s]);
-  return finish + merge * n;
+                         const vthread::CostModel& costs) {
+  double total = 0.0;
+  for (const double m : makespans)
+    total += costs.shard_dispatch_cost + m + costs.shard_merge_cost;
+  return total;
 }
 
 // ---- result cache ----------------------------------------------------------
@@ -304,7 +305,7 @@ ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
   out.applicable = true;
   const std::size_t universe = universe_size(split);
 
-  using u128 = unsigned __int128;
+  __extension__ typedef unsigned __int128 u128;  // GCC/Clang builtin
   constexpr u128 kMax128 = ~static_cast<u128>(0);
   constexpr std::uint64_t kMax64 = std::numeric_limits<std::uint64_t>::max();
   u128 num = 1;
@@ -319,13 +320,15 @@ ResidualClosedForm closed_form_residual(const ComponentSplit& split) {
     }
     num *= f;
   }
-  // The denominator divides the numerator exactly (M is a tree count), and
-  // it never exceeds it, so a single 128-bit division is exact.
+  // Where the law holds M is a tree count, so the denominator divides the
+  // numerator exactly; it never exceeds it, so a single 128-bit division
+  // is exact. Elsewhere the quotient is truncated, and run_sharded reports
+  // its count as not exact.
   u128 den = 1;
   for (const Component& comp : split.components)
     for (std::size_t k = 4; k <= comp.taxa.size(); ++k) den *= 2 * k - 5;
   const u128 m = num / den;
-  GENTRIUS_DCHECK(m * den == num);
+  GENTRIUS_DCHECK(m * den == num || !law_holds(split));
   if (m > kMax64) {
     out.saturated = true;
     out.count = kMax64;
@@ -346,7 +349,6 @@ std::vector<phylo::Tree> subset_constraints(
 
 Options shard_options(const Options& options) {
   Options o = options;
-  o.decompose = core::Decompose::kOff;
   o.initial_constraint.reset();
   o.insertion_order.clear();
   return o;
@@ -376,13 +378,15 @@ void stream_cross_product(
     Result r = core::run_serial(tuple, tuple_opts);
     // Shape independence of the interleaving count: every tuple instance
     // has the residual instance's count (the residual *is* the canonical
-    // representatives' tuple). This is guaranteed only when every tuple
-    // tree has <= 5 taxa; from 6 taxa on tuples of other shapes can have
+    // representatives' tuple). This is guaranteed only when at most one
+    // tuple tree has >= 6 taxa; with two, tuples of other shapes can have
     // other counts.
     GENTRIUS_DCHECK(r.reason != StopReason::kCompleted ||
                     out.reason != StopReason::kCompleted ||
                     r.stand_trees == residual_count ||
-                    !at_most_five_taxa(tuple));
+                    !shape_free(tuple, [](const phylo::Tree& t) {
+                      return t.leaf_count();
+                    }));
     out.trees.insert(out.trees.end(),
                      std::make_move_iterator(r.trees.begin()),
                      std::make_move_iterator(r.trees.end()));
@@ -421,7 +425,7 @@ ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints) {
 Result run_sharded(const std::vector<phylo::Tree>& constraints,
                    const Options& options, const ShardRunOptions& run,
                    ResultCache* cache) {
-  core::validate_options(options, core::OptionsSurface::kSharded);
+  core::validate_options(options);
   ShardPlan plan = plan_components(constraints);
   const Options base = detail::shard_options(options);
   const std::uint64_t evictions_before =
@@ -533,8 +537,9 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
   product = saturating_mul(product, residual_count, out.count_saturated);
 
   out.stand_trees = product;
+  out.count_exact = product == 0 || law_holds(plan.split);
   if (run.backend == ShardBackend::kVirtual)
-    out.virtual_makespan = combine_makespans(makespans, run);
+    out.virtual_makespan = combine_makespans(makespans, run.costs);
 
   // Cross-product streaming: tuple instances are enumerated serially (they
   // are interleaving-only and cheap: no component branching remains inside
@@ -546,40 +551,6 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
   if (cache != nullptr)
     out.cache.evictions = cache->evictions() - evictions_before;
   return out;
-}
-
-Result run_serial(const std::vector<phylo::Tree>& constraints,
-                  const Options& options) {
-  if (options.decompose == core::Decompose::kOff)
-    return core::run_serial(constraints, options);
-  ShardRunOptions run;
-  run.backend = ShardBackend::kSerial;
-  return run_sharded(constraints, options, run);
-}
-
-Result run_parallel(const std::vector<phylo::Tree>& constraints,
-                    const Options& options, std::size_t n_threads) {
-  if (options.decompose == core::Decompose::kOff)
-    return parallel::run_parallel(core::build_problem(constraints, options),
-                                  options, n_threads);
-  ShardRunOptions run;
-  run.backend = ShardBackend::kPool;
-  run.n_threads = n_threads;
-  return run_sharded(constraints, options, run);
-}
-
-Result run_virtual(const std::vector<phylo::Tree>& constraints,
-                   const Options& options, std::size_t n_threads,
-                   const vthread::CostModel& costs, ShardSchedule schedule) {
-  if (options.decompose == core::Decompose::kOff)
-    return vthread::run_virtual(core::build_problem(constraints, options),
-                                options, n_threads, costs);
-  ShardRunOptions run;
-  run.backend = ShardBackend::kVirtual;
-  run.n_threads = n_threads;
-  run.schedule = schedule;
-  run.costs = costs;
-  return run_sharded(constraints, options, run);
 }
 
 }  // namespace gentrius::decompose

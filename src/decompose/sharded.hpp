@@ -1,4 +1,4 @@
-// Sharded enumeration of a decomposed instance (Options::decompose).
+// Sharded enumeration of a decomposed instance (run_sharded).
 //
 // The product law (DESIGN.md "Decomposition"): with the constraint set
 // split into interaction-graph components C_1..C_k (components.hpp),
@@ -10,18 +10,21 @@
 // where M is the interleaving count, the number of trees on the whole
 // universe displaying one fixed tree per component. The product form
 // assumes M does not depend on which stand trees were fixed, and then
-// M = (2n-5)!! / prod_i (2n_i-5)!!. That is guaranteed only when every
-// enumerable component has <= 5 taxa, because every binary tree on <= 5
-// taxa has the same shape. From 6 taxa on M can depend on the fixed trees'
-// shapes, so the whole-instance count below is not exact (two 6-taxon
-// blocks: 1,473,675 sharded against 1,484,939 monolithic), while each
-// component shard's count is. The stand union above holds at any size. The
-// sharded driver runs k component shards plus one *canonical residual
-// shard* — the instance whose constraints are one canonical representative
-// stand tree per component — through the existing engine, multiplies the
-// counts (saturating), and, when trees are collected, streams the cross
-// product: every tuple of component stand trees is itself a tiny Gentrius
-// instance whose stand is enumerated and emitted.
+// M = (2n-5)!! / prod_i (2n_i-5)!!. That is guaranteed only when at most
+// one enumerable component has >= 6 taxa: every binary tree on <= 5 taxa
+// has the same shape, so relabeling inside such a component maps any of
+// its trees onto any other, and it adds a shape-free factor as free taxa
+// do. Two components of >= 6 taxa can make M depend on the fixed trees'
+// shapes, and then the whole-instance count below is not exact (two
+// 6-taxon blocks: 1,473,675 sharded against 1,484,939 monolithic);
+// Result::count_exact is false then. Each component shard's count stays
+// exact, and the stand union above holds at any size. The sharded driver
+// runs k component shards plus one *canonical residual shard* — the
+// instance whose constraints are one canonical representative stand tree
+// per component — through the existing engine, multiplies the counts
+// (saturating), and, when trees are collected, streams the cross product:
+// every tuple of component stand trees is itself a tiny Gentrius instance
+// whose stand is enumerated and emitted.
 //
 // The representative of a component is the first stand tree of a canonical
 // serial probe run (default Options, collect one tree) — a deterministic
@@ -37,8 +40,7 @@
 //
 // Shards run serially, on the real pool, or on the virtual-time simulator
 // (ShardBackend); virtual runs charge CostModel::shard_dispatch_cost /
-// shard_merge_cost per shard and combine shard makespans under a
-// sequential or concurrent shard schedule.
+// shard_merge_cost per executed shard, back to back on one machine.
 #pragma once
 
 #include <cstddef>
@@ -61,47 +63,24 @@ enum class ShardBackend : std::uint8_t {
   kVirtual,  ///< vthread::run_virtual per shard (deterministic simulation)
 };
 
-inline const char* to_string(ShardBackend b) {
-  switch (b) {
-    case ShardBackend::kSerial: return "serial";
-    case ShardBackend::kPool: return "pool";
-    case ShardBackend::kVirtual: return "virtual";
-  }
-  return "?";
-}
-
-/// How shard makespans combine on the virtual backend. Sequential models
-/// one machine running the shards back to back; concurrent models a
-/// distributed deployment — one machine per shard — where dispatches leave
-/// a single coordinator one after another and merges return to it.
-enum class ShardSchedule : std::uint8_t { kSequential, kConcurrent };
-
-inline const char* to_string(ShardSchedule s) {
-  switch (s) {
-    case ShardSchedule::kSequential: return "sequential";
-    case ShardSchedule::kConcurrent: return "concurrent";
-  }
-  return "?";
-}
-
 struct ShardRunOptions {
   ShardBackend backend = ShardBackend::kSerial;
   std::size_t n_threads = 1;  ///< per shard (pool/virtual backends)
-  ShardSchedule schedule = ShardSchedule::kSequential;
   vthread::CostModel costs;  ///< virtual backend only
   /// Compute the residual shard's interleaving count in closed form,
   ///   M = (2n-5)!! / prod_i (2n_i-5)!!
   /// (DESIGN.md "Decomposition"), instead of probing representatives and
   /// enumerating the residual instance. Equal to the enumerated residual
-  /// when every component has <= 5 taxa (the product-law suite checks it
-  /// against enumeration there); from 6 taxa on the interleaving count
-  /// varies with the representatives' shapes, so neither value makes the
-  /// product exact. Applied only when
-  /// every component is enumerable; instances with pass-through constraints
-  /// fall back to enumeration. Off by default: the enumerated residual run
-  /// (and its golden trace lines) is part of the paper-faithful output. This is
-  /// what makes instances with many components tractable at all: M grows
-  /// double-factorially with the universe and dwarfs every component shard.
+  /// when at most one enumerable component has >= 6 taxa (the product-law
+  /// suite checks it against enumeration there); with two such components
+  /// the interleaving count varies with the representatives' shapes, so
+  /// neither value makes the product exact (Result::count_exact is false).
+  /// Applied only when every component is enumerable; instances with
+  /// pass-through constraints fall back to enumeration. Off by default: the
+  /// enumerated residual run (and its golden trace lines) is part of the
+  /// paper-faithful output. This is what makes instances with many
+  /// components tractable at all: M grows double-factorially with the
+  /// universe and dwarfs every component shard.
   bool residual_closed_form = false;
 };
 
@@ -147,11 +126,13 @@ ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints);
 /// — when options.collect_trees — stands by cross-product streaming.
 /// Result::shards carries the per-shard rollups in canonical order
 /// (components first, residual last); intermediate_states / dead_ends /
-/// sched / selection are the sums over shard runs. Shard runs clear
+/// sched / selection are the sums over shard runs. Result::count_exact is
+/// false when two or more enumerable components have >= 6 taxa and the
+/// product is non-zero: the product law does not guarantee that count (on
+/// either residual path, cached or not). Shard runs clear
 /// Options::initial_constraint and Options::insertion_order (whole-instance
 /// indices and orders are meaningless inside a shard); every other option
-/// applies per shard. options.decompose is ignored — calling this function
-/// *is* the opt-in.
+/// applies per shard. This function is the one way into decomposition.
 ///
 /// With a `cache`, each component and an enumerated residual are keyed by
 /// core::canonicalize_instance. Every component is looked up before any
@@ -166,22 +147,5 @@ core::Result run_sharded(const std::vector<phylo::Tree>& constraints,
                          const core::Options& options,
                          const ShardRunOptions& run = {},
                          ResultCache* cache = nullptr);
-
-// ---- decompose-aware entry points -----------------------------------------
-// Dispatch on options.decompose: kOff forwards to the paper-faithful
-// single-instance driver, kComponents to run_sharded with the matching
-// backend. These are the drop-in replacements callers use when they want
-// Options::decompose honored rather than rejected.
-
-core::Result run_serial(const std::vector<phylo::Tree>& constraints,
-                        const core::Options& options);
-
-core::Result run_parallel(const std::vector<phylo::Tree>& constraints,
-                          const core::Options& options, std::size_t n_threads);
-
-core::Result run_virtual(const std::vector<phylo::Tree>& constraints,
-                         const core::Options& options, std::size_t n_threads,
-                         const vthread::CostModel& costs = {},
-                         ShardSchedule schedule = ShardSchedule::kSequential);
 
 }  // namespace gentrius::decompose

@@ -70,8 +70,6 @@ class CounterSink {
   /// paper's 168 h limit); equivalence tests disable this rule, so it
   /// cannot perturb serial-vs-parallel comparisons.
   void check_time() {
-    // order: pure tally; totals are read after workers join
-    time_checks_.fetch_add(1, std::memory_order_relaxed);
     if (clock_.seconds() >= rules_.max_seconds)
       request_stop(StopReason::kTimeLimit);
   }
@@ -134,13 +132,6 @@ class CounterSink {
     return dead_ends_.load(std::memory_order_relaxed);
   }
 
-  /// How many times the time rule was evaluated (each one is a clock
-  /// syscall — the observable the flush-period throttle reduces).
-  std::uint64_t time_checks() const {
-    // order: pure tally, read after workers join
-    return time_checks_.load(std::memory_order_relaxed);
-  }
-
   double seconds() const { return clock_.seconds(); }
 
  private:
@@ -148,7 +139,6 @@ class CounterSink {
   std::atomic<std::uint64_t> stand_trees_{0};
   std::atomic<std::uint64_t> states_{0};
   std::atomic<std::uint64_t> dead_ends_{0};
-  std::atomic<std::uint64_t> time_checks_{0};
   std::atomic<bool> stop_{false};
   std::atomic<int> reason_{-1};
   std::atomic<StopWaker*> waker_{nullptr};

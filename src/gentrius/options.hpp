@@ -43,17 +43,13 @@ inline const char* to_string(Scheduler s) {
   return "?";
 }
 
-/// Instance decomposition mode (src/decompose, DESIGN.md "Decomposition").
-///
-///  * kOff — paper-faithful: one branch-and-bound tree over the whole
-///    instance. The default; every driver in src/gentrius, src/parallel and
-///    src/vthread requires it (they run exactly one instance).
-///  * kComponents — split the constraint set into connected components of
-///    the taxon-overlap graph and enumerate each component plus a canonical
-///    residual shard independently; counts combine by product, stands by
-///    cross-product streaming. Honored by the decompose::* entry points
-///    only — the single-instance drivers reject it loudly instead of
-///    silently ignoring it.
+/// Former instance decomposition mode. Nothing reads it: every driver runs
+/// the one instance it is given, and decompose::run_sharded (src/decompose,
+/// DESIGN.md "Decomposition") is the one way into decomposition. It stays
+/// declared only because the wall-clock benchmark (wallbench/workloads.cpp)
+/// still assigns Options::decompose; it goes when that benchmark is rebuilt
+/// on in-engine measurement (ROADMAP.md item 5, "Measure inside the
+/// engine").
 enum class Decompose : std::uint8_t { kOff, kComponents };
 
 inline const char* to_string(Decompose d) {
@@ -129,7 +125,7 @@ struct Options {
   /// seed; the real pool's task totals are seed-independent.
   std::uint64_t steal_seed = 0x57ea1u;
 
-  /// Instance decomposition (see enum Decompose above).
+  /// Ignored (see enum Decompose above).
   Decompose decompose = Decompose::kOff;
 
   /// Paper §III-A offer floor: a frame with at least this many remaining
@@ -224,8 +220,8 @@ struct CacheStats {
   }
 };
 
-/// One shard of a decomposed run (Options::decompose = kComponents): either
-/// a connected component of the constraint-overlap graph or the canonical
+/// One shard of a decomposed run (decompose::run_sharded): either a
+/// connected component of the constraint-overlap graph or the canonical
 /// residual instance that carries the interleaving count (see
 /// src/decompose/sharded.hpp and DESIGN.md "Decomposition").
 struct ShardStats {
@@ -240,8 +236,6 @@ struct ShardStats {
   std::uint64_t intermediate_states = 0;
   std::uint64_t dead_ends = 0;
   StopReason reason = StopReason::kCompleted;
-  SelectionStats selection;              ///< selection work within the shard
-  SchedulerStats sched;                  ///< scheduler traffic within the shard
   double virtual_makespan = 0.0;         ///< virtual-backend shard makespan
   /// Cached runs only (run_sharded with a ResultCache): this shard's result
   /// was served from the cache (the stats describe the run that originally
@@ -281,6 +275,11 @@ struct Result {
   // and whether the product of shard counts saturated std::uint64_t.
   std::vector<ShardStats> shards;
   bool count_saturated = false;
+  /// False when the product law does not guarantee stand_trees: a non-zero
+  /// product over two or more enumerable components of >= 6 taxa, whose
+  /// interleaving count can depend on the component trees' shapes
+  /// (DESIGN.md "Decomposition"). Always true for monolithic runs.
+  bool count_exact = true;
 
   // Cached runs only (decompose::run_sharded with a ResultCache, as the
   // incremental session runs it): cache traffic of this run. All-zero for
@@ -290,36 +289,10 @@ struct Result {
 
 // ---- option-combination validation -----------------------------------------
 
-/// Where an Options object is about to be consumed. Each surface honors a
-/// different subset of the combination space, and validate_options rejects
-/// the combinations that surface cannot honor with an InvalidInput that
-/// names the option — instead of a silent ignore or a deep-in-the-stack
-/// failure.
-enum class OptionsSurface : std::uint8_t {
-  /// The monolithic drivers (core::run_serial, parallel::run_parallel,
-  /// vthread::run_virtual): exactly one instance, no decomposition.
-  kSingleInstance,
-  /// decompose::run_sharded and the decompose::run_* dispatchers: every
-  /// decompose mode is honored here.
-  kSharded,
-  /// incremental::IncrementalSession: requires component analysis, so
-  /// Options::decompose must be kComponents.
-  kIncremental,
-};
-
-inline const char* to_string(OptionsSurface s) {
-  switch (s) {
-    case OptionsSurface::kSingleInstance: return "single-instance";
-    case OptionsSurface::kSharded: return "sharded";
-    case OptionsSurface::kIncremental: return "incremental";
-  }
-  return "?";
-}
-
-/// Validates an Options object for the given surface; throws
-/// support::InvalidInput naming the offending option. The single source of
-/// truth for combination rules — every driver calls this before running
-/// (tests/gentrius/options_validate_test.cpp pins the rejection matrix).
-void validate_options(const Options& options, OptionsSurface surface);
+/// Rejects option combinations no driver can honor, with a
+/// support::InvalidInput naming the option: a zero counter flush batch, or
+/// an explicit insertion_order together with a shuffle_seed. Every driver
+/// calls it before running (tests/gentrius/options_validate_test.cpp).
+void validate_options(const Options& options);
 
 }  // namespace gentrius::core

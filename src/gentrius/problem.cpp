@@ -127,7 +127,11 @@ std::uint64_t rooted_hash(const phylo::Tree& tree, phylo::VertexId v,
     if (vx.adj[i].to == from) continue;
     parts[n++] = rooted_hash(tree, vx.adj[i].to, v, color);
   }
-  std::sort(parts, parts + n);
+  // Insertion sort of the <= 3 child hashes (std::sort on the fixed array
+  // trips GCC's -Warray-bounds through its unrolled insertion pass).
+  for (std::size_t i = 1; i < n; ++i)
+    for (std::size_t j = i; j > 0 && parts[j] < parts[j - 1]; --j)
+      std::swap(parts[j], parts[j - 1]);
   std::uint64_t h = 0x5b17ULL;
   for (std::size_t i = 0; i < n; ++i) h = mix_hash(h, parts[i]);
   return h;

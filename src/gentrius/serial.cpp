@@ -6,7 +6,7 @@
 namespace gentrius::core {
 
 Result run_serial(const Problem& problem, const Options& options) {
-  validate_options(options, OptionsSurface::kSingleInstance);
+  validate_options(options);
   Options opts = options;
   opts.tree_flush_batch = 1;
   opts.state_flush_batch = 1;

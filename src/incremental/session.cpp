@@ -13,7 +13,16 @@ IncrementalSession::IncrementalSession(phylo::Tree species_tree, pam::Pam pam,
       pam_(std::move(pam)),
       options_(std::move(options)),
       cache_(options_.cache_capacity) {
-  core::validate_options(options_.engine, core::OptionsSurface::kIncremental);
+  const core::Options& engine = options_.engine;
+  core::validate_options(engine);
+  if (engine.collect_trees && engine.tree_names == nullptr)
+    throw support::InvalidInput(
+        "incremental session: stand trees are collected as labelled Newick; "
+        "set Options::tree_names when collect_trees is on");
+  if (engine.initial_constraint || !engine.insertion_order.empty())
+    throw support::InvalidInput(
+        "incremental session: initial_constraint / insertion_order index the "
+        "whole constraint list and cannot survive PAM edits");
   for (phylo::TaxonId t = 0; t < pam_.taxon_count(); ++t)
     if (!species_.has_taxon(t))
       throw support::InvalidInput(

@@ -23,9 +23,8 @@
 namespace gentrius::incremental {
 
 struct SessionOptions {
-  /// Engine options per shard run. decompose must be kComponents
-  /// (validate_options(kIncremental) rejects anything else);
-  /// collect_trees requires tree_names.
+  /// Engine options per shard run. collect_trees requires tree_names;
+  /// initial_constraint and insertion_order must be unset.
   core::Options engine;
   /// Shard execution backend (serial / pool / virtual), as in run_sharded.
   decompose::ShardRunOptions run;
@@ -40,8 +39,9 @@ class IncrementalSession {
  public:
   /// The species tree must span the full taxon universe the session will
   /// ever see: add_taxon edits activate one of its leaves. Throws
-  /// InvalidInput on rejected option combinations (see validate_options)
-  /// or when the initial matrix has more taxa than the species tree.
+  /// InvalidInput on rejected option combinations (validate_options, plus
+  /// the session's own rules on SessionOptions::engine) or when the initial
+  /// matrix has more taxa than the species tree.
   IncrementalSession(phylo::Tree species_tree, pam::Pam pam,
                      SessionOptions options);
 

@@ -35,73 +35,6 @@ struct WorkerOutput {
   std::size_t split_branches = 0;
 };
 
-/// Uniform worker-side view of either scheduler. The worker loop only
-/// needs four operations: where its offers go, how it blocks for more
-/// work, how to release everyone after a stop, and the end-of-run stats.
-class SchedulerDriver {
- public:
-  virtual ~SchedulerDriver() = default;
-  virtual core::TaskSink* sink_for(std::size_t tid) = 0;
-  virtual bool acquire(std::size_t tid, const CounterSink& sink,
-                       core::Task& out) = 0;
-  virtual void broadcast_stop() = 0;
-  virtual core::StopWaker* waker() = 0;
-  virtual core::SchedulerStats stats() const = 0;
-};
-
-/// Paper §III scheduler: the shared bounded TaskQueue.
-class CentralDriver final : public SchedulerDriver {
- public:
-  explicit CentralDriver(std::size_t n_threads)
-      : queue_(queue_capacity_for(n_threads), n_threads) {}
-
-  core::TaskSink* sink_for(std::size_t) override { return &queue_; }
-  bool acquire(std::size_t, const CounterSink& sink,
-               core::Task& out) override {
-    return queue_.pop(sink, out);
-  }
-  void broadcast_stop() override { queue_.broadcast_stop(); }
-  core::StopWaker* waker() override { return &queue_; }
-  core::SchedulerStats stats() const override { return queue_.stats(); }
-
- private:
-  TaskQueue queue_;
-};
-
-/// Distributed scheduler: per-worker deques with randomized stealing.
-class DequeDriver final : public SchedulerDriver {
- public:
-  DequeDriver(std::size_t n_threads, std::uint64_t steal_seed)
-      : sched_(n_threads, steal_seed) {}
-
-  core::TaskSink* sink_for(std::size_t tid) override {
-    return sched_.sink_for(tid);
-  }
-  bool acquire(std::size_t tid, const CounterSink& sink,
-               core::Task& out) override {
-    return sched_.acquire(tid, sink, out);
-  }
-  void broadcast_stop() override { sched_.broadcast_stop(); }
-  core::StopWaker* waker() override { return &sched_; }
-  core::SchedulerStats stats() const override { return sched_.stats(); }
-
- private:
-  DequeScheduler sched_;
-};
-
-/// Slice [begin, begin+len) of the I0 branch set assigned to thread `tid`
-/// ("as uniformly as possible", paper §III-A).
-std::pair<std::size_t, std::size_t> slice_for(std::size_t tid,
-                                              std::size_t n_threads,
-                                              std::size_t total) {
-  const std::size_t base = total / n_threads;
-  const std::size_t extra = total % n_threads;
-  const std::size_t begin = tid * base + std::min(tid, extra);
-  const std::size_t len = base + (tid < extra ? 1 : 0);
-  GENTRIUS_DCHECK_LE(begin + len, total);  // slices partition [0, total)
-  return {begin, len};
-}
-
 /// Steps the enumerator until its current assignment is exhausted or a
 /// stopping rule fires. Returns true when stopped.
 bool drain(Enumerator& e) {
@@ -121,17 +54,18 @@ bool drain(Enumerator& e) {
 // involved): the scheduler guards its own members internally (task_queue.hpp
 // / steal_deque.hpp), `sink` is lock-free atomics (counters.hpp), and each
 // worker writes only its own `out` slot — the pool joins every thread
-// before reading them.
+// before reading them. `Scheduler` is TaskQueue or DequeScheduler; a null
+// scheduler (the static split) offers and steals nothing.
+template <class Scheduler>
 void worker_body(std::size_t tid, std::size_t n_threads,
                  const Problem& problem, const Options& options,
-                 CounterSink& sink, SchedulerDriver* driver,
-                 WorkerOutput& out) {
+                 CounterSink& sink, Scheduler* scheduler, WorkerOutput& out) {
   GENTRIUS_DCHECK_LT(tid, n_threads);
   // Each thread builds its private Terrace and re-executes the deterministic
   // prefix (paper: "the first stages of execution are identical across all
   // threads"); only thread 0 counts those states.
   Enumerator e(problem, options, sink);
-  if (driver != nullptr) e.set_task_sink(driver->sink_for(tid));
+  if (scheduler != nullptr) e.set_task_sink(scheduler->sink_for(tid));
 
   const auto& prefix = e.run_prefix(/*count=*/tid == 0);
   out.prefix_outcome = prefix.outcome;
@@ -151,18 +85,18 @@ void worker_body(std::size_t tid, std::size_t n_threads,
     }
   }
 
-  if (driver != nullptr) {
+  if (scheduler != nullptr) {
     // Pooled steal target: acquire() swaps a queue/deque slot with this
     // task, so repeated steals recycle the same vector storage.
     core::Task task;
     while (!stopped) {
-      if (!driver->acquire(tid, sink, task)) break;
+      if (!scheduler->acquire(tid, sink, task)) break;
       e.adopt_task(task);
       ++out.tasks_executed;
       stopped = drain(e);
       if (!stopped) e.rewind_to_split();
     }
-    if (stopped) driver->broadcast_stop();
+    if (stopped) scheduler->broadcast_stop();
   }
 
   e.counters().flush_all();
@@ -194,18 +128,20 @@ class FirstError {
   std::exception_ptr error_;
 };
 
+template <class Scheduler>
 void run_worker(std::size_t tid, std::size_t n_threads, const Problem& problem,
                 const Options& options, CounterSink& sink,
-                SchedulerDriver* driver, WorkerOutput& out, FirstError& error) {
+                Scheduler* scheduler, WorkerOutput& out, FirstError& error) {
   try {
-    worker_body(tid, n_threads, problem, options, sink, driver, out);
+    worker_body(tid, n_threads, problem, options, sink, scheduler, out);
   } catch (...) {
     error.capture(sink);
   }
 }
 
+template <class Scheduler>
 Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
-                const SchedulerDriver* driver, double seconds) {
+                const Scheduler* scheduler, double seconds) {
   Result result;
   result.stand_trees = sink.stand_trees();
   result.intermediate_states = sink.states();
@@ -217,7 +153,7 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
   result.initial_split_branches = first.split_branches;
   if (first.prefix_outcome == Enumerator::Prefix::Outcome::kEmpty)
     result.reason = StopReason::kEmptyStand;
-  if (driver != nullptr) result.sched = driver->stats();
+  if (scheduler != nullptr) result.sched = scheduler->stats();
   for (auto& o : outputs) {
     result.tasks_executed += o.tasks_executed;
     result.tasks_offered += o.tasks_offered;
@@ -229,33 +165,25 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
   return result;
 }
 
+/// Runs the pool with `scheduler` for work stealing, or none (nullptr).
+template <class Scheduler>
 Result run_pool(const Problem& problem, const Options& options,
-                std::size_t n_threads, bool work_stealing) {
-  core::validate_options(options, core::OptionsSurface::kSingleInstance);
+                std::size_t n_threads, Scheduler* scheduler) {
   // Wall clock for Result::seconds (reported diagnostics, never a
   // scheduling input) and for stopping rule 3, real-time by definition.
   // lint:allow(wall-clock)
   support::Stopwatch clock;
   CounterSink sink(options.stop);
   std::vector<WorkerOutput> outputs(n_threads);
-
-  CentralDriver central(n_threads);
-  DequeDriver deques(n_threads, options.steal_seed);
-  SchedulerDriver* driver = nullptr;
-  if (work_stealing) {
-    driver = options.scheduler == core::Scheduler::kDistributedDeques
-                 ? static_cast<SchedulerDriver*>(&deques)
-                 : static_cast<SchedulerDriver*>(&central);
-    // Stop-wake hook: request_stop from any thread unparks blocked
-    // consumers immediately instead of waiting for a busy worker to notice
-    // the flag. Cleared before the driver goes out of scope.
-    sink.set_stop_waker(driver->waker());
-  }
+  // Stop-wake hook: request_stop from any thread unparks blocked consumers
+  // immediately instead of waiting for a busy worker to notice the flag.
+  // Cleared before the scheduler goes out of scope.
+  if (scheduler != nullptr) sink.set_stop_waker(scheduler);
 
   FirstError error;
   const auto work = [&](std::size_t tid) {
-    run_worker(tid, n_threads, problem, options, sink, driver, outputs[tid],
-               error);
+    run_worker(tid, n_threads, problem, options, sink, scheduler,
+               outputs[tid], error);
   };
   if (n_threads == 1) {
     // Degenerate pool: still exercises the worker path, minus stealing.
@@ -268,19 +196,26 @@ Result run_pool(const Problem& problem, const Options& options,
   }  // jthreads join here
   sink.set_stop_waker(nullptr);
   error.rethrow_if_any();
-  return assemble(sink, outputs, driver, clock.seconds());
+  return assemble(sink, outputs, scheduler, clock.seconds());
 }
 
 }  // namespace
 
 Result run_parallel(const Problem& problem, const Options& options,
                     std::size_t n_threads) {
-  return run_pool(problem, options, n_threads, /*work_stealing=*/true);
+  core::validate_options(options);
+  if (options.scheduler == core::Scheduler::kDistributedDeques) {
+    DequeScheduler deques(n_threads, options.steal_seed);
+    return run_pool(problem, options, n_threads, &deques);
+  }
+  TaskQueue queue(queue_capacity_for(n_threads), n_threads);
+  return run_pool(problem, options, n_threads, &queue);
 }
 
 Result run_static_split(const Problem& problem, const Options& options,
                         std::size_t n_threads) {
-  return run_pool(problem, options, n_threads, /*work_stealing=*/false);
+  core::validate_options(options);
+  return run_pool<TaskQueue>(problem, options, n_threads, nullptr);
 }
 
 }  // namespace gentrius::parallel

@@ -20,6 +20,7 @@
 // -Wthread-safety analysis (see support/thread_annotations.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -36,6 +37,20 @@ namespace gentrius::parallel {
 /// Capacity rule from the paper (empirically tuned by the authors).
 inline std::size_t queue_capacity_for(std::size_t n_threads) {
   return n_threads < 8 ? n_threads + 1 : n_threads / 2;
+}
+
+/// Slice [first, first+second) of the I0 branch set assigned to worker
+/// `tid` ("as uniformly as possible", paper §III-A). Shared by the real
+/// pool and the virtual-time simulator.
+inline std::pair<std::size_t, std::size_t> slice_for(std::size_t tid,
+                                                     std::size_t n_threads,
+                                                     std::size_t total) {
+  const std::size_t base = total / n_threads;
+  const std::size_t extra = total % n_threads;
+  const std::size_t begin = tid * base + std::min(tid, extra);
+  const std::size_t len = base + (tid < extra ? 1 : 0);
+  GENTRIUS_DCHECK_LE(begin + len, total);  // slices partition [0, total)
+  return {begin, len};
 }
 
 class TaskQueue final : public core::TaskSink, public core::StopWaker {
@@ -106,6 +121,14 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
     }
     if (i_terminated) cv_.notify_all();
     return got;
+  }
+
+  /// The worker-loop interface DequeScheduler also offers: every worker
+  /// offers to and acquires from the one shared queue.
+  core::TaskSink* sink_for(std::size_t /*tid*/) { return this; }
+  bool acquire(std::size_t /*tid*/, const core::CounterSink& sink,
+               core::Task& out) GENTRIUS_EXCLUDES(mutex_) {
+    return pop(sink, out);
   }
 
   /// Wakes all waiters (after a stopping rule fired).

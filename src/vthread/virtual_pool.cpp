@@ -363,7 +363,7 @@ Result run_simulation(const Problem& problem, const Options& user_options,
                       std::size_t n_threads, const CostModel& costs,
                       const VirtualRules& rules, bool work_stealing) {
   GENTRIUS_CHECK(n_threads >= 1);
-  core::validate_options(user_options, core::OptionsSurface::kSingleInstance);
+  core::validate_options(user_options);
   // Diagnostic only: how long the simulation itself took on the host. The
   // simulated schedule depends exclusively on virtual clocks.
   support::Stopwatch wall;  // lint:allow(wall-clock)
@@ -421,12 +421,8 @@ Result run_simulation(const Problem& problem, const Options& user_options,
         result.reason = StopReason::kEmptyStand;
     }
     if (prefix.outcome == Enumerator::Prefix::Outcome::kSplit) {
-      const std::size_t total = prefix.branches.size();
-      const std::size_t base = total / n_threads;
-      const std::size_t extra = total % n_threads;
-      const std::size_t begin = tid * base + std::min(tid, extra);
-      const std::size_t len = base + (tid < extra ? 1 : 0);
-      GENTRIUS_DCHECK_LE(begin + len, total);
+      const auto [begin, len] =
+          parallel::slice_for(tid, n_threads, prefix.branches.size());
       if (len > 0) {
         std::vector<core::EdgeId> slice(
             prefix.branches.begin() + static_cast<std::ptrdiff_t>(begin),

@@ -73,14 +73,14 @@ struct CostModel {
   double flush_cost = 0.02;
   double flush_contention = 0.0015;  ///< extra cost per extra thread
 
-  // Sharded-run terms (decompose::run_virtual): a decomposed run dispatches
-  // each shard as its own simulation and merges the results afterwards.
-  // Dispatch covers building the shard sub-problem and seeding its workers
-  // (same order of magnitude as spawn_cost); merge covers the product /
-  // stats combination per shard. Charged by the sharded driver, not by
-  // run_virtual itself, so monolithic simulations are unaffected; see
-  // decompose/sharded.hpp for how they enter the sharded makespan under the
-  // sequential and concurrent shard schedules.
+  // Sharded-run terms (decompose::run_sharded on the virtual backend): a
+  // decomposed run dispatches each shard as its own simulation and merges
+  // the results afterwards. Dispatch covers building the shard sub-problem
+  // and seeding its workers (same order of magnitude as spawn_cost); merge
+  // covers the product / stats combination per shard. Charged by the
+  // sharded driver, not by run_virtual itself, so monolithic simulations
+  // are unaffected: the sharded makespan is the sum over executed shards of
+  // dispatch + shard makespan + merge (decompose/sharded.hpp).
   double shard_dispatch_cost = 150.0;  ///< per shard: sub-problem build + seed
   double shard_merge_cost = 30.0;      ///< per shard: count/stats combination
 };

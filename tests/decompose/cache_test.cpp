@@ -102,8 +102,7 @@ TEST(ShardedCache, StoresOnlyFinishedShards) {
   p.loci_per_component = 2;
   p.seed = 8;  // components of 3 and 1 states
   const auto ds = benchutil::make_multi_component(p);
-  core::Options opts;
-  opts.decompose = core::Decompose::kComponents;
+  const core::Options opts{};
   const core::Result reference = run_sharded(ds.constraints, opts);
   ASSERT_EQ(reference.reason, core::StopReason::kCompleted);
   ASSERT_EQ(reference.shards.size(), 3u);  // two components, the residual
@@ -138,8 +137,7 @@ TEST(ShardedCache, SecondRunReusesEveryShard) {
   p.loci_per_component = 2;
   p.seed = 8;
   const auto ds = benchutil::make_multi_component(p);
-  core::Options opts;
-  opts.decompose = core::Decompose::kComponents;
+  const core::Options opts{};
   ResultCache cache(16);
   const core::Result first = run_sharded(ds.constraints, opts, {}, &cache);
   ASSERT_EQ(first.reason, core::StopReason::kCompleted);
@@ -162,6 +160,31 @@ TEST(ShardedCache, SecondRunReusesEveryShard) {
   }
 }
 
+// count_exact follows the component sizes, not the path a shard took: a
+// run served entirely from the cache flags the counts the run that filled
+// it flagged, on two 6-taxon blocks, and on a 4- and 5-taxon pair does not.
+TEST(ShardedCache, HitsKeepTheCountExactFlag) {
+  for (const std::size_t min_taxa : {4, 6}) {
+    benchutil::MultiComponentParams p;
+    p.n_components = 2;
+    p.min_taxa_per_component = min_taxa;
+    p.max_taxa_per_component = min_taxa == 4 ? 5 : 6;
+    p.loci_per_component = 3;
+    p.missing_fraction = 0.4;
+    p.seed = 3;
+    const auto ds = benchutil::make_multi_component(p);
+    SCOPED_TRACE(ds.name);
+    ResultCache cache(16);
+    const core::Result first = run_sharded(ds.constraints, {}, {}, &cache);
+    ASSERT_EQ(first.reason, core::StopReason::kCompleted);
+    EXPECT_EQ(first.count_exact, min_taxa == 4);
+    const core::Result again = run_sharded(ds.constraints, {}, {}, &cache);
+    EXPECT_EQ(again.cache.misses, 0u);
+    EXPECT_EQ(again.stand_trees, first.stand_trees);
+    EXPECT_EQ(again.count_exact, first.count_exact);
+  }
+}
+
 // A tree limit cuts shards short too: the shard it stops is not stored,
 // and a later run without the limit enumerates it again.
 TEST(ShardedCache, TreeLimitedShardIsNotStored) {
@@ -172,8 +195,7 @@ TEST(ShardedCache, TreeLimitedShardIsNotStored) {
   p.loci_per_component = 2;
   p.seed = 8;
   const auto ds = benchutil::make_multi_component(p);
-  core::Options opts;
-  opts.decompose = core::Decompose::kComponents;
+  const core::Options opts{};
   const core::Result reference = run_sharded(ds.constraints, opts);
   ASSERT_EQ(reference.reason, core::StopReason::kCompleted);
   const std::uint64_t trees0 = reference.shards[0].stand_trees;

@@ -61,8 +61,7 @@ SplitInstance make_split_instance(std::uint64_t seed, std::size_t base_comps) {
 Result run_sharded_collecting(const std::vector<phylo::Tree>& constraints) {
   Options opts;
   opts.collect_trees = true;
-  opts.decompose = core::Decompose::kComponents;
-  return decompose::run_serial(constraints, opts);
+  return decompose::run_sharded(constraints, opts);
 }
 
 std::uint64_t component_product(const Result& r) {
@@ -119,10 +118,10 @@ TEST(Metamorphic, ShardTraceLinesStableAcrossBackends) {
   p.seed = 17;
   const auto ds = benchutil::make_multi_component(p);
 
-  Options opts;
-  opts.decompose = core::Decompose::kComponents;
-  const Result serial = decompose::run_serial(ds.constraints, opts);
-  const Result virt = decompose::run_virtual(ds.constraints, opts, 4);
+  const Result serial = decompose::run_sharded(ds.constraints, Options{});
+  const Result virt = decompose::run_sharded(
+      ds.constraints, Options{},
+      decompose_test::on_backend(decompose::ShardBackend::kVirtual, 4));
   ASSERT_EQ(serial.shards.size(), virt.shards.size());
   for (std::size_t i = 0; i < serial.shards.size(); ++i)
     EXPECT_EQ(decompose::shard_trace_line(serial.shards[i]),

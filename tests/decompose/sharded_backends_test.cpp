@@ -8,10 +8,6 @@
 
 #include "benchutil/corpus.hpp"
 #include "decompose/sharded.hpp"
-#include "gentrius/problem.hpp"
-#include "gentrius/serial.hpp"
-#include "parallel/pool.hpp"
-#include "support/error.hpp"
 #include "testutil.hpp"
 
 namespace gentrius {
@@ -20,6 +16,8 @@ namespace {
 using core::Options;
 using core::Result;
 using core::StopReason;
+using decompose::ShardBackend;
+using decompose_test::on_backend;
 using decompose_test::sorted_trees;
 
 #if defined(GENTRIUS_SANITIZED_BUILD)
@@ -38,10 +36,9 @@ benchutil::MultiComponentParams small_instance(std::uint64_t seed) {
   return p;
 }
 
-Options sharded_collecting() {
+Options collecting() {
   Options o;
   o.collect_trees = true;
-  o.decompose = core::Decompose::kComponents;
   return o;
 }
 
@@ -49,10 +46,9 @@ TEST(ShardedBackends, PoolMatchesSerial) {
   for (std::uint64_t seed = 1; seed <= kBackendSeeds; ++seed) {
     const auto ds = benchutil::make_multi_component(small_instance(seed));
     SCOPED_TRACE(ds.name);
-    Result serial =
-        decompose::run_serial(ds.constraints, sharded_collecting());
-    Result pooled =
-        decompose::run_parallel(ds.constraints, sharded_collecting(), 2);
+    Result serial = decompose::run_sharded(ds.constraints, collecting());
+    Result pooled = decompose::run_sharded(ds.constraints, collecting(),
+                                           on_backend(ShardBackend::kPool, 2));
     ASSERT_EQ(pooled.reason, StopReason::kCompleted);
     EXPECT_EQ(pooled.stand_trees, serial.stand_trees);
     EXPECT_EQ(sorted_trees(pooled), sorted_trees(serial));
@@ -67,10 +63,9 @@ TEST(ShardedBackends, VirtualMatchesSerialAndAccountsTime) {
   for (std::uint64_t seed = 1; seed <= kBackendSeeds; ++seed) {
     const auto ds = benchutil::make_multi_component(small_instance(seed));
     SCOPED_TRACE(ds.name);
-    Result serial =
-        decompose::run_serial(ds.constraints, sharded_collecting());
-    Result virt =
-        decompose::run_virtual(ds.constraints, sharded_collecting(), 4);
+    Result serial = decompose::run_sharded(ds.constraints, collecting());
+    Result virt = decompose::run_sharded(
+        ds.constraints, collecting(), on_backend(ShardBackend::kVirtual, 4));
     EXPECT_EQ(virt.stand_trees, serial.stand_trees);
     EXPECT_EQ(sorted_trees(virt), sorted_trees(serial));
     EXPECT_GT(virt.virtual_makespan, 0.0);
@@ -78,29 +73,26 @@ TEST(ShardedBackends, VirtualMatchesSerialAndAccountsTime) {
   }
 }
 
-TEST(ShardedBackends, ConcurrentScheduleOverlapsShards) {
+TEST(ShardedBackends, VirtualMakespanSumsExecutedShards) {
+  // Shards run back to back on one machine: the sharded makespan is the sum
+  // over executed shards of dispatch + shard makespan + merge, and a run
+  // served entirely from the cache executes nothing.
   const auto ds = benchutil::make_multi_component(small_instance(2));
-  Options opts = sharded_collecting();
-  const Result seq = decompose::run_virtual(
-      ds.constraints, opts, 2, {}, decompose::ShardSchedule::kSequential);
-  const Result conc = decompose::run_virtual(
-      ds.constraints, opts, 2, {}, decompose::ShardSchedule::kConcurrent);
-  EXPECT_EQ(seq.stand_trees, conc.stand_trees);
-  // One machine per shard can only be faster than running them back to
-  // back; with >= 2 shards of real work it is strictly faster.
-  EXPECT_LT(conc.virtual_makespan, seq.virtual_makespan);
-}
+  const auto run = on_backend(ShardBackend::kVirtual, 2);
+  decompose::ResultCache cache(16);
+  const Result first =
+      decompose::run_sharded(ds.constraints, Options{}, run, &cache);
+  ASSERT_EQ(first.cache.hits, 0u);
+  double expected = 0.0;
+  for (const auto& s : first.shards)
+    expected += run.costs.shard_dispatch_cost + s.virtual_makespan +
+                run.costs.shard_merge_cost;
+  EXPECT_DOUBLE_EQ(first.virtual_makespan, expected);
 
-TEST(ShardedBackends, DecomposeRejectedByMonolithicDrivers) {
-  const auto ds = benchutil::make_multi_component(small_instance(1));
-  Options opts;
-  opts.decompose = core::Decompose::kComponents;
-  EXPECT_THROW(core::run_serial(ds.constraints, opts), support::InvalidInput);
-  const auto problem = core::build_problem(ds.constraints, opts);
-  EXPECT_THROW(parallel::run_parallel(problem, opts, 2),
-               support::InvalidInput);
-  EXPECT_THROW(vthread::run_virtual(problem, opts, 2),
-               support::InvalidInput);
+  const Result again =
+      decompose::run_sharded(ds.constraints, Options{}, run, &cache);
+  EXPECT_EQ(again.cache.misses, 0u);
+  EXPECT_EQ(again.virtual_makespan, 0.0);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "decompose/components.hpp"
+#include "decompose/sharded.hpp"
 #include "gentrius/options.hpp"
 #include "oracle/brute_force.hpp"
 
@@ -21,6 +22,15 @@ inline constexpr std::uint64_t kProductLawSeeds = 40;
 inline constexpr std::uint64_t kProductLawSeeds = 200;
 #endif
 
+/// Shard execution on `backend`, `n_threads` workers per shard.
+inline decompose::ShardRunOptions on_backend(decompose::ShardBackend backend,
+                                             std::size_t n_threads) {
+  decompose::ShardRunOptions run;
+  run.backend = backend;
+  run.n_threads = n_threads;
+  return run;
+}
+
 inline std::vector<std::string> sorted_trees(core::Result& r) {
   std::sort(r.trees.begin(), r.trees.end());
   return std::move(r.trees);
@@ -29,8 +39,9 @@ inline std::vector<std::string> sorted_trees(core::Result& r) {
 /// Closed-form interleaving count: the number of unrooted binary trees on
 /// the whole universe displaying one fixed tree per component,
 ///   M = (2n-5)!! / prod_i (2n_i-5)!!
-/// (shape-independence is guaranteed only for components of <= 5 taxa, the
-/// sizes every test here uses; DESIGN.md "Decomposition"). Stepwise division is
+/// (shape-independence is guaranteed only when at most one component has
+/// >= 6 taxa, as in every instance this is applied to; DESIGN.md
+/// "Decomposition"). Stepwise division is
 /// exact: after dividing by any subset of the denominators the remainder of
 /// the product is still an integer multiple.
 inline std::uint64_t closed_form_interleavings(

@@ -49,6 +49,51 @@ TEST(StoppingRules, TimeLimitFires) {
   EXPECT_EQ(r.reason, StopReason::kTimeLimit);
 }
 
+// Exact serial counting publishes every state, stand tree and dead end
+// (batch 1) and reads the clock on every 256th flush. An expired clock
+// (max_seconds = 0) therefore stops a serial run after exactly 256 counts,
+// forced prefix included. The seeds need more than 256 counts to finish.
+constexpr std::uint64_t kCadenceSeeds[] = {4244, 4245, 5241};
+
+datagen::Dataset cadence_dataset(std::uint64_t seed) {
+  datagen::SimulatedParams sp;
+  sp.n_taxa = 48;
+  sp.n_loci = 8;
+  sp.missing_fraction = 0.5;
+  sp.seed = seed;
+  return datagen::make_simulated(sp);
+}
+
+std::uint64_t counts(const core::Result& r) {
+  return r.intermediate_states + r.stand_trees + r.dead_ends;
+}
+
+TEST(StoppingRules, SerialReadsTheClockEvery256Counts) {
+  for (const std::uint64_t seed : kCadenceSeeds) {
+    const auto ds = cadence_dataset(seed);
+    SCOPED_TRACE(ds.name);
+    Options opts;
+    opts.stop.max_seconds = 0.0;
+    const auto r = core::run_serial(ds.constraints, opts);
+    EXPECT_EQ(r.reason, StopReason::kTimeLimit);
+    EXPECT_EQ(counts(r), 256u);
+  }
+}
+
+TEST(StoppingRules, VirtualSerialReadsTheClockEvery256Counts) {
+  // The simulator at N_t = 1 counts exactly as the serial driver does.
+  for (const std::uint64_t seed : kCadenceSeeds) {
+    const auto ds = cadence_dataset(seed);
+    SCOPED_TRACE(ds.name);
+    Options opts;
+    opts.stop.max_seconds = 0.0;
+    const auto r = vthread::run_virtual(
+        core::build_problem(ds.constraints, opts), opts, 1);
+    EXPECT_EQ(r.reason, StopReason::kTimeLimit);
+    EXPECT_EQ(counts(r), 256u);
+  }
+}
+
 TEST(StoppingRules, ParallelOvershootIsBounded) {
   // Paper §III-B: batched flushes let parallel runs exceed the limits by at
   // most ~(threads * batch) counts.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "gentrius/counters.hpp"
 
 namespace gentrius::core {
@@ -79,29 +82,51 @@ TEST(LocalCounters, BatchZeroBehavesAsOne) {
   EXPECT_EQ(sink.stand_trees(), 1u);
 }
 
+// The clock cadence is pinned by its effect: under an expired clock
+// (max_seconds = 0) the stop arrives on exactly the flush that reads it.
+
 TEST(LocalCounters, DefaultPeriodChecksTimeEveryFlush) {
-  // The documented granularity: one clock read per flush, any flush site.
-  CounterSink sink({});
-  LocalCounters local(sink, /*tree=*/1, /*state=*/1, /*dead=*/1);
-  for (int i = 0; i < 3; ++i) local.count_state();
-  local.count_stand_tree();
-  local.count_dead_end();
-  EXPECT_EQ(local.flush_count(), 5u);
-  EXPECT_EQ(sink.time_checks(), 5u);
+  // The documented granularity: one clock read per flush, whichever of the
+  // three sites flushes. Counts below the batch publish nothing and read no
+  // clock; the flush that reads it still publishes its whole batch.
+  StoppingRules rules;
+  rules.max_seconds = 0.0;
+  using Count = void (LocalCounters::*)();
+  using Total = std::uint64_t (CounterSink::*)() const;
+  const std::pair<Count, Total> sites[] = {
+      {&LocalCounters::count_stand_tree, &CounterSink::stand_trees},
+      {&LocalCounters::count_state, &CounterSink::states},
+      {&LocalCounters::count_dead_end, &CounterSink::dead_ends}};
+  for (const auto& [count, total] : sites) {
+    CounterSink sink(rules);
+    LocalCounters local(sink, /*tree=*/2, /*state=*/2, /*dead=*/2);
+    (local.*count)();
+    EXPECT_FALSE(sink.stop_requested());
+    (local.*count)();  // flush 1
+    EXPECT_TRUE(sink.stop_requested());
+    EXPECT_EQ(sink.reason(), StopReason::kTimeLimit);
+    EXPECT_EQ((sink.*total)(), 2u);
+    EXPECT_EQ(local.flush_count(), 1u);
+  }
 }
 
 TEST(LocalCounters, TimeCheckPeriodThrottlesClockReads) {
   // Period K: the clock is read only on every K-th flush, across all three
   // flush sites combined. Counter totals and flush counts are unchanged.
-  CounterSink sink({});
+  StoppingRules rules;
+  rules.max_seconds = 0.0;
+  CounterSink sink(rules);
   LocalCounters local(sink, 1, 1, 1, /*time_check_period=*/3);
-  for (int i = 0; i < 7; ++i) local.count_state();  // flushes 1..7
-  EXPECT_EQ(local.flush_count(), 7u);
-  EXPECT_EQ(sink.time_checks(), 2u);  // on flush 3 and flush 6
-  EXPECT_EQ(sink.states(), 7u);       // publication itself is untouched
-  local.count_stand_tree();
-  local.count_dead_end();  // flush 9: third check
-  EXPECT_EQ(sink.time_checks(), 3u);
+  local.count_state();       // flush 1
+  local.count_stand_tree();  // flush 2
+  EXPECT_FALSE(sink.stop_requested());
+  local.count_dead_end();  // flush 3 reads the clock
+  EXPECT_TRUE(sink.stop_requested());
+  EXPECT_EQ(sink.reason(), StopReason::kTimeLimit);
+  EXPECT_EQ(local.flush_count(), 3u);
+  EXPECT_EQ(sink.states(), 1u);  // publication itself is untouched
+  EXPECT_EQ(sink.stand_trees(), 1u);
+  EXPECT_EQ(sink.dead_ends(), 1u);
 }
 
 TEST(LocalCounters, ThrottledTimeRuleStillFires) {
@@ -119,10 +144,14 @@ TEST(LocalCounters, ThrottledTimeRuleStillFires) {
 }
 
 TEST(LocalCounters, TimeCheckPeriodZeroBehavesAsOne) {
-  CounterSink sink({});
+  StoppingRules rules;
+  rules.max_seconds = 0.0;
+  CounterSink sink(rules);
   LocalCounters local(sink, 1, 1, 1, /*time_check_period=*/0);
-  local.count_state();
-  EXPECT_EQ(sink.time_checks(), 1u);
+  local.count_state();  // flush 1 reads the clock
+  EXPECT_TRUE(sink.stop_requested());
+  EXPECT_EQ(sink.reason(), StopReason::kTimeLimit);
+  EXPECT_EQ(sink.states(), 1u);
 }
 
 namespace {

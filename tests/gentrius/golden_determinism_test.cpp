@@ -300,9 +300,8 @@ std::string build_report() {
 
     Options opts;
     opts.collect_trees = true;
-    opts.decompose = Decompose::kComponents;
 
-    const auto serial = decompose::run_serial(ds.constraints, opts);
+    const auto serial = decompose::run_sharded(ds.constraints, opts);
     out << "  sharded serial trees " << serial.stand_trees << " states "
         << serial.intermediate_states << " dead_ends " << serial.dead_ends
         << " reason " << to_string(serial.reason) << "\n";
@@ -312,7 +311,10 @@ std::string build_report() {
         << "\n";
 
     for (const std::size_t nt : {2UL, 4UL, 8UL}) {
-      const auto r = decompose::run_virtual(ds.constraints, opts, nt);
+      decompose::ShardRunOptions run;
+      run.backend = decompose::ShardBackend::kVirtual;
+      run.n_threads = nt;
+      const auto r = decompose::run_sharded(ds.constraints, opts, run);
       out << "  sharded virtual nt=" << nt << " trees " << r.stand_trees
           << " states " << r.intermediate_states << " stand_hash "
           << stand_set_hash(r.trees) << " makespan_cu "
@@ -321,7 +323,10 @@ std::string build_report() {
     }
 
     for (const std::size_t nt : {2UL}) {
-      const auto r = decompose::run_parallel(ds.constraints, opts, nt);
+      decompose::ShardRunOptions run;
+      run.backend = decompose::ShardBackend::kPool;
+      run.n_threads = nt;
+      const auto r = decompose::run_sharded(ds.constraints, opts, run);
       out << "  sharded pool nt=" << nt << " trees " << r.stand_trees
           << " stand_hash " << stand_set_hash(r.trees) << "\n";
       for (const auto& s : r.shards)

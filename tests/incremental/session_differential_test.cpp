@@ -40,7 +40,6 @@ using incremental::SessionOptions;
 
 Options engine_options(const phylo::TaxonSet& taxa) {
   Options o;
-  o.decompose = core::Decompose::kComponents;
   o.collect_trees = true;
   o.tree_names = &taxa;
   return o;
@@ -49,7 +48,7 @@ Options engine_options(const phylo::TaxonSet& taxa) {
 Result from_scratch(const phylo::Tree& species, const pam::Pam& pam,
                     const Options& options, std::size_t min_taxa = 4) {
   const auto decomp = decompose::analyze_pam(species, pam, min_taxa);
-  return decompose::run_serial(decomp.constraints, options);
+  return decompose::run_sharded(decomp.constraints, options);
 }
 
 /// A random applicable edit that keeps every locus enumerable (clears only
@@ -94,6 +93,7 @@ void expect_same(Result inc, Result ref, const std::string& where) {
   EXPECT_EQ(inc.reason, StopReason::kCompleted);
   EXPECT_EQ(inc.stand_trees, ref.stand_trees);
   EXPECT_EQ(inc.count_saturated, ref.count_saturated);
+  EXPECT_EQ(inc.count_exact, ref.count_exact);
   EXPECT_EQ(sorted_trees(inc), sorted_trees(ref));
 }
 
@@ -411,12 +411,12 @@ TEST(SessionDifferential, ResidualKeyTracksPassThroughStructure) {
 }
 
 TEST(SessionDifferential, SixTaxonResidualFollowsRepresentativeShapes) {
-  // From 6 taxa on, the residual count depends on the shapes of the
-  // component representatives, not only on the component sizes (DESIGN.md
-  // "Decomposition"). Each edit keeps the universe and both component sizes
-  // but reshapes a representative, so a residual cached for the old shapes
-  // must not be served: the session must still equal run_sharded, shard by
-  // shard.
+  // With two components of >= 6 taxa, the residual count depends on the
+  // shapes of the component representatives, not only on the component
+  // sizes (DESIGN.md "Decomposition"). Each edit keeps the universe and
+  // both component sizes but reshapes a representative, so a residual
+  // cached for the old shapes must not be served: the session must still
+  // equal run_sharded, shard by shard, and flag its count as inexact.
   struct Case {
     std::uint64_t seed;
     PamDelta edit;
@@ -435,8 +435,7 @@ TEST(SessionDifferential, SixTaxonResidualFollowsRepresentativeShapes) {
     const auto ds = benchutil::make_multi_component(p);
     SCOPED_TRACE(ds.name + ": " + incremental::to_string(c.edit));
 
-    Options opts;
-    opts.decompose = core::Decompose::kComponents;
+    const Options opts{};
     SessionOptions so;
     so.engine = opts;
     so.min_taxa = 3;
@@ -450,6 +449,8 @@ TEST(SessionDifferential, SixTaxonResidualFollowsRepresentativeShapes) {
     ASSERT_EQ(ref.reason, StopReason::kCompleted);
     EXPECT_EQ(inc.reason, StopReason::kCompleted);
     EXPECT_EQ(inc.stand_trees, ref.stand_trees);
+    EXPECT_FALSE(ref.count_exact);
+    EXPECT_FALSE(inc.count_exact);
     ASSERT_EQ(inc.shards.size(), ref.shards.size());
     for (std::size_t j = 0; j < ref.shards.size(); ++j)
       EXPECT_EQ(inc.shards[j].stand_trees, ref.shards[j].stand_trees)
@@ -487,8 +488,7 @@ TEST(SessionDifferential, IsomorphicHitKeepsItsOwnRepresentative) {
     const auto ds = benchutil::make_multi_component(p);
     SCOPED_TRACE(ds.name + ": " + incremental::to_string(c.last));
 
-    Options opts;
-    opts.decompose = core::Decompose::kComponents;
+    const Options opts{};
     SessionOptions so;
     so.engine = opts;
     so.min_taxa = 3;
@@ -583,23 +583,44 @@ TEST(SessionDifferential, ScriptWithTwoAddTaxaStaysExact) {
               "after two add_taxon edits");
 }
 
+TEST(SessionDifferential, CountExactFollowsComponentSizes) {
+  // The session's Result is run_sharded's, count_exact included. Growing a
+  // 5-taxon block to 6 taxa next to a 6-taxon block leaves the product law
+  // without its guarantee, and clearing the new cell restores it; each step
+  // equals a from-scratch run, flag and all.
+  phylo::TaxonSet taxa;
+  support::Rng rng(71);
+  const auto species =
+      datagen::random_tree(datagen::default_taxa(taxa, 12), rng);
+  pam::Pam pam(11, 2);
+  for (phylo::TaxonId t = 0; t < 5; ++t) pam.set_present(t, 0);
+  for (phylo::TaxonId t = 5; t < 11; ++t) pam.set_present(t, 1);
+
+  const Options opts = engine_options(taxa);
+  SessionOptions so;
+  so.engine = opts;
+  IncrementalSession session(species, pam, so);
+  Result first = session.enumerate();
+  EXPECT_TRUE(first.count_exact);
+  expect_same(std::move(first), from_scratch(species, pam, opts), "5 + 6");
+
+  Result grown = session.apply(PamDelta::add_taxon({0}));
+  EXPECT_FALSE(grown.count_exact);
+  expect_same(std::move(grown), from_scratch(species, session.pam(), opts),
+              "6 + 6");
+
+  Result cleared = session.apply(PamDelta::clear_cell(11, 0));
+  EXPECT_TRUE(cleared.count_exact);
+  EXPECT_EQ(cleared.cache.recomputed_components, 0u);
+  expect_same(std::move(cleared), from_scratch(species, session.pam(), opts),
+              "5 + 6 again");
+}
+
 TEST(SessionDifferential, RejectsUnusableConfigurations) {
   const auto ds = benchutil::make_multi_component(params_for_seed(1, 2));
   SessionOptions so;
   so.engine = engine_options(ds.taxa);
 
-  {
-    SessionOptions bad = so;
-    bad.engine.decompose = core::Decompose::kOff;
-    EXPECT_THROW(IncrementalSession(ds.species_tree, ds.pam, bad),
-                 support::InvalidInput);
-  }
-  {
-    SessionOptions bad = so;
-    bad.engine.tree_names = nullptr;  // collect_trees without labels
-    EXPECT_THROW(IncrementalSession(ds.species_tree, ds.pam, bad),
-                 support::InvalidInput);
-  }
   {
     // Species tree smaller than the matrix's taxon universe.
     phylo::TaxonSet small;
@@ -624,6 +645,42 @@ TEST(SessionDifferential, RejectsUnusableConfigurations) {
     IncrementalSession session(species, sparse, s2);
     EXPECT_THROW(session.enumerate(), support::InvalidInput);
   }
+}
+
+TEST(SessionOptionRules, CollectingNeedsTreeNames) {
+  // A session collects stand trees as labelled Newick, so collecting
+  // without labels is rejected at construction; counting needs none.
+  const auto ds = benchutil::make_multi_component(params_for_seed(1, 2));
+  SessionOptions so;
+  so.engine.collect_trees = true;
+  EXPECT_THROW(IncrementalSession(ds.species_tree, ds.pam, so),
+               support::InvalidInput);
+  so.engine.tree_names = &ds.taxa;
+  EXPECT_NO_THROW(IncrementalSession(ds.species_tree, ds.pam, so));
+  so.engine.collect_trees = false;
+  so.engine.tree_names = nullptr;
+  EXPECT_NO_THROW(IncrementalSession(ds.species_tree, ds.pam, so));
+}
+
+TEST(SessionOptionRules, RejectsWholeInstanceOverrides) {
+  // initial_constraint and insertion_order index the whole constraint list,
+  // which every PAM edit can change. run_sharded accepts both (it clears
+  // them per shard); a session rejects them at construction.
+  const auto ds = benchutil::make_multi_component(params_for_seed(1, 2));
+  SessionOptions so;
+  so.engine.initial_constraint = 0;
+  EXPECT_THROW(IncrementalSession(ds.species_tree, ds.pam, so),
+               support::InvalidInput);
+  so.engine = Options{};
+  so.engine.insertion_order = {0, 1, 2};
+  EXPECT_THROW(IncrementalSession(ds.species_tree, ds.pam, so),
+               support::InvalidInput);
+
+  Options whole;
+  whole.initial_constraint = 0;
+  whole.insertion_order = {0, 1, 2};
+  const auto dec = decompose::analyze_pam(ds.species_tree, ds.pam);
+  EXPECT_NO_THROW(decompose::run_sharded(dec.constraints, whole));
 }
 
 }  // namespace

@@ -119,7 +119,9 @@ TEST(Topology, HashMatchesEncodingEquality) {
     for (const auto& b : trees) {
       const bool same = canonical_encoding(a) == canonical_encoding(b);
       EXPECT_EQ(same, same_topology(a, b));
-      if (same) EXPECT_EQ(topology_hash(a), topology_hash(b));
+      if (same) {
+        EXPECT_EQ(topology_hash(a), topology_hash(b));
+      }
     }
   }
 }

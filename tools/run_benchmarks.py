@@ -15,10 +15,11 @@ What it runs (from a Release build tree):
     deterministic, so these numbers are exact across machines and gate
     tightly.
   * bench/bench_decompose_sharding (with --decompose) — sharded (component
-    decomposition, Options::decompose) vs monolithic enumeration of a
-    multi-component instance under the virtual-time simulator at N_t in
-    {1,2,4,8}. Also deterministic; the hard gate requires sharded
-    throughput >= monolithic (speedup >= 1.0) at every N_t.
+    decomposition, decompose::run_sharded, shards back to back) vs
+    monolithic enumeration of a multi-component instance under the
+    virtual-time simulator at N_t in {1,2,4,8}. Also deterministic; the
+    hard gate requires sharded throughput >= monolithic (speedup >= 1.0) at
+    every N_t.
   * bench/bench_incremental_edits (with --incremental) — an
     IncrementalSession (src/incremental) absorbing a structure-preserving
     PAM edit stream vs a from-scratch decompose::run_sharded at every step.
@@ -50,8 +51,7 @@ Output schema (BENCH_9.json):
                             {nt: {"makespan", "speedup", ...}}} | null,
     "decompose_sharding": {"instance": str, "components": int,
                            nt: {"mono_makespan", "sharded_seq_makespan",
-                                "sharded_conc_makespan", "speedup_seq",
-                                "speedup_conc", "mono_trees",
+                                "speedup_seq", "mono_trees",
                                 "sharded_trees"}} | null,
     "incremental_edits": {"families": {name:
                           {"instance": str, "components": int,
@@ -236,8 +236,7 @@ SHARD_HEADER = re.compile(
     r"^SHARD instance=(\S+) components=(\d+) enumerable=(\d+)")
 SHARD_LINE = re.compile(
     r"^SHARD nt=(\d+) mono_makespan=([0-9.]+) "
-    r"sharded_seq_makespan=([0-9.]+) sharded_conc_makespan=([0-9.]+) "
-    r"speedup_seq=([0-9.]+) speedup_conc=([0-9.]+) "
+    r"sharded_seq_makespan=([0-9.]+) speedup_seq=([0-9.]+) "
     r"mono_trees=(\d+) sharded_trees=(\d+) reason=(\S+)")
 
 
@@ -264,12 +263,10 @@ def run_decompose_sweep(build_dir: pathlib.Path) -> dict:
         sweep["by_nt"][m.group(1)] = {
             "mono_makespan": float(m.group(2)),
             "sharded_seq_makespan": float(m.group(3)),
-            "sharded_conc_makespan": float(m.group(4)),
-            "speedup_seq": float(m.group(5)),
-            "speedup_conc": float(m.group(6)),
-            "mono_trees": int(m.group(7)),
-            "sharded_trees": int(m.group(8)),
-            "reason": m.group(9),
+            "speedup_seq": float(m.group(4)),
+            "mono_trees": int(m.group(5)),
+            "sharded_trees": int(m.group(6)),
+            "reason": m.group(7),
         }
     if not sweep["by_nt"]:
         sys.exit("error: no SHARD lines parsed from bench_decompose_sharding")
