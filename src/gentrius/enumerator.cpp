@@ -190,20 +190,26 @@ void Enumerator::apply_branch(Frame& f, bool count) {
   mode_ = Mode::kChoose;
 }
 
+bool Enumerator::counts_in_closed_form(std::size_t open) const {
+  return !options_->collect_trees &&
+         (task_sink_ == nullptr || open < options_->offer_min_remaining);
+}
+
+Enumerator::Step Enumerator::count_run(std::uint32_t lead,
+                                       std::span<const std::uint32_t> segments) {
+  // Counts and stop checks run in the order the per-branch steps would
+  // take, with no check before the first unit, so exact stopping rules fire
+  // at the same totals.
+  mode_ = Mode::kBacktrack;
+  return counters_.count_run(lead, segments) ? Step::kWorked : Step::kStopped;
+}
+
 Enumerator::Step Enumerator::count_last_taxon(const Frame& f) {
   // Each admissible branch of the last taxon completes the agile tree, so it
   // is one intermediate state and one stand tree (docs/ALGORITHM.md §2).
-  // Counts and stop checks run in the order the per-branch steps would
-  // take: state, check, tree, check, ..., with no check before the first
-  // state, so exact stopping rules fire at the same totals.
-  mode_ = Mode::kBacktrack;
-  for (std::size_t i = f.next; i < f.branches.size(); ++i) {
-    if (i > f.next && sink_->stop_requested()) return Step::kStopped;
-    counters_.count_state();
-    if (sink_->stop_requested()) return Step::kStopped;
-    counters_.count_stand_tree();
-  }
-  return Step::kWorked;
+  GENTRIUS_DCHECK_LT(f.next, f.branches.size());
+  const auto kept = static_cast<std::uint32_t>(f.branches.size() - f.next);
+  return count_run(/*lead=*/0, {&kept, 1});
 }
 
 Enumerator::Step Enumerator::step() {
@@ -212,6 +218,13 @@ Enumerator::Step Enumerator::step() {
   if (sink_->stop_requested()) return Step::kStopped;
 
   if (mode_ == Mode::kChoose) {
+    const std::size_t open = terrace_.remaining_count();
+    if (open == 1 && counts_in_closed_form(1)) {
+      // Only the last taxon's count is needed, and 0 is one dead end.
+      const auto count = static_cast<std::uint32_t>(
+          terrace_.count_branches(terrace_.first_remaining()));
+      return count_run(/*lead=*/0, {&count, 1});
+    }
     const auto choice = choose(branch_scratch_);
     if (choice.complete) {
       record_stand_tree();
@@ -230,8 +243,13 @@ Enumerator::Step Enumerator::step() {
     f.next = 0;
     f.applied = false;
     if (f.branches.size() >= 2) maybe_offer_task(f);
-    if (terrace_.remaining_count() == 1 && !options_->collect_trees) {
+    if (open == 2 && counts_in_closed_form(2) &&
+        terrace_.second_taxon_counts(f.taxon, f.branches, pair_counts_)) {
       --depth_;  // nothing gets inserted, so the frame is never applied
+      return count_run(/*lead=*/1, pair_counts_);
+    }
+    if (open == 1 && !options_->collect_trees) {
+      --depth_;
       return count_last_taxon(f);
     }
     apply_branch(f, /*count=*/true);

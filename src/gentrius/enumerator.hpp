@@ -11,17 +11,24 @@
 // state (selects the next taxon, possibly offers half of its admissible
 // branches to the task sink, and applies one insertion — one new
 // intermediate state), or it consumes a terminal event (stand tree or dead
-// end) and backtracks. The exception is a last-taxon frame in a run that
-// does not collect trees: each of its kept branches would complete the
-// agile tree, so one step counts all of them as states and stand trees
-// without inserting any, then backtracks (LocalCounters::counted() tells
-// drivers how many units a step covered). Counting follows the paper
-// exactly: every insertion increments the intermediate-state counter;
+// end) and backtracks. The exceptions are the last two levels of a run that
+// does not collect trees (docs/ALGORITHM.md §2). Each kept branch of the
+// last taxon would complete the agile tree, so one step counts all of them
+// as states and stand trees without inserting any. Where no frame of the
+// last two levels can be offered, one step counts the last taxon from its
+// admissible count alone, and a two-taxon frame whose taxa cannot interact
+// in a constraint — the second taxon's count after each branch of the first
+// is known in closed form — in one step as a whole: per branch, one state,
+// then that many (state, stand tree) pairs, or a dead end. Such a step then
+// backtracks (LocalCounters::counted() tells drivers how many units it
+// covered). Counting follows the paper exactly: every insertion, made or
+// counted in closed form, increments the intermediate-state counter;
 // prefix and task replays are *uncounted* re-executions of already-counted
 // insertions, so serial and parallel totals agree.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,9 +131,14 @@ class Enumerator {
   Terrace::Choice choose(std::vector<EdgeId>& branches);
   void maybe_offer_task(Frame& frame);
   void apply_branch(Frame& frame, bool count);
+  /// Whether a frame with `open` open taxa is counted without inserting
+  /// them: the run does not collect trees and no such frame can be offered.
+  bool counts_in_closed_form(std::size_t open) const;
   /// Counts the frame's unconsumed branches of the last remaining taxon as
   /// a state and a stand tree each, stopping as the per-branch steps would.
   Step count_last_taxon(const Frame& frame);
+  /// Counts a run of units (LocalCounters::count_run) and backtracks.
+  Step count_run(std::uint32_t lead, std::span<const std::uint32_t> segments);
   void record_stand_tree();
 
   const Problem* problem_;
@@ -152,6 +164,7 @@ class Enumerator {
   std::vector<std::pair<TaxonId, EdgeId>> path_;  // insertions since I0
   Task offer_task_;  // pooled offer: vectors keep their capacity across offers
   std::vector<EdgeId> branch_scratch_;
+  std::vector<std::uint32_t> pair_counts_;  // closed-form two-taxon frame
   std::vector<std::string> collected_;
   std::uint64_t tasks_offered_ = 0;
 };

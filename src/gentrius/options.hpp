@@ -177,9 +177,13 @@ struct SchedulerStats {
 /// Candidate-selection work counters, accumulated by each Terrace and
 /// aggregated over all workers of a run (Terrace::SelectionStats is an
 /// alias for this type): admissible counts vs zero/nonzero-only probes,
-/// plus constraint-mapping rebuild sweeps. Every count is fresh, so
-/// cached_counts always reads 0; it stays only because the wall-clock
-/// benchmark (wallbench/workloads.cpp) prints it.
+/// plus constraint-mapping rebuild sweeps. They count the selection work
+/// actually done: a counting run that counts its last two levels in closed
+/// form (enumerator.hpp) skips the selections and rebuilds a per-branch
+/// search would make there, so its stats are lower than a collecting run's
+/// on the same instance. Every count is fresh, so cached_counts always
+/// reads 0; it stays only because the wall-clock benchmark
+/// (wallbench/workloads.cpp) prints it.
 struct SelectionStats {
   std::uint64_t fresh_counts = 0;     ///< admissible counts
   std::uint64_t cached_counts = 0;    ///< always 0 (see above)
@@ -267,7 +271,9 @@ struct Result {
   std::uint64_t tasks_executed = 0;        ///< work-stealing tasks run (parallel)
   std::uint64_t tasks_offered = 0;         ///< successful task offers (parallel)
   SchedulerStats sched;                    ///< scheduler observability
-  SelectionStats selection;                ///< selection work, all workers
+  /// Selection work actually done, all workers (falls for counting runs,
+  /// which count their last two levels without selecting there).
+  SelectionStats selection;
   double virtual_makespan = 0.0;           ///< virtual-time runs only
 
   // Decomposed runs only (decompose::run_sharded): per-shard rollups in

@@ -928,6 +928,69 @@ Terrace::Choice Terrace::choose_static(TaxonId taxon,
   return choice;
 }
 
+std::size_t Terrace::count_branches(TaxonId x) {
+  GENTRIUS_DCHECK(!inserted_.test(x));
+  ensure_mappings();
+  const std::size_t count = admissible_count(x);
+  GENTRIUS_EXPENSIVE_DCHECK(count_matches_collect(x, count));
+  return count;
+}
+
+bool Terrace::second_taxon_counts(TaxonId x,
+                                  const std::vector<EdgeId>& branches,
+                                  std::vector<std::uint32_t>& counts) {
+  GENTRIUS_DCHECK(remaining_count_ == 2 && !inserted_.test(x));
+  const TaxonId y = first_remaining() == x ? rem_next_[x] : first_remaining();
+  ensure_mappings();
+  // A shared active constraint with ê_i(x) = ê_i(y) splits y's target when
+  // x goes in, so y's count depends on where x goes. With distinct targets
+  // the split leaves y's target and preimage alone, and every other
+  // constraint of y extends by the foreign-taxon rule: the two new edges
+  // join y's admissible set exactly when the split branch is in it.
+  for (const std::uint32_t i : problem_->trees_of_taxon[x]) {
+    if (active_[i] && problem_->constraint_taxa[i].test(y) &&
+        target_slot_[i][x] == target_slot_[i][y])
+      return false;
+  }
+  const auto base = static_cast<std::uint32_t>(admissible_count(y));
+  // admissible_count left y's probe caches in scratch (gather_constraints).
+  const std::size_t nj = scratch_js_.size();
+  counts.resize(branches.size());
+  for (std::size_t k = 0; k < branches.size(); ++k) {
+    const EdgeId e = branches[k];
+    bool in_y = true;
+    for (std::size_t j = 0; j < nj && in_y; ++j)
+      in_y = scratch_eslot_[j][e] == scratch_target_[j];
+    counts[k] = base + (in_y ? 2 : 0);
+  }
+  GENTRIUS_EXPENSIVE_DCHECK(
+      second_counts_match_inserts(x, y, branches, counts));
+  return true;
+}
+
+bool Terrace::count_matches_collect(TaxonId x, std::size_t count) {
+  std::vector<EdgeId> branches;
+  collect_branches(x, branches);
+  return branches.size() == count;
+}
+
+bool Terrace::second_counts_match_inserts(
+    TaxonId x, TaxonId y, const std::vector<EdgeId>& branches,
+    const std::vector<std::uint32_t>& counts) {
+  // The counts and rebuilds the check makes itself stay out of the
+  // selection stats.
+  const SelectionStats stats = stats_;
+  bool match = true;
+  for (std::size_t k = 0; k < branches.size(); ++k) {
+    const InsertRecord rec = insert(x, branches[k]);
+    ensure_mappings();
+    match = match && admissible_count(y) == counts[k];
+    remove(rec);
+  }
+  stats_ = stats;
+  return match;
+}
+
 bool Terrace::initial_state_consistent() const {
   // agile|C_i == T_i|C_i compared as cluster sets (Day 1985): root both
   // trees at one common taxon r, rank C_i \ {r} in the agile tree's
@@ -940,9 +1003,9 @@ bool Terrace::initial_state_consistent() const {
   std::vector<std::uint32_t> rank(problem_->n_taxa, kNone);
   std::vector<std::uint32_t> lo, hi, cnt, by_lo, by_hi;
   // Calls fn(lo, hi, count, parent_lo) for every non-trivial cluster of
-  // tree|C_i (the C-taxa below a position whose parent is an S-node).
-  auto clusters = [&](const phylo::Tree& tree, TaxonId root, auto&& fn) {
-    build_traversal(tree, root, tr, stack);
+  // tree|C_i (the C-taxa below a position whose parent is an S-node), with
+  // tr the tree's traversal from the root taxon.
+  auto clusters = [&](auto&& fn) {
     const std::size_t n = tr.parent_pos.size();
     lo.assign(n, kNone);
     hi.assign(n, 0);
@@ -996,8 +1059,9 @@ bool Terrace::initial_state_consistent() const {
       ++n_tree;
       return h - l + 1 == c && (by_lo[l] == h || by_hi[h] == l);
     };
-    clusters(agile_, root, store);
-    const bool found = clusters(problem_->constraints[i], root, stored);
+    clusters(store);  // tr is still the agile traversal the ranks came from
+    build_traversal(problem_->constraints[i], root, tr, stack);
+    const bool found = clusters(stored);
     y.for_each_and(inserted_, [&](std::size_t t) { rank[t] = kNone; });
     if (!found || n_agile != n_tree) return false;
   }

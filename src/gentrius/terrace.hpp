@@ -54,6 +54,12 @@
 //    rebuild.
 //  * Per-constraint mapping storage is allocated on first activation, so
 //    constraints that never reach |C| >= 2 with open taxa cost no memory.
+//  * Counting without inserting (docs/ALGORITHM.md §2): a counting run's
+//    last taxon needs only its admissible count (count_branches, no sorted
+//    branch list), and a two-taxon frame whose taxa share no constraint
+//    target needs only the second taxon's count plus one membership probe
+//    per branch of the first (second_taxon_counts). Neither taxon is
+//    inserted, so no split, merge or rebuild runs for them.
 #pragma once
 
 #include <cstdint>
@@ -120,6 +126,24 @@ class Terrace {
   /// Static-order variant: the admissible branches of a *given* taxon.
   /// dead_end is set when the set is empty.
   Choice choose_static(TaxonId taxon, std::vector<EdgeId>& branches);
+
+  /// The lowest-id open taxon; kNoTaxon when none remain.
+  TaxonId first_remaining() const noexcept {
+    return rem_next_[problem_->n_taxa];
+  }
+
+  /// Number of admissible branches of open taxon x, without collecting
+  /// them (a counting run's last taxon: only the number is used).
+  std::size_t count_branches(TaxonId x);
+
+  /// The two-taxon corollary (docs/ALGORITHM.md §2). x and y are the last
+  /// two open taxa and `branches` are x's admissible branches. Unless a
+  /// constraint holding both has ê_i(x) = ê_i(y), fills counts[k] with the
+  /// number of y's admissible branches once x is inserted on branches[k]
+  /// — |A_y|, plus 2 when branches[k] is in A_y — and returns true;
+  /// otherwise returns false, and x must be inserted to count y.
+  bool second_taxon_counts(TaxonId x, const std::vector<EdgeId>& branches,
+                           std::vector<std::uint32_t>& counts);
 
   /// Inserts taxon x on agile edge e (must be admissible; unchecked here).
   InsertRecord insert(TaxonId x, EdgeId e);
@@ -232,6 +256,13 @@ class Terrace {
   /// its open-taxon targets equal what rebuild_constraint would produce, up
   /// to slot relabeling.
   bool mapping_matches_rebuild(std::size_t i) const;
+  /// Expensive invariants of the two counting paths: count_branches agrees
+  /// with collect_branches, and second_taxon_counts with inserting x on
+  /// each branch, counting y and removing x again.
+  bool count_matches_collect(TaxonId x, std::size_t count);
+  bool second_counts_match_inserts(TaxonId x, TaxonId y,
+                                   const std::vector<EdgeId>& branches,
+                                   const std::vector<std::uint32_t>& counts);
   /// Exact number of admissible branches for x (mappings must be current).
   std::size_t admissible_count(TaxonId x);
   /// Whether x has at least one admissible branch (early-exit probe).

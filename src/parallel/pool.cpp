@@ -9,6 +9,7 @@
 #include "gentrius/enumerator.hpp"
 #include "parallel/steal_deque.hpp"
 #include "parallel/task_queue.hpp"
+#include "support/check.hpp"
 #include "support/error.hpp"
 #include "support/invariant.hpp"
 #include "support/stopwatch.hpp"
@@ -106,11 +107,12 @@ void worker_body(std::size_t tid, std::size_t n_threads,
 }
 
 /// The first exception any worker threw. Nothing may leave a worker — an
-/// exception escaping a std::jthread terminates the process — so each
-/// worker's body runs under run_worker, which records the error and halts
-/// the sink: busy workers see the stop at their next step, parked ones are
-/// woken by the sink's StopWaker. The calling thread rethrows after every
-/// worker has joined.
+/// exception escaping a std::jthread terminates the process, and one
+/// escaping worker 0 on the calling thread would leave the others running
+/// without a stop — so each worker's body runs under run_worker, which
+/// records the error and halts the sink: busy workers see the stop at their
+/// next step, parked ones are woken by the sink's StopWaker. The calling
+/// thread rethrows after every worker has joined.
 class FirstError {
  public:
   void capture(CounterSink& sink) {
@@ -173,7 +175,8 @@ Result run_pool(const Problem& problem, const Options& options,
   // scheduling input) and for stopping rule 3, real-time by definition.
   // lint:allow(wall-clock)
   support::Stopwatch clock;
-  CounterSink sink(options.stop);
+  GENTRIUS_CHECK(n_threads >= 1);
+  CounterSink sink(options.stop, /*concurrent=*/n_threads > 1);
   std::vector<WorkerOutput> outputs(n_threads);
   // Stop-wake hook: request_stop from any thread unparks blocked consumers
   // immediately instead of waiting for a busy worker to notice the flag.
@@ -185,14 +188,14 @@ Result run_pool(const Problem& problem, const Options& options,
     run_worker(tid, n_threads, problem, options, sink, scheduler,
                outputs[tid], error);
   };
-  if (n_threads == 1) {
-    // Degenerate pool: still exercises the worker path, minus stealing.
-    work(0);
-  } else {
+  {
+    // Worker 0 runs on the calling thread, which would otherwise only wait
+    // for the join.
     std::vector<std::jthread> threads;
-    threads.reserve(n_threads);
-    for (std::size_t tid = 0; tid < n_threads; ++tid)
+    threads.reserve(n_threads - 1);
+    for (std::size_t tid = 1; tid < n_threads; ++tid)
       threads.emplace_back(work, tid);
+    work(0);
   }  // jthreads join here
   sink.set_stop_waker(nullptr);
   error.rethrow_if_any();

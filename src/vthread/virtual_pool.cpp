@@ -435,6 +435,7 @@ Result run_simulation(const Problem& problem, const Options& user_options,
 
   // --- event loop: always advance the earliest actionable worker ----------
   const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::pair<std::uint64_t, std::uint64_t>> no_late_flushes;
   Task steal_scratch;  // pooled steal target, swapped with queue slots
   for (;;) {
     // Earliest running worker.
@@ -495,22 +496,34 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     deques.set_producer_clock(&w.clock);
     const auto step = w.enumerator->step();
     // One state_cost per unit of work the step counted, and at least one
-    // per call. A step that counts a whole last-taxon frame covers several
-    // units; if a stopping rule cut it short, it also pays for the call
-    // that would have found the stop. The first unit carries the step's
-    // flush charge and the rest follow as separate additions, so
-    // the clock sums the same terms as if every unit were its own step (a
-    // flush inside a frame is charged with the frame's first unit).
-    const std::uint64_t counted = w.enumerator->counters().counted();
+    // per call. A step that counts a whole frame of the last two levels
+    // covers several units; if a stopping rule cut it short, it also pays
+    // for the call that would have found the stop. Each unit is a separate
+    // addition, and a flush is charged with the first unit of the per-unit
+    // step it falls in (late_flushes: a two-taxon frame's later lead
+    // states, pairs and dead ends; the rest with the step's first unit), so
+    // the clock sums the same terms in the same order as if every per-unit
+    // step were its own step.
+    const core::LocalCounters& counters = w.enumerator->counters();
+    const std::uint64_t counted = counters.counted();
     std::uint64_t units = counted - w.last_counted;
     w.last_counted = counted;
     if (units > 0 && step == Enumerator::Step::kStopped) ++units;
-    const std::uint64_t flushes = w.enumerator->counters().flush_count();
+    const std::uint64_t flushes = counters.flush_count();
     GENTRIUS_DCHECK_GE(flushes, w.last_flushes);  // flush counts are monotone
+    const auto& late = units > 1 ? counters.late_flushes() : no_late_flushes;
+    std::uint64_t first_flushes = flushes - w.last_flushes;
+    for (const auto& [offset, n] : late) first_flushes -= n;
     w.clock += costs.state_cost +
-               static_cast<double>(flushes - w.last_flushes) * flush_unit;
+               static_cast<double>(first_flushes) * flush_unit;
     w.last_flushes = flushes;
-    for (std::uint64_t u = 1; u < units; ++u) w.clock += costs.state_cost;
+    std::size_t next_late = 0;
+    for (std::uint64_t u = 1; u < units; ++u) {
+      std::uint64_t n = 0;
+      for (; next_late < late.size() && late[next_late].first == u; ++next_late)
+        n += late[next_late].second;
+      w.clock += costs.state_cost + static_cast<double>(n) * flush_unit;
+    }
 
     switch (step) {
       case Enumerator::Step::kWorked:

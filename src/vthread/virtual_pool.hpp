@@ -88,7 +88,8 @@ struct CostModel {
 struct VirtualRules {
   /// Stopping rule 3 measured on the virtual clock (work units) instead of
   /// wall-clock seconds. Unset = no virtual time limit. Checked before each
-  /// step, so a step that counts a whole last-taxon frame finishes it first.
+  /// step, so a step that counts a whole last-taxon frame, or a whole
+  /// two-taxon frame in closed form, finishes it first.
   std::optional<double> max_virtual_time;
 };
 
@@ -98,9 +99,9 @@ struct VirtualRules {
 /// this is sequential Gentrius with virtual-time accounting (no spawn or
 /// queue costs), the denominator of every speedup in the benchmarks.
 /// Simulated workers see each other's stop requests only between steps, and
-/// a counting step may cover a whole last-taxon frame (enumerator.hpp), so
-/// under a stopping rule with n_threads > 1 a worker may finish the frame
-/// it is counting before it stops.
+/// a counting step may cover a whole last-taxon frame or a whole two-taxon
+/// frame (enumerator.hpp), so under a stopping rule with n_threads > 1 a
+/// worker may finish the frame it is counting before it stops.
 core::Result run_virtual(const core::Problem& problem,
                          const core::Options& options, std::size_t n_threads,
                          const CostModel& costs = {},

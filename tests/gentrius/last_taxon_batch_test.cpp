@@ -1,10 +1,12 @@
 // Last-taxon batching (Enumerator::step): a run that does not collect trees
 // counts each kept admissible branch of the last remaining taxon as one
-// intermediate state and one stand tree, without inserting it. Collecting
+// intermediate state and one stand tree, without inserting it, and a
+// two-taxon frame in closed form where its taxa cannot interact. Collecting
 // runs still insert every branch, so they are the reference: states, trees,
 // dead ends and the stop reason must agree with no limits and with limits
-// that land inside a last-taxon frame, and every driver must agree with the
-// serial count when last-taxon frames can be handed to other workers.
+// that land inside a last-taxon or a two-taxon frame, and every driver must
+// agree with the serial count when frames of the last two levels can be
+// handed to other workers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -60,6 +62,13 @@ std::vector<Case> cases() {
   emp.seed = 509;
   add("empirical_rogue_72x16", datagen::make_empirical_like(emp));
   add("flood_7", datagen::make_flood_instance(7, 3));
+  // Two-taxon frames that share a constraint target (then the last taxon
+  // is counted on its own), and a static order whose two-taxon frames hold
+  // dead ends (a dynamic order finds those one level up).
+  sim("shared_targets_20x4", 20, 4, 0.5, 24);
+  sim("static_dead_ends_23x7", 23, 7, 0.5, 7);
+  out.back().options.dynamic_taxon_order = false;
+  out.back().options.shuffle_seed = 7;
   return out;
 }
 
@@ -76,28 +85,60 @@ void expect_same_counts(const Result& got, const Result& want,
   EXPECT_EQ(got.reason, want.reason) << what;
 }
 
-/// (stand trees, states) totals right after each of the first `max_frames`
-/// batched last-taxon frames of a counting run. A batched step is the only
-/// step that counts both a state and a stand tree.
-std::vector<std::pair<std::uint64_t, std::uint64_t>> frame_ends(
-    const Problem& problem, Options opts, std::size_t max_frames) {
+struct Totals {
+  std::uint64_t trees = 0, states = 0, dead_ends = 0;
+};
+
+/// A step of a counting run that counted more than one unit: a last-taxon
+/// frame (as many states as stand trees) or a two-taxon frame counted in
+/// closed form (one more state per branch of its first taxon).
+struct FrameStep {
+  Totals before, after;
+  bool two_taxon() const {
+    return after.states - before.states > after.trees - before.trees;
+  }
+  bool has_dead_end() const { return after.dead_ends > before.dead_ends; }
+};
+
+/// The multi-unit steps among the first `max_steps` steps of a counting run.
+std::vector<FrameStep> frame_steps(const Problem& problem, Options opts,
+                                   std::size_t max_steps) {
   opts.collect_trees = false;
   opts.tree_flush_batch = opts.state_flush_batch = 1;
+  opts.dead_end_flush_batch = 1;
   CounterSink sink(opts.stop);
   Enumerator e(problem, opts, sink);
   const auto& prefix = e.run_prefix(/*count=*/true);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> ends;
-  if (prefix.outcome != Enumerator::Prefix::Outcome::kSplit) return ends;
+  std::vector<FrameStep> frames;
+  if (prefix.outcome != Enumerator::Prefix::Outcome::kSplit) return frames;
   e.begin_branches(prefix.split_taxon, prefix.branches);
-  std::uint64_t trees = sink.stand_trees();
-  std::uint64_t states = sink.states();
-  while (ends.size() < max_frames && e.step() == Enumerator::Step::kWorked) {
-    if (sink.stand_trees() > trees && sink.states() > states)
-      ends.emplace_back(sink.stand_trees(), sink.states());
-    trees = sink.stand_trees();
-    states = sink.states();
+  const auto totals = [&] {
+    return Totals{sink.stand_trees(), sink.states(), sink.dead_ends()};
+  };
+  Totals before = totals();
+  for (std::size_t k = 0;
+       k < max_steps && e.step() == Enumerator::Step::kWorked; ++k) {
+    const Totals after = totals();
+    const std::uint64_t units = (after.trees - before.trees) +
+                                (after.states - before.states) +
+                                (after.dead_ends - before.dead_ends);
+    if (units > 1) frames.push_back({before, after});
+    before = after;
   }
-  return ends;
+  return frames;
+}
+
+void expect_counting_matches_collecting(const Problem& problem,
+                                        const Options& base,
+                                        const std::string& name,
+                                        std::uint64_t max_trees,
+                                        std::uint64_t max_states) {
+  Options opts = base;
+  opts.stop.max_stand_trees = max_trees;
+  opts.stop.max_states = max_states;
+  expect_same_counts(serial(problem, opts, false), serial(problem, opts, true),
+                     name + " max_stand_trees=" + std::to_string(max_trees) +
+                         " max_states=" + std::to_string(max_states));
 }
 
 TEST(LastTaxonBatch, CountingMatchesCollectingWithoutLimits) {
@@ -111,57 +152,86 @@ TEST(LastTaxonBatch, CountingMatchesCollectingWithoutLimits) {
 }
 
 TEST(LastTaxonBatch, CountingMatchesCollectingUnderLimitsInsideFrames) {
+  const Options no_limit;
+  const std::uint64_t all_trees = no_limit.stop.max_stand_trees;
+  const std::uint64_t all_states = no_limit.stop.max_states;
+  std::size_t last_frames = 0, two_frames = 0, dead_end_frames = 0;
   for (const Case& c : cases()) {
     const auto problem = build_problem(c.constraints, c.options);
-    const auto ends = frame_ends(problem, c.options, 3);
-    ASSERT_EQ(ends.size(), 3u) << c.name << ": too few batched frames";
-    // 1..3 land inside the first frame or before it; each frame end, one
-    // before it and one past it probe both sides of a frame boundary.
+    const auto frames = frame_steps(problem, c.options, 100'000);
+    std::vector<FrameStep> last, two;
+    const FrameStep* with_dead_end = nullptr;
+    for (const FrameStep& f : frames) {
+      if (!f.two_taxon() && last.size() < 3) last.push_back(f);
+      if (f.two_taxon() && two.size() < 3) two.push_back(f);
+      if (f.two_taxon() && f.has_dead_end() && with_dead_end == nullptr)
+        with_dead_end = &f;
+    }
+    last_frames += last.size();
+    two_frames += two.size();
+    // 1..3 land inside the first frame or before it; each last-taxon
+    // frame's end, one before it and one past it probe both sides of a
+    // frame boundary.
     std::vector<std::uint64_t> tree_limits{1, 2, 3};
     std::vector<std::uint64_t> state_limits{1, 2, 3};
-    for (const auto& [trees, states] : ends) {
+    for (const FrameStep& f : last) {
       for (const std::uint64_t d : {0, 1, 2}) {
-        tree_limits.push_back(trees + d - 1);
-        state_limits.push_back(states + d - 1);
+        tree_limits.push_back(f.after.trees + d - 1);
+        state_limits.push_back(f.after.states + d - 1);
       }
     }
-    for (const std::uint64_t limit : tree_limits) {
-      Options opts = c.options;
-      opts.stop.max_stand_trees = limit;
-      expect_same_counts(serial(problem, opts, false),
-                         serial(problem, opts, true),
-                         c.name + " max_stand_trees=" + std::to_string(limit));
+    // In a two-taxon frame, a limit on every unit: each state (the first
+    // taxon's, then the second's), each stand tree, and so the states on
+    // both sides of a dead end; and one just past the frame.
+    if (with_dead_end != nullptr) {
+      two.push_back(*with_dead_end);
+      ++dead_end_frames;
     }
-    for (const std::uint64_t limit : state_limits) {
-      Options opts = c.options;
-      opts.stop.max_states = limit;
-      expect_same_counts(serial(problem, opts, false),
-                         serial(problem, opts, true),
-                         c.name + " max_states=" + std::to_string(limit));
+    for (const FrameStep& f : two) {
+      for (std::uint64_t t = f.before.trees + 1; t <= f.after.trees + 1; ++t)
+        tree_limits.push_back(t);
+      for (std::uint64_t s = f.before.states + 1; s <= f.after.states + 1; ++s)
+        state_limits.push_back(s);
     }
+    for (const std::uint64_t limit : tree_limits)
+      expect_counting_matches_collecting(problem, c.options, c.name, limit,
+                                         all_states);
+    for (const std::uint64_t limit : state_limits)
+      expect_counting_matches_collecting(problem, c.options, c.name,
+                                         all_trees, limit);
   }
+  // Every kind of frame was probed.
+  EXPECT_GT(last_frames, 0u);
+  EXPECT_GT(two_frames, 0u);
+  EXPECT_GT(dead_end_frames, 0u);
 }
 
 // offer_min_remaining = 1 lets a worker hand half of a last-taxon frame to
 // another worker; the batch must then count only the branches it kept, and
-// the thief counts the rest through its own (unbatched) frame.
+// the thief counts the rest through its own (unbatched) frame. At 2 a
+// two-taxon frame can be handed off, so it is not counted in closed form;
+// at 3, the default, neither level can be, and both closed forms run.
 TEST(LastTaxonBatch, DriversMatchSerialWhenLastTaxonFramesAreOffered) {
   for (const Case& c : cases()) {
     const auto problem = build_problem(c.constraints, c.options);
-    Options opts = c.options;
-    opts.offer_min_remaining = 1;
-    const Result want = serial(problem, opts, /*collect=*/false);
-    for (const Scheduler sched :
-         {Scheduler::kCentralQueue, Scheduler::kDistributedDeques}) {
-      opts.scheduler = sched;
-      const std::string tag = c.name + " " + to_string(sched);
-      for (const std::size_t nt : {2UL, 4UL}) {
-        expect_same_counts(parallel::run_parallel(problem, opts, nt), want,
-                           tag + " pool nt=" + std::to_string(nt));
-      }
-      for (const std::size_t nt : {2UL, 4UL, 8UL}) {
-        expect_same_counts(vthread::run_virtual(problem, opts, nt), want,
-                           tag + " virtual nt=" + std::to_string(nt));
+    for (const std::size_t floor : {1UL, 2UL, 3UL}) {
+      Options opts = c.options;
+      opts.offer_min_remaining = floor;
+      const Result want = serial(problem, opts, /*collect=*/false);
+      for (const Scheduler sched :
+           {Scheduler::kCentralQueue, Scheduler::kDistributedDeques}) {
+        opts.scheduler = sched;
+        const std::string tag = c.name + " " + to_string(sched) +
+                                " offer_min_remaining=" +
+                                std::to_string(floor);
+        for (const std::size_t nt : {2UL, 4UL}) {
+          expect_same_counts(parallel::run_parallel(problem, opts, nt), want,
+                             tag + " pool nt=" + std::to_string(nt));
+        }
+        for (const std::size_t nt : {2UL, 4UL, 8UL}) {
+          expect_same_counts(vthread::run_virtual(problem, opts, nt), want,
+                             tag + " virtual nt=" + std::to_string(nt));
+        }
       }
     }
   }
@@ -179,6 +249,21 @@ TEST(LastTaxonBatch, FloodOffersLastTaxonFramesAtMinRemainingOne) {
   const auto with = vthread::run_virtual(problem, opts, 4);
   EXPECT_GT(with.tasks_offered, without.tasks_offered);
   EXPECT_EQ(with.stand_trees, without.stand_trees);
+}
+
+TEST(LastTaxonBatch, FloodOffersTwoTaxonFramesAtMinRemainingTwo) {
+  // Guards the test above: the only frames offered at a minimum of 2
+  // remaining taxa but not at 3 are two-taxon frames.
+  const auto flood = datagen::make_flood_instance(7, 3);
+  const auto problem = build_problem(flood.constraints, Options{});
+  Options opts;
+  opts.offer_min_remaining = 3;
+  const auto without = vthread::run_virtual(problem, opts, 4);
+  opts.offer_min_remaining = 2;
+  const auto with = vthread::run_virtual(problem, opts, 4);
+  EXPECT_GT(with.tasks_offered, without.tasks_offered);
+  EXPECT_EQ(with.stand_trees, without.stand_trees);
+  EXPECT_EQ(with.intermediate_states, without.intermediate_states);
 }
 
 // An offer floor above the taxon count leaves the workers only their

@@ -2,6 +2,8 @@
 // reports must emerge from the cost model + scheduling policy.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "datagen/dataset.hpp"
 #include "gentrius/serial.hpp"
 #include "vthread/virtual_pool.hpp"
@@ -48,6 +50,64 @@ TEST(VirtualPool, FloodRunsAreBitIdentical) {
     EXPECT_EQ(a.sched.tasks_stolen, b.sched.tasks_stolen) << to_string(sched);
     EXPECT_EQ(a.sched.steal_attempts, b.sched.steal_attempts)
         << to_string(sched);
+  }
+}
+
+// A counting run counts its last two levels in whole-frame steps; a
+// collecting run takes one step per unit there. With costs that add up
+// exactly in floating point the two runs must reach every hand-off at the
+// same virtual time, so their makespans are equal: the simulator charges a
+// frame's units and flushes as the per-unit steps would.
+TEST(VirtualPool, CountingFramesChargeTheCollectingRunsWork) {
+  CostModel exact;
+  exact.replay_cost = 9.0 / 64;
+  exact.rewind_cost = 3.0 / 64;
+  exact.queue_contention = 10.0 / 64;
+  exact.steal_attempt_cost = 3.0 / 64;
+  exact.failed_probe_cost = 1.0 / 64;
+  exact.deque_owner_cost = 5.0 / 64;
+  exact.deque_steal_cost = 19.0 / 64;
+  exact.flush_cost = 1.0 / 64;
+  exact.flush_contention = 1.0 / 512;
+  Options static_order;
+  static_order.dynamic_taxon_order = false;
+  static_order.shuffle_seed = 7;
+  const struct {
+    std::size_t taxa, loci;
+    std::uint64_t seed;
+    Options opts;
+  } cases[] = {{24, 6, 4242, {}},
+               {20, 4, 24, {}},  // two-taxon frames sharing a target
+               {23, 7, 7, static_order}};  // two-taxon frames with dead ends
+  for (const auto& c : cases) {
+    datagen::SimulatedParams sp;
+    sp.n_taxa = c.taxa;
+    sp.n_loci = c.loci;
+    sp.missing_fraction = 0.5;
+    sp.seed = c.seed;
+    const auto constraints = datagen::make_simulated(sp).constraints;
+    for (const core::Scheduler sched :
+         {core::Scheduler::kCentralQueue, core::Scheduler::kDistributedDeques}) {
+      Options counting = c.opts;
+      counting.scheduler = sched;
+      counting.tree_flush_batch = 4;  // flushes inside frames
+      counting.state_flush_batch = 8;
+      counting.dead_end_flush_batch = 2;
+      Options collecting = counting;
+      collecting.collect_trees = true;
+      collecting.collect_limit = 0;
+      const auto problem = core::build_problem(constraints, counting);
+      for (const std::size_t nt : {1UL, 2UL, 4UL, 8UL}) {
+        const auto a = vthread::run_virtual(problem, counting, nt, exact);
+        const auto b = vthread::run_virtual(problem, collecting, nt, exact);
+        const std::string what = "seed " + std::to_string(c.seed) + " " +
+                                 to_string(sched) + " nt=" +
+                                 std::to_string(nt);
+        EXPECT_EQ(a.intermediate_states, b.intermediate_states) << what;
+        EXPECT_EQ(a.virtual_makespan, b.virtual_makespan) << what;
+        EXPECT_EQ(a.tasks_offered, b.tasks_offered) << what;
+      }
+    }
   }
 }
 

@@ -54,6 +54,14 @@ TEST(WorkerFailure, PoolRethrowsBadInsertionOrder) {
   }
 }
 
+// Worker 0 runs on the calling thread, so a pool needs at least one worker.
+TEST(WorkerFailure, ZeroWorkersAreRejected) {
+  const auto problem = instance();
+  EXPECT_THROW(parallel::run_parallel(problem, Options{}, 0), support::Error);
+  EXPECT_THROW(parallel::run_static_split(problem, Options{}, 0),
+               support::Error);
+}
+
 TEST(WorkerFailure, StaticSplitRethrowsBadInsertionOrder) {
   const auto problem = instance();
   const Options opts = bad_insertion_order(problem);
