@@ -107,12 +107,11 @@ void worker_body(std::size_t tid, std::size_t n_threads,
 }
 
 /// The first exception any worker threw. Nothing may leave a worker — an
-/// exception escaping a std::jthread terminates the process, and one
-/// escaping worker 0 on the calling thread would leave the others running
-/// without a stop — so each worker's body runs under run_worker, which
-/// records the error and halts the sink: busy workers see the stop at their
-/// next step, parked ones are woken by the sink's StopWaker. The calling
-/// thread rethrows after every worker has joined.
+/// exception escaping a std::jthread terminates the process — so each
+/// worker's body runs under run_worker, which records the error and halts
+/// the sink: busy workers see the stop at their next step, parked ones are
+/// woken by the sink's StopWaker. The calling thread rethrows after every
+/// worker has joined.
 class FirstError {
  public:
   void capture(CounterSink& sink) {
@@ -188,14 +187,19 @@ Result run_pool(const Problem& problem, const Options& options,
     run_worker(tid, n_threads, problem, options, sink, scheduler,
                outputs[tid], error);
   };
-  {
-    // Worker 0 runs on the calling thread, which would otherwise only wait
-    // for the join.
-    std::vector<std::jthread> threads;
-    threads.reserve(n_threads - 1);
-    for (std::size_t tid = 1; tid < n_threads; ++tid)
-      threads.emplace_back(work, tid);
+  if (n_threads == 1) {
+    // Degenerate pool: still exercises the worker path, minus stealing.
     work(0);
+  } else {
+    // Every worker gets a thread of its own, and the calling thread only
+    // waits for the join. Running worker 0 on the calling thread instead
+    // saves one spawn per run, but the benchmark's pool timings then
+    // varied several times more from one process to the next
+    // (docs/PERFORMANCE.md §13).
+    std::vector<std::jthread> threads;
+    threads.reserve(n_threads);
+    for (std::size_t tid = 0; tid < n_threads; ++tid)
+      threads.emplace_back(work, tid);
   }  // jthreads join here
   sink.set_stop_waker(nullptr);
   error.rethrow_if_any();

@@ -54,7 +54,7 @@ TEST(WorkerFailure, PoolRethrowsBadInsertionOrder) {
   }
 }
 
-// Worker 0 runs on the calling thread, so a pool needs at least one worker.
+// A pool needs at least one worker; zero used to read an empty output list.
 TEST(WorkerFailure, ZeroWorkersAreRejected) {
   const auto problem = instance();
   EXPECT_THROW(parallel::run_parallel(problem, Options{}, 0), support::Error);
