@@ -12,10 +12,23 @@ using phylo::TaxonId;
 using phylo::Tree;
 using support::Rng;
 
+namespace {
+
+/// prefix followed by i in decimal ("T0", "z12"). Appending into one
+/// string keeps GCC 12's -O3 -Wrestrict false positive on
+/// operator+(const char*, std::string&&) out of Release builds.
+std::string numbered(const char* prefix, std::size_t i) {
+  std::string out = prefix;
+  out += std::to_string(i);
+  return out;
+}
+
+}  // namespace
+
 std::vector<TaxonId> default_taxa(phylo::TaxonSet& taxa, std::size_t n) {
   std::vector<TaxonId> out;
   out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(taxa.add("T" + std::to_string(i)));
+  for (std::size_t i = 0; i < n; ++i) out.push_back(taxa.add(numbered("T", i)));
   return out;
 }
 
@@ -198,7 +211,7 @@ Dataset make_plateau_instance(std::size_t chain_length, std::uint64_t /*seed*/) 
   // pendant edge.
   std::vector<std::string> link{"x", "d"};
   for (std::size_t i = 0; i < chain_length; ++i) {
-    const std::string zi = "z" + std::to_string(i);
+    const std::string zi = numbered("z", i);
     const std::string prev = link[link.size() - 1];
     const std::string prev2 = link[link.size() - 2];
     ds.constraints.push_back(quartet(ds, zi, prev, prev2, "p"));
@@ -209,7 +222,7 @@ Dataset make_plateau_instance(std::size_t chain_length, std::uint64_t /*seed*/) 
   ds.forced_insertion_order.push_back(ds.taxa.id_of("x"));
   ds.forced_insertion_order.push_back(ds.taxa.id_of("d"));
   for (std::size_t i = 0; i < chain_length; ++i)
-    ds.forced_insertion_order.push_back(ds.taxa.id_of("z" + std::to_string(i)));
+    ds.forced_insertion_order.push_back(ds.taxa.id_of(numbered("z", i)));
   return ds;
 }
 
@@ -223,7 +236,7 @@ Dataset make_superlinear_instance(std::size_t free_taxa, std::uint64_t /*seed*/)
   // initial-split branch grows roughly factorially in free_taxa.
   phylo::NewickOptions opts;
   for (std::size_t i = 0; i < free_taxa; ++i) {
-    const std::string wi = "w" + std::to_string(i);
+    const std::string wi = numbered("w", i);
     ds.constraints.push_back(
         phylo::parse_newick("(" + wi + ",p,q);", ds.taxa, opts));
   }
@@ -235,7 +248,7 @@ Dataset make_superlinear_instance(std::size_t free_taxa, std::uint64_t /*seed*/)
   ds.forced_initial_constraint = 0;
   ds.forced_insertion_order.push_back(ds.taxa.id_of("x"));
   for (std::size_t i = 0; i < free_taxa; ++i)
-    ds.forced_insertion_order.push_back(ds.taxa.id_of("w" + std::to_string(i)));
+    ds.forced_insertion_order.push_back(ds.taxa.id_of(numbered("w", i)));
   ds.forced_insertion_order.push_back(ds.taxa.id_of("F"));
   return ds;
 }
@@ -280,14 +293,14 @@ Dataset make_flood_instance(std::size_t depth, std::uint64_t seed) {
   // scheduler can face. With the paper's offer rule the central queue's
   // critical section becomes the bottleneck at high N_t.
   for (std::size_t i = 0; i < depth; ++i) {
-    const std::string fi = "f" + std::to_string(i);
+    const std::string fi = numbered("f", i);
     ds.constraints.push_back(
-        quartet(ds, fi, "a" + std::to_string(i), "p", "t"));
+        quartet(ds, fi, numbered("a", i), "p", "t"));
   }
   ds.forced_initial_constraint = 0;
   for (std::size_t i = 0; i < depth; ++i)
     ds.forced_insertion_order.push_back(
-        ds.taxa.id_of("f" + std::to_string(i)));
+        ds.taxa.id_of(numbered("f", i)));
   // The seed also permutes the insertion order, i.e. which stratum each
   // clade's branching lands on.
   rng.shuffle(ds.forced_insertion_order);

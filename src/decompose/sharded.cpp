@@ -50,8 +50,13 @@ phylo::TaxonSet id_labels(const ComponentSplit& split) {
   for (const Component& comp : split.components)
     max_id = std::max(max_id, comp.taxa.back());
   phylo::TaxonSet labels;
-  for (phylo::TaxonId t = 0; t <= max_id; ++t)
-    labels.add("x" + std::to_string(t));
+  for (phylo::TaxonId t = 0; t <= max_id; ++t) {
+    // Appended, not "x" + std::to_string(t): that trips GCC 12's -O3
+    // -Wrestrict false positive inside libstdc++.
+    std::string label = "x";
+    label += std::to_string(t);
+    labels.add(label);
+  }
   return labels;
 }
 

@@ -181,9 +181,11 @@ struct SchedulerStats {
 /// actually done: a counting run that counts its last two levels in closed
 /// form (enumerator.hpp) skips the selections and rebuilds a per-branch
 /// search would make there, so its stats are lower than a collecting run's
-/// on the same instance. Every count is fresh, so cached_counts always
-/// reads 0; it stays only because the wall-clock benchmark
-/// (wallbench/workloads.cpp) prints it.
+/// on the same instance. The root check performs the first mapping build
+/// (Terrace::initial_state_consistent), so a run that ends with
+/// kEmptyStand still counts the rebuilds of its active constraints. Every
+/// count is fresh, so cached_counts always reads 0; it stays only because
+/// the wall-clock benchmark (wallbench/workloads.cpp) prints it.
 struct SelectionStats {
   std::uint64_t fresh_counts = 0;     ///< admissible counts
   std::uint64_t cached_counts = 0;    ///< always 0 (see above)

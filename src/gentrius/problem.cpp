@@ -404,8 +404,14 @@ std::string rank_newick(const phylo::Tree& tree,
     if (rank[x] < rank[root]) root = x;
   if (taxa.size() == 1) return canonical_rank_label(rank[root]) + ";";
   const phylo::VertexId leaf = tree.leaf_of(root);
-  return "(" + canonical_rank_label(rank[root]) + "," +
-         rank_subtree(tree, tree.vertex(leaf).adj[0].to, leaf, rank) + ");";
+  // Appended into one string, as phylo::canonical_newick does (GCC 12's
+  // -O3 -Wrestrict false positive on "(" + std::string&&).
+  std::string out = "(";
+  out += canonical_rank_label(rank[root]);
+  out += ',';
+  out += rank_subtree(tree, tree.vertex(leaf).adj[0].to, leaf, rank);
+  out += ");";
+  return out;
 }
 
 CanonicalInstance canonicalize_instance(

@@ -991,17 +991,48 @@ bool Terrace::second_counts_match_inserts(
   return match;
 }
 
-bool Terrace::initial_state_consistent() const {
+bool Terrace::initial_state_consistent() {
+  // The first mapping build is the check (docs/ALGORITHM.md §2): it gives a
+  // T_i edge a slot iff the edge's split key is an agile split key, and two
+  // binary trees on C_i with equal split sets are equal. The build sweeps
+  // no constraint without open taxa, so Day's pass checks those; the
+  // initial constraint is the agile tree itself.
+  ensure_mappings();
+  const std::size_t m = problem_->constraints.size();
+  bool ok = true;
+  for (std::size_t i = 0; i < m && ok; ++i) {
+    // <= 3 common taxa: always consistent.
+    if (common_count_[i] < 4 || i == problem_->initial_constraint) continue;
+    if (!active_[i]) {
+      ok = clusters_agree(i);  // no open taxon: no build sweeps it
+      continue;
+    }
+    const phylo::Tree& tree = problem_->constraints[i];
+    for (EdgeId f = 0; f < tree.edge_capacity() && ok; ++f)
+      ok = !tree.edge_alive(f) || cslot_[i][f] != kNoSlot;
+  }
+#if GENTRIUS_ENABLE_EXPENSIVE_INVARIANTS
+  bool day = true;
+  for (std::size_t i = 0; i < m; ++i)
+    day = day && (common_count_[i] < 4 || clusters_agree(i));
+  GENTRIUS_EXPENSIVE_DCHECK(ok == day);
+#endif
+  return ok;
+}
+
+bool Terrace::clusters_agree(std::size_t i) const {
   // agile|C_i == T_i|C_i compared as cluster sets (Day 1985): root both
   // trees at one common taxon r, rank C_i \ {r} in the agile tree's
   // preorder, so that every agile cluster is a rank interval, store those
   // intervals in Day's two-array table, and require every cluster of T_i|C_i
-  // to be a stored interval. Linear in the two trees per constraint.
+  // to be a stored interval. Linear in the two trees.
   constexpr std::uint32_t kNone = 0xffffffffu;
+  const auto& y = problem_->constraint_taxa[i];
+  const TaxonId root = static_cast<TaxonId>(y.first_common(inserted_));
   FlatTraversal tr;
   std::vector<TravItem> stack;
   std::vector<std::uint32_t> rank(problem_->n_taxa, kNone);
-  std::vector<std::uint32_t> lo, hi, cnt, by_lo, by_hi;
+  std::vector<std::uint32_t> lo, hi, cnt;
   // Calls fn(lo, hi, count, parent_lo) for every non-trivial cluster of
   // tree|C_i (the C-taxa below a position whose parent is an S-node), with
   // tr the tree's traversal from the root taxon.
@@ -1028,44 +1059,35 @@ bool Terrace::initial_state_consistent() const {
     }
     return true;
   };
-  for (std::size_t i = 0; i < problem_->constraints.size(); ++i) {
-    if (common_count_[i] < 4) continue;  // <= 3 common taxa: always consistent
-    const auto& y = problem_->constraint_taxa[i];
-    const TaxonId root = static_cast<TaxonId>(y.first_common(inserted_));
-    build_traversal(agile_, root, tr, stack);
-    std::uint32_t n_ranks = 0;
-    for (std::size_t k = 1; k < tr.taxon.size(); ++k) {
-      const TaxonId t = tr.taxon[k];
-      if (t != kNoTaxon && y.test(t)) rank[t] = n_ranks++;
-    }
-    // Day's table: in a binary tree's cluster family, a cluster sharing its
-    // left end with its parent cluster is the only one with its right end
-    // among such clusters, and vice versa, so the two arrays are injective.
-    by_lo.assign(n_ranks, kNone);
-    by_hi.assign(n_ranks, kNone);
-    std::size_t n_agile = 0;
-    auto store = [&](std::uint32_t l, std::uint32_t h, std::uint32_t,
-                     std::uint32_t parent_lo) {
-      if (l == parent_lo)
-        by_hi[h] = l;
-      else
-        by_lo[l] = h;
-      ++n_agile;
-      return true;
-    };
-    std::size_t n_tree = 0;
-    auto stored = [&](std::uint32_t l, std::uint32_t h, std::uint32_t c,
-                      std::uint32_t) {
-      ++n_tree;
-      return h - l + 1 == c && (by_lo[l] == h || by_hi[h] == l);
-    };
-    clusters(store);  // tr is still the agile traversal the ranks came from
-    build_traversal(problem_->constraints[i], root, tr, stack);
-    const bool found = clusters(stored);
-    y.for_each_and(inserted_, [&](std::size_t t) { rank[t] = kNone; });
-    if (!found || n_agile != n_tree) return false;
+  build_traversal(agile_, root, tr, stack);
+  std::uint32_t n_ranks = 0;
+  for (std::size_t k = 1; k < tr.taxon.size(); ++k) {
+    const TaxonId t = tr.taxon[k];
+    if (t != kNoTaxon && y.test(t)) rank[t] = n_ranks++;
   }
-  return true;
+  // Day's table: in a binary tree's cluster family, a cluster sharing its
+  // left end with its parent cluster is the only one with its right end
+  // among such clusters, and vice versa, so the two arrays are injective.
+  std::vector<std::uint32_t> by_lo(n_ranks, kNone), by_hi(n_ranks, kNone);
+  std::size_t n_agile = 0;
+  auto store = [&](std::uint32_t l, std::uint32_t h, std::uint32_t,
+                   std::uint32_t parent_lo) {
+    if (l == parent_lo)
+      by_hi[h] = l;
+    else
+      by_lo[l] = h;
+    ++n_agile;
+    return true;
+  };
+  std::size_t n_tree = 0;
+  auto stored = [&](std::uint32_t l, std::uint32_t h, std::uint32_t c,
+                    std::uint32_t) {
+    ++n_tree;
+    return h - l + 1 == c && (by_lo[l] == h || by_hi[h] == l);
+  };
+  clusters(store);  // tr is still the agile traversal the ranks came from
+  build_traversal(problem_->constraints[i], root, tr, stack);
+  return clusters(stored) && n_agile == n_tree;
 }
 
 }  // namespace gentrius::core

@@ -54,6 +54,10 @@
 //    rebuild.
 //  * Per-constraint mapping storage is allocated on first activation, so
 //    constraints that never reach |C| >= 2 with open taxa cost no memory.
+//  * The root check is the first mapping build (docs/ALGORITHM.md §2): a
+//    constraint with open taxa agrees with the initial tree iff every T_i
+//    edge got a slot. Only constraints with >= 4 common taxa and no open
+//    taxon, which no build sweeps, get a separate cluster comparison.
 //  * Counting without inserting (docs/ALGORITHM.md §2): a counting run's
 //    last taxon needs only its admissible count (count_branches, no sorted
 //    branch list), and a two-taxon frame whose taxa share no constraint
@@ -154,7 +158,14 @@ class Terrace {
 
   /// Checks the root invariant: agile|C_i == T_i|C_i for every constraint.
   /// Must hold before enumeration starts; when it fails the stand is empty.
-  bool initial_state_consistent() const;
+  /// Call it at the initial state. It performs the first mapping build (the
+  /// one the first choose would make), so selection_stats() counts those
+  /// rebuilds even when the verdict is false; a second call at the same
+  /// state rebuilds nothing and returns the same verdict. A constraint with
+  /// open taxa agrees iff every edge of T_i keys an agile S-edge; one with
+  /// >= 4 common taxa and no open taxon, which the build does not sweep, is
+  /// compared by clusters_agree.
+  bool initial_state_consistent();
 
   // ---- introspection (tests, benchmarks, run reports) ---------------------
 
@@ -252,6 +263,9 @@ class Terrace {
   /// Invalidates constraint i's mapping until the next ensure_mappings; its
   /// split records describe the old mapping and are dropped.
   void mark_dirty(std::size_t i);
+  /// Day's cluster comparison (Day 1985) of agile|C_i with T_i|C_i: exact,
+  /// linear in the two trees, and independent of the mappings.
+  bool clusters_agree(std::size_t i) const;
   /// Expensive invariant: constraint i's agile and T_i edge partitions and
   /// its open-taxon targets equal what rebuild_constraint would produce, up
   /// to slot relabeling.

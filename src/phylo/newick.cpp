@@ -295,8 +295,14 @@ std::string canonical_newick(const Tree& tree, const TaxonSet& taxa) {
   if (taxa_present.size() == 1) return quote_label(taxa.name(taxa_present[0])) + ";";
   const VertexId leaf = tree.leaf_of(taxa_present[0]);
   const VertexId nb = tree.vertex(leaf).adj[0].to;
-  std::string body = canonical_subtree(tree, taxa, nb, leaf);
-  return "(" + quote_label(taxa.name(taxa_present[0])) + "," + body + ");";
+  // Appended into one string: "(" + std::string&& trips GCC 12's -O3
+  // -Wrestrict false positive inside libstdc++.
+  std::string out = "(";
+  out += quote_label(taxa.name(taxa_present[0]));
+  out += ',';
+  out += canonical_subtree(tree, taxa, nb, leaf);
+  out += ");";
+  return out;
 }
 
 }  // namespace gentrius::phylo

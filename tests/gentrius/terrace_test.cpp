@@ -8,10 +8,14 @@
 #include <string>
 
 #include "datagen/dataset.hpp"
+#include "datagen/tree_gen.hpp"
+#include "gentrius/serial.hpp"
 #include "gentrius/terrace.hpp"
+#include "parallel/pool.hpp"
 #include "phylo/newick.hpp"
 #include "phylo/topology.hpp"
 #include "support/rng.hpp"
+#include "vthread/virtual_pool.hpp"
 
 namespace gentrius::core {
 namespace {
@@ -268,38 +272,189 @@ phylo::Tree swap_labels(const phylo::Tree& tree, TaxonId a, TaxonId b) {
   return out;
 }
 
-TEST(InitialState, ClusterCheckAgreesWithCompatible) {
-  // initial_state_consistent compares rank-interval clusters; the reference
-  // is phylo::compatible (restrict both trees, compare encodings) between
-  // the initial tree and every constraint. Swapping two leaf labels in one
-  // constraint makes a good share of the instances inconsistent.
-  std::size_t inconsistent = 0;
-  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+/// Whether constraint i of `problem` holds a taxon the initial tree lacks.
+bool has_open_taxa(const Problem& problem, std::size_t i) {
+  const auto& y = problem.constraint_taxa[i];
+  return y.intersection_count(
+             problem.constraint_taxa[problem.initial_constraint]) < y.count();
+}
+
+TEST(InitialState, FirstBuildCheckAgreesWithCompatible) {
+  // initial_state_consistent is the first mapping build plus Day's cluster
+  // comparison for constraints without open taxa; the reference is
+  // phylo::compatible (restrict both trees, compare encodings) between the
+  // initial tree and every constraint. Swapping 1-3 leaf-label pairs in
+  // random constraints makes a good share of the instances inconsistent;
+  // among those, some conflict only on constraints with open taxa (the
+  // mapping build must catch them) and some only on constraints without
+  // (Day's pass must). Both mapping modes, and a second call, must agree.
+  std::size_t inconsistent = 0, open_only = 0, closed_only = 0;
+  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
     support::Rng rng(seed);
     datagen::SimulatedParams sp;
-    sp.n_taxa = 6 + rng.below(14);
-    sp.n_loci = 2 + rng.below(5);
-    sp.missing_fraction = 0.15 + 0.4 * rng.uniform();
+    sp.n_taxa = 6 + rng.below(16);
+    sp.n_loci = 2 + rng.below(6);
+    sp.missing_fraction = 0.1 + 0.5 * rng.uniform();
     sp.seed = seed * 104729 + 1;
     auto constraints = datagen::make_simulated(sp).constraints;
-    auto& victim = constraints[rng.below(constraints.size())];
-    const auto taxa = victim.taxa();
-    const TaxonId a = taxa[rng.below(taxa.size())];
-    TaxonId b = a;
-    while (b == a) b = taxa[rng.below(taxa.size())];
-    victim = swap_labels(victim, a, b);
+    const std::size_t swaps = rng.below(4);
+    for (std::size_t k = 0; k < swaps; ++k) {
+      auto& victim = constraints[rng.below(constraints.size())];
+      const auto taxa = victim.taxa();
+      const TaxonId a = taxa[rng.below(taxa.size())];
+      TaxonId b = a;
+      while (b == a) b = taxa[rng.below(taxa.size())];
+      victim = swap_labels(victim, a, b);
+    }
 
     Options opts;
     const auto problem = build_problem(constraints, opts);
     const auto& initial = problem.constraints[problem.initial_constraint];
-    bool expected = true;
-    for (const auto& c : problem.constraints)
-      expected = expected && phylo::compatible(initial, c);
-    EXPECT_EQ(Terrace(problem).initial_state_consistent(), expected)
-        << "seed " << seed;
+    bool open_conflict = false, closed_conflict = false;
+    for (std::size_t i = 0; i < problem.constraints.size(); ++i) {
+      if (phylo::compatible(initial, problem.constraints[i])) continue;
+      (has_open_taxa(problem, i) ? open_conflict : closed_conflict) = true;
+    }
+    const bool expected = !open_conflict && !closed_conflict;
+    for (const bool incremental : {true, false}) {
+      Terrace terrace(problem, incremental);
+      EXPECT_EQ(terrace.initial_state_consistent(), expected)
+          << "seed " << seed << " incremental " << incremental;
+      EXPECT_EQ(terrace.initial_state_consistent(), expected)
+          << "second call, seed " << seed << " incremental " << incremental;
+    }
     if (!expected) ++inconsistent;
+    if (open_conflict && !closed_conflict) ++open_only;
+    if (closed_conflict && !open_conflict) ++closed_only;
   }
-  EXPECT_GT(inconsistent, 50u);
+  EXPECT_GT(inconsistent, 400u);
+  EXPECT_GT(open_only, 200u);
+  EXPECT_GT(closed_only, 60u);
+}
+
+/// Where a deliberately built root conflict sits: on a constraint with open
+/// taxa, on one whose taxa all lie in the initial tree (only Day's pass
+/// sees it), or on one whose open taxa all target an S-edge the initial
+/// tree has (only the slots of T_i's other edges show it).
+enum class Conflict { kOpen, kClosed, kUntargeted };
+
+/// Constraints restricted from one random tree: the initial tree (index 0)
+/// on all but the 2-3 open taxa, one small constraint per open taxon, and a
+/// victim on 5-7 initial taxa built for `kind`. With `conflict`, two of the
+/// victim's initial taxa swap labels, so that it alone disagrees with the
+/// initial tree on their common taxa; without, the instance is consistent.
+std::vector<phylo::Tree> conflict_instance(Conflict kind, bool conflict,
+                                           std::uint64_t seed) {
+  support::Rng rng(seed);
+  const std::size_t n = 12 + rng.below(6);
+  const std::size_t n_open = 2 + rng.below(2);
+  std::vector<TaxonId> all(n);
+  for (std::size_t t = 0; t < n; ++t) all[t] = static_cast<TaxonId>(t);
+  const phylo::Tree truth = datagen::random_tree(all, rng);
+  const std::vector<TaxonId> y0(all.begin(), all.end() - n_open);
+  const std::vector<TaxonId> open(all.end() - n_open, all.end());
+  auto pick = [&](std::size_t k) {
+    auto v = y0;
+    rng.shuffle(v);
+    v.resize(k);
+    return v;
+  };
+
+  std::vector<phylo::Tree> trees{phylo::restrict_to(truth, y0)};
+  for (const TaxonId x : open) {
+    auto keep = pick(4 + rng.below(3));
+    keep.push_back(x);
+    trees.push_back(phylo::restrict_to(truth, keep));
+  }
+  const auto c = pick(5 + rng.below(3));
+  auto keep = c;
+  if (kind == Conflict::kOpen) keep.push_back(open[rng.below(n_open)]);
+  phylo::Tree victim = phylo::restrict_to(truth, keep);
+  if (conflict) {
+    // c[0] stays put: the untargeted kind hangs the open taxa on it.
+    for (;;) {
+      const TaxonId a = c[1 + rng.below(c.size() - 1)];
+      const TaxonId b = c[1 + rng.below(c.size() - 1)];
+      if (a == b) continue;
+      phylo::Tree swapped = swap_labels(victim, a, b);
+      if (phylo::same_topology(phylo::restrict_to(swapped, c),
+                               phylo::restrict_to(victim, c)))
+        continue;
+      victim = std::move(swapped);
+      break;
+    }
+  }
+  if (kind == Conflict::kUntargeted) {
+    // Every open taxon goes on the pendant edge of c[0] or of the open
+    // taxon before it, so all of them target the trivial S-edge of c[0].
+    TaxonId anchor = c[0];
+    for (const TaxonId x : open) {
+      victim.insert_leaf(x, victim.vertex(victim.leaf_of(anchor)).adj[0].edge);
+      anchor = x;
+    }
+  }
+  trees.push_back(std::move(victim));
+  return trees;
+}
+
+TEST(InitialState, DeliberateConflictsAreEmptyStandsInSerialPoolAndSimulator) {
+  // Each kind of root conflict, against its conflict-free twin: the check's
+  // verdict, its agreement with phylo::compatible, and the reason reported
+  // by run_serial, the pool under both schedulers and the simulator. Only
+  // the conflicting instances are empty stands, with 0 trees; their serial
+  // runs still count the first mapping build's rebuilds.
+  const std::pair<Conflict, const char*> kinds[] = {
+      {Conflict::kOpen, "open"},
+      {Conflict::kClosed, "closed"},
+      {Conflict::kUntargeted, "untargeted"}};
+  for (const auto& [kind, name] : kinds) {
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+      for (const bool conflict : {true, false}) {
+        const auto trees = conflict_instance(kind, conflict, seed);
+        Options opts;
+        opts.initial_constraint = 0;
+        const auto problem = build_problem(trees, opts);
+        const std::size_t victim = trees.size() - 1;
+        const std::string where = std::string(name) + " seed " +
+                                  std::to_string(seed) + " conflict " +
+                                  std::to_string(conflict);
+        ASSERT_EQ(has_open_taxa(problem, victim), kind != Conflict::kClosed)
+            << where;
+        bool compatible = true;
+        for (const auto& t : trees)
+          compatible = compatible && phylo::compatible(trees[0], t);
+        ASSERT_EQ(compatible, !conflict) << where;
+        for (const bool incremental : {true, false}) {
+          Terrace terrace(problem, incremental);
+          EXPECT_EQ(terrace.initial_state_consistent(), !conflict) << where;
+          EXPECT_EQ(terrace.initial_state_consistent(), !conflict) << where;
+        }
+
+        std::vector<std::pair<std::string, Result>> runs;
+        runs.emplace_back("serial", run_serial(problem, opts));
+        for (const auto scheduler : {Scheduler::kCentralQueue,
+                                     Scheduler::kDistributedDeques}) {
+          Options po = opts;
+          po.scheduler = scheduler;
+          runs.emplace_back(to_string(scheduler),
+                            parallel::run_parallel(problem, po, 2));
+        }
+        runs.emplace_back("virtual", vthread::run_virtual(problem, opts, 4));
+        for (const auto& [run, r] : runs) {
+          const std::string what = run + " " + where;
+          if (conflict) {
+            EXPECT_EQ(r.reason, StopReason::kEmptyStand) << what;
+            EXPECT_EQ(r.stand_trees, 0u) << what;
+          } else {
+            EXPECT_NE(r.reason, StopReason::kEmptyStand) << what;
+          }
+        }
+        if (conflict) {
+          EXPECT_GT(runs[0].second.selection.mappings_rebuilt, 0u) << where;
+        }
+      }
+    }
+  }
 }
 
 // choose_dynamic against its definition at every state of random LIFO
