@@ -77,7 +77,7 @@ std::optional<phylo::Tree> probe_representative(
   return phylo::parse_newick(r.trees.front(), labels);
 }
 
-/// The split, the id labels and the pass-through constraints; no
+/// The split and the pass-through constraints; no id labels and no
 /// representatives yet. Throws InvalidInput when nothing is enumerable (the
 /// same inputs build_problem rejects).
 ShardPlan plan_components(const std::vector<phylo::Tree>& constraints) {
@@ -87,7 +87,6 @@ ShardPlan plan_components(const std::vector<phylo::Tree>& constraints) {
     throw support::InvalidInput(
         "decompose: no component contains a constraint with >= 3 taxa; "
         "nothing is enumerable");
-  plan.labels = id_labels(plan.split);
   for (const Component& comp : plan.split.components)
     if (!comp.enumerable)
       for (const std::size_t c : comp.constraint_indices)
@@ -423,6 +422,7 @@ std::string shard_trace_line(const core::ShardStats& s) {
 
 ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints) {
   ShardPlan plan = plan_components(constraints);
+  plan.labels = id_labels(plan.split);
   plan_residual(plan, constraints);
   return plan;
 }
@@ -438,6 +438,10 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
   detail::ResidualClosedForm closed;
   if (run.residual_closed_form)
     closed = detail::closed_form_residual(plan.split);
+  // Only collected stands, the probes of an enumerated residual and the
+  // cross-product stream read the id labels.
+  if (options.collect_trees || !closed.applicable)
+    plan.labels = id_labels(plan.split);
 
   // Every component is looked up before any of them runs, so an insert of
   // this run cannot evict an entry a later component would have hit.

@@ -103,7 +103,10 @@ struct ShardPlan {
   bool empty_component = false;
   /// Internal id-stable labels ("x<id>") used to round-trip component stand
   /// trees through the engine's Newick collection. Outlives every shard run
-  /// started from this plan.
+  /// started from this plan. plan_shards always builds them; run_sharded
+  /// only when something reads them (collected stands, the probes of an
+  /// enumerated residual), so a counting run under the closed-form residual
+  /// builds none.
   phylo::TaxonSet labels;
 };
 

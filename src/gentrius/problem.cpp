@@ -1,9 +1,11 @@
 #include "gentrius/problem.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <numeric>
 #include <string>
+#include <string_view>
 
 #include "support/error.hpp"
 #include "support/rng.hpp"
@@ -113,21 +115,11 @@ namespace {
 using support::Fingerprint;
 using support::mix_hash;
 
-/// Hash of the subtree of `tree` on the far side of `v` seen from `from`,
-/// with leaves valued by `color`. Children fold in sorted order, so the
-/// hash depends only on the colored rooted topology, never on vertex ids.
-std::uint64_t rooted_hash(const phylo::Tree& tree, phylo::VertexId v,
-                          phylo::VertexId from,
-                          const std::vector<std::uint64_t>& color) {
-  const auto& vx = tree.vertex(v);
-  if (vx.taxon != phylo::kNoTaxon) return mix_hash(0x1eafULL, color[vx.taxon]);
-  std::uint64_t parts[3];
-  std::size_t n = 0;
-  for (std::uint8_t i = 0; i < vx.degree; ++i) {
-    if (vx.adj[i].to == from) continue;
-    parts[n++] = rooted_hash(tree, vx.adj[i].to, v, color);
-  }
-  // Insertion sort of the <= 3 child hashes (std::sort on the fixed array
+/// Hash of a rooted subtree from its children's hashes: ascending fold from
+/// the internal-vertex seed, so it depends only on the colored rooted
+/// topology, never on vertex ids. A leaf's hash is mix_hash(0x1eaf, color).
+std::uint64_t fold_children(std::uint64_t* parts, std::size_t n) {
+  // Insertion sort of the <= 2 child hashes (std::sort on a fixed array
   // trips GCC's -Warray-bounds through its unrolled insertion pass).
   for (std::size_t i = 1; i < n; ++i)
     for (std::size_t j = i; j > 0 && parts[j] < parts[j - 1]; --j)
@@ -137,72 +129,224 @@ std::uint64_t rooted_hash(const phylo::Tree& tree, phylo::VertexId v,
   return h;
 }
 
-std::size_t distinct_count(std::vector<std::uint64_t> values) {
-  std::sort(values.begin(), values.end());
-  return static_cast<std::size_t>(
-      std::unique(values.begin(), values.end()) - values.begin());
-}
-
-/// One-round-at-a-time WL refinement until the number of color classes
-/// stops growing. Each round, a taxon's new color folds its old color with
-/// the sorted multiset of its per-tree rooted hashes (sorted: the encoding
-/// must not depend on constraint order).
-void refine_colors(const std::vector<phylo::Tree>& constraints,
-                   const std::vector<phylo::TaxonId>& present,
-                   std::vector<std::uint64_t>& color) {
-  std::vector<std::uint64_t> active;
-  active.reserve(present.size());
-  for (const phylo::TaxonId x : present) active.push_back(color[x]);
-  std::size_t distinct = distinct_count(active);
-
-  std::vector<std::vector<std::uint64_t>> per_taxon(color.size());
-  for (std::size_t round = 0; round <= present.size(); ++round) {
-    for (const phylo::TaxonId x : present) per_taxon[x].clear();
+/// WL color refinement of one part, linear in its trees per round.
+///
+/// Each round a taxon's new color folds its old color with the sorted
+/// multiset of its far-side hashes, one per tree holding it: the hash of
+/// the tree rooted at the leaf's neighbor with the leaf cut off (sorted:
+/// the encoding must not depend on constraint order). Every tree is
+/// traversed once, rooted at one leaf, and each round takes two sweeps per
+/// tree: children first for down[v], the hash of the subtree below v, then
+/// parents first for up[v], the hash of the rest of the tree seen from v.
+/// A vertex whose parent is the root leaf has the root leaf's hash as up;
+/// any other gets the fold of up[parent] and its siblings' down. A leaf's
+/// far-side hash is then its up, and the root leaf's is its neighbor's
+/// down. Built once per canonicalize_part call and shared by every
+/// refinement of its individualization search, so a round allocates
+/// nothing.
+class Refiner {
+ public:
+  Refiner(const std::vector<phylo::Tree>& constraints,
+          const std::vector<phylo::TaxonId>& present, std::size_t universe)
+      : present_(present) {
+    // Per taxon: first the number of trees holding it, then its next slot.
+    std::vector<std::uint32_t> next_slot(universe, 0);
+    struct Visit {
+      phylo::VertexId v, from;
+      std::uint32_t parent;
+    };
+    std::vector<Visit> stack;
     for (const auto& tree : constraints) {
-      for (const phylo::TaxonId x : tree.taxa()) {
-        const phylo::VertexId leaf = tree.leaf_of(x);
-        std::uint64_t h = 0x0133ULL;  // singleton tree: no far side exists
-        if (tree.leaf_count() > 1)
-          h = rooted_hash(tree, tree.vertex(leaf).adj[0].to, leaf, color);
-        per_taxon[x].push_back(h);
+      const auto taxa = tree.taxa();
+      if (taxa.empty()) continue;
+      tree_begin_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+      stack.push_back({tree.leaf_of(taxa.front()), phylo::kNoId, kNone});
+      while (!stack.empty()) {
+        const Visit at = stack.back();
+        stack.pop_back();
+        const auto i = static_cast<std::uint32_t>(nodes_.size());
+        const auto& vx = tree.vertex(at.v);
+        nodes_.push_back({vx.taxon, at.parent, {kNone, kNone}, kNone});
+        if (at.parent != kNone) {
+          Node& p = nodes_[at.parent];
+          GENTRIUS_DCHECK(p.child[1] == kNone);
+          p.child[p.child[0] == kNone ? 0 : 1] = i;
+        }
+        if (vx.taxon != phylo::kNoTaxon) {
+          ++next_slot[vx.taxon];
+          if (at.parent != kNone) continue;  // a leaf below the root leaf
+        }
+        for (std::uint8_t d = 0; d < vx.degree; ++d)
+          if (vx.adj[d].to != at.from) stack.push_back({vx.adj[d].to, at.v, i});
       }
     }
+    tree_begin_.push_back(static_cast<std::uint32_t>(nodes_.size()));
+
+    slot_begin_.reserve(present.size() + 1);
+    std::uint32_t slots = 0;
     for (const phylo::TaxonId x : present) {
-      auto& hashes = per_taxon[x];
-      std::sort(hashes.begin(), hashes.end());
-      std::uint64_t h = mix_hash(0xc010ULL, color[x]);
-      for (const std::uint64_t v : hashes) h = mix_hash(h, v);
-      color[x] = h;
+      slot_begin_.push_back(slots);
+      slots += next_slot[x];
+      next_slot[x] = slot_begin_.back();
     }
-    active.clear();
-    for (const phylo::TaxonId x : present) active.push_back(color[x]);
-    const std::size_t now = distinct_count(active);
-    if (now == distinct) break;  // partition stable
-    distinct = now;
+    slot_begin_.push_back(slots);
+    for (Node& n : nodes_)
+      if (n.taxon != phylo::kNoTaxon) n.slot = next_slot[n.taxon]++;
+    hashes_.resize(slots);
+    down_.resize(nodes_.size());
+    up_.resize(nodes_.size());
+    distinct_.reserve(present.size());
   }
+
+  /// One-round-at-a-time refinement until the number of color classes
+  /// stops growing.
+  void refine(std::vector<std::uint64_t>& color) {
+    std::size_t distinct = distinct_count(color);
+    for (std::size_t round = 0; round <= present_.size(); ++round) {
+      for (std::size_t t = 0; t + 1 < tree_begin_.size(); ++t)
+        sweep(tree_begin_[t], tree_begin_[t + 1], color);
+      for (std::size_t k = 0; k < present_.size(); ++k) {
+        const auto first = hashes_.begin() + slot_begin_[k];
+        const auto last = hashes_.begin() + slot_begin_[k + 1];
+        std::sort(first, last);
+        std::uint64_t h = mix_hash(0xc010ULL, color[present_[k]]);
+        for (auto it = first; it != last; ++it) h = mix_hash(h, *it);
+        color[present_[k]] = h;
+      }
+      const std::size_t now = distinct_count(color);
+      if (now == distinct) break;  // partition stable
+      distinct = now;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+  /// A vertex of a leaf-rooted traversal: parents come before children.
+  struct Node {
+    phylo::TaxonId taxon;
+    std::uint32_t parent;    ///< kNone at the root leaf
+    std::uint32_t child[2];  ///< kNone where absent
+    std::uint32_t slot;      ///< leaves: the far-side hash's slot in hashes_
+  };
+
+  /// Both sweeps over the tree stored in nodes_[begin, end), then every
+  /// leaf's far-side hash into its slot.
+  void sweep(std::uint32_t begin, std::uint32_t end,
+             const std::vector<std::uint64_t>& color) {
+    std::uint64_t parts[2];
+    for (std::uint32_t i = end; i-- > begin;) {
+      const Node& n = nodes_[i];
+      if (n.taxon != phylo::kNoTaxon) {
+        down_[i] = mix_hash(0x1eafULL, color[n.taxon]);
+        continue;
+      }
+      std::size_t k = 0;
+      for (const std::uint32_t c : n.child)
+        if (c != kNone) parts[k++] = down_[c];
+      down_[i] = fold_children(parts, k);
+    }
+    for (std::uint32_t i = begin + 1; i < end; ++i) {
+      const Node& n = nodes_[i];
+      if (n.parent == begin) {
+        up_[i] = down_[begin];  // the root leaf's own hash
+        continue;
+      }
+      const Node& p = nodes_[n.parent];
+      parts[0] = up_[n.parent];
+      std::size_t k = 1;
+      for (const std::uint32_t c : p.child)
+        if (c != kNone && c != i) parts[k++] = down_[c];
+      up_[i] = fold_children(parts, k);
+    }
+    const std::uint32_t first = nodes_[begin].child[0];
+    hashes_[nodes_[begin].slot] =
+        first != kNone ? down_[first] : 0x0133ULL;  // singleton: no far side
+    for (std::uint32_t i = begin + 1; i < end; ++i)
+      if (nodes_[i].taxon != phylo::kNoTaxon) hashes_[nodes_[i].slot] = up_[i];
+  }
+
+  std::size_t distinct_count(const std::vector<std::uint64_t>& color) {
+    distinct_.clear();
+    for (const phylo::TaxonId x : present_) distinct_.push_back(color[x]);
+    std::sort(distinct_.begin(), distinct_.end());
+    return static_cast<std::size_t>(
+        std::unique(distinct_.begin(), distinct_.end()) - distinct_.begin());
+  }
+
+  const std::vector<phylo::TaxonId>& present_;
+  std::vector<Node> nodes_;                ///< every tree, back to back
+  std::vector<std::uint32_t> tree_begin_;  ///< per tree, plus the end
+  std::vector<std::uint64_t> down_, up_;   ///< per node
+  std::vector<std::uint32_t> slot_begin_;  ///< per present taxon, plus the end
+  std::vector<std::uint64_t> hashes_;      ///< far-side hashes, by taxon
+  std::vector<std::uint64_t> distinct_;    ///< distinct_count's scratch
+};
+
+/// Label of canonical rank r, appended in place.
+void append_rank_label(std::string& out, std::size_t rank) {
+  char digits[24];
+  const auto n = static_cast<std::size_t>(
+      std::to_chars(digits, digits + sizeof digits, rank).ptr - digits);
+  out.push_back('c');
+  if (n < 6) out.append(6 - n, '0');
+  out.append(digits, n);
 }
 
-/// Canonical serialization of one tree under rank labels: rooted at the
-/// leaf of minimum rank, subtrees sorted lexicographically. Depends only on
-/// the topology and the rank function — not on taxon ids or vertex layout.
-std::string rank_subtree(const phylo::Tree& tree, phylo::VertexId v,
-                         phylo::VertexId from,
+/// Canonical serialization of one tree under rank labels, appended to
+/// `out`: the subtree on the far side of `v` seen from `from`, its two
+/// children rendered in place and swapped when the second sorts first, so
+/// subtrees are sorted lexicographically. Depends only on the topology and
+/// the rank function — not on taxon ids or vertex layout.
+void append_rank_subtree(std::string& out, const phylo::Tree& tree,
+                         phylo::VertexId v, phylo::VertexId from,
                          const std::vector<std::size_t>& rank) {
   const auto& vx = tree.vertex(v);
-  if (vx.taxon != phylo::kNoTaxon) return canonical_rank_label(rank[vx.taxon]);
-  std::vector<std::string> parts;
+  if (vx.taxon != phylo::kNoTaxon) {
+    append_rank_label(out, rank[vx.taxon]);
+    return;
+  }
+  out.push_back('(');
+  const std::size_t first = out.size();
+  std::size_t second = std::string::npos;
   for (std::uint8_t i = 0; i < vx.degree; ++i) {
     if (vx.adj[i].to == from) continue;
-    parts.push_back(rank_subtree(tree, vx.adj[i].to, v, rank));
+    GENTRIUS_DCHECK(second == std::string::npos);
+    if (out.size() > first) second = out.size();
+    append_rank_subtree(out, tree, vx.adj[i].to, v, rank);
   }
-  std::sort(parts.begin(), parts.end());
-  std::string out = "(";
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out.push_back(',');
-    out += parts[i];
+  if (second != std::string::npos) {
+    const std::size_t end = out.size();
+    std::size_t comma = second;
+    if (out.compare(second, end - second, out, first, second - first) < 0) {
+      std::rotate(out.begin() + static_cast<std::ptrdiff_t>(first),
+                  out.begin() + static_cast<std::ptrdiff_t>(second),
+                  out.end());
+      comma = first + (end - second);
+    }
+    out.insert(comma, 1, ',');
   }
   out.push_back(')');
-  return out;
+}
+
+/// rank_newick, appended to `out`.
+void append_rank_newick(std::string& out, const phylo::Tree& tree,
+                        const std::vector<std::size_t>& rank) {
+  const auto taxa = tree.taxa();
+  phylo::TaxonId root = taxa.front();
+  for (const phylo::TaxonId x : taxa)
+    if (rank[x] < rank[root]) root = x;
+  if (taxa.size() == 1) {
+    append_rank_label(out, rank[root]);
+    out.push_back(';');
+    return;
+  }
+  const phylo::VertexId leaf = tree.leaf_of(root);
+  out.push_back('(');
+  append_rank_label(out, rank[root]);
+  out.push_back(',');
+  append_rank_subtree(out, tree, tree.vertex(leaf).adj[0].to, leaf, rank);
+  out += ");";
 }
 
 std::string encode_under_order(const std::vector<phylo::Tree>& constraints,
@@ -210,15 +354,27 @@ std::string encode_under_order(const std::vector<phylo::Tree>& constraints,
                                std::size_t universe) {
   std::vector<std::size_t> rank(universe, 0);
   for (std::size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
-  std::vector<std::string> lines;
-  lines.reserve(constraints.size());
-  for (const auto& tree : constraints)
-    lines.push_back(rank_newick(tree, rank));
-  // Sorted: the encoding must be constraint-order invariant.
+  // Every line into one buffer, then sorted: the encoding must be
+  // constraint-order invariant.
+  std::string text;
+  std::vector<std::size_t> ends;
+  ends.reserve(constraints.size());
+  for (const auto& tree : constraints) {
+    append_rank_newick(text, tree, rank);
+    ends.push_back(text.size());
+  }
+  std::vector<std::string_view> lines;
+  lines.reserve(ends.size());
+  std::size_t begin = 0;
+  for (const std::size_t end : ends) {
+    lines.emplace_back(text.data() + begin, end - begin);
+    begin = end;
+  }
   std::sort(lines.begin(), lines.end());
   std::string out = "gentrius-instance-v1 n=" + std::to_string(order.size()) +
                     " k=" + std::to_string(constraints.size()) + "\n";
-  for (const auto& line : lines) {
+  out.reserve(out.size() + text.size() + lines.size());
+  for (const std::string_view line : lines) {
     out += line;
     out.push_back('\n');
   }
@@ -258,12 +414,13 @@ struct InstanceCanonicalizer {
   const std::vector<phylo::Tree>& constraints;
   const std::vector<phylo::TaxonId>& present;
   std::size_t universe;
+  Refiner& refiner;
   int budget = 48;
   bool invariant = true;
 
   std::string encode(std::vector<std::uint64_t> color,
                      std::vector<phylo::TaxonId>* order_out) {
-    refine_colors(constraints, present, color);
+    refiner.refine(color);
 
     // Classes, ascending by (invariant) color value.
     std::vector<phylo::TaxonId> sorted = present;
@@ -348,7 +505,8 @@ CanonicalInstance canonicalize_part(const std::vector<phylo::Tree>& part,
   for (std::size_t x = 0; x < universe; ++x)
     if (seen[x]) present.push_back(static_cast<phylo::TaxonId>(x));
 
-  InstanceCanonicalizer canon{part, present, universe};
+  Refiner refiner(part, present, universe);
+  InstanceCanonicalizer canon{part, present, universe, refiner};
   CanonicalInstance out;
   out.encoding =
       canon.encode(std::vector<std::uint64_t>(universe, 0x1ULL), &out.order);
@@ -390,27 +548,15 @@ std::size_t split_parts(const std::vector<phylo::Tree>& constraints,
 }  // namespace
 
 std::string canonical_rank_label(std::size_t rank) {
-  std::string digits = std::to_string(rank);
-  std::string out = "c";
-  for (std::size_t i = digits.size(); i < 6; ++i) out.push_back('0');
-  return out + digits;
+  std::string out;
+  append_rank_label(out, rank);
+  return out;
 }
 
 std::string rank_newick(const phylo::Tree& tree,
                         const std::vector<std::size_t>& rank) {
-  const auto taxa = tree.taxa();
-  phylo::TaxonId root = taxa.front();
-  for (const phylo::TaxonId x : taxa)
-    if (rank[x] < rank[root]) root = x;
-  if (taxa.size() == 1) return canonical_rank_label(rank[root]) + ";";
-  const phylo::VertexId leaf = tree.leaf_of(root);
-  // Appended into one string, as phylo::canonical_newick does (GCC 12's
-  // -O3 -Wrestrict false positive on "(" + std::string&&).
-  std::string out = "(";
-  out += canonical_rank_label(rank[root]);
-  out += ',';
-  out += rank_subtree(tree, tree.vertex(leaf).adj[0].to, leaf, rank);
-  out += ");";
+  std::string out;
+  append_rank_newick(out, tree, rank);
   return out;
 }
 

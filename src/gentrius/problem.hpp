@@ -51,11 +51,13 @@ Problem build_problem(std::vector<phylo::Tree> constraints,
 /// Canonical ranks come from Weisfeiler–Leman-style color refinement (each
 /// taxon's color folds in the sorted multiset of its rooted tree hashes),
 /// followed by individualization-refinement on surviving color ties under a
-/// bounded branch budget. When the budget runs out — only on instances with
-/// large automorphism-free color classes — ties fall back to ascending
-/// taxon id and `relabel_invariant` turns false: the encoding is still
-/// deterministic and sound, it just may differ between relabelings of the
-/// same instance (a cache miss, not a correctness problem).
+/// bounded branch budget. A refinement round costs O(Σ|T_i|): two sweeps
+/// per tree from one leaf give every leaf's far-side hash. When the budget
+/// runs out — only on instances with large automorphism-free color classes
+/// — ties fall back to ascending taxon id and `relabel_invariant` turns
+/// false: the encoding is still deterministic and sound, it just may differ
+/// between relabelings of the same instance (a cache miss, not a
+/// correctness problem).
 ///
 /// An instance whose constraints fall into parts on disjoint taxa (the
 /// decompose residual: one representative per component) is canonicalized

@@ -37,7 +37,8 @@ TEST(SuperbLimits, ComponentCapIsReported) {
   std::vector<phylo::Tree> cs;
   cs.push_back(phylo::parse_newick("((c,a),(b,d));", taxa));
   for (int i = 0; i < 40; ++i) {
-    const std::string w = "w" + std::to_string(i);
+    std::string w = "w";
+    w += std::to_string(i);
     cs.push_back(phylo::parse_newick("(" + w + ",c,a);", taxa));
   }
   SuperbOptions opts;

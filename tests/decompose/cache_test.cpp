@@ -79,7 +79,8 @@ TEST(ResultCache, ZeroCapacityDisables) {
 TEST(ResultCache, EvictionChurnKeepsBound) {
   ResultCache cache(3);
   for (int i = 0; i < 50; ++i) {
-    const std::string enc = "e" + std::to_string(i);
+    std::string enc = "e";
+    enc += std::to_string(i);
     cache.insert(fp(enc), entry_for(enc, i));
     EXPECT_LE(cache.size(), 3u);
   }

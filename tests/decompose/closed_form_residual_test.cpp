@@ -81,6 +81,38 @@ TEST(ClosedFormResidual, MatchesEnumeratedDriverOverRandomSeeds) {
   }
 }
 
+TEST(ClosedFormResidual, FallsBackToEnumerationWithPassThroughConstraints) {
+  // A 2-taxon constraint on taxa of its own is a non-enumerable component:
+  // the closed form does not apply, so the residual is probed and
+  // enumerated, and a counting run must still build the labels the probes
+  // read.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    auto ds = benchutil::make_multi_component(params_for_seed(seed));
+    SCOPED_TRACE(ds.name);
+    const auto n = static_cast<phylo::TaxonId>(ds.taxon_count());
+    ds.constraints.push_back(phylo::Tree::star({n, n + 1}));
+    const Options counting;
+
+    const Result enumerated =
+        decompose::run_sharded(ds.constraints, counting, {});
+    decompose::ShardRunOptions closed_run;
+    closed_run.residual_closed_form = true;
+    const Result closed =
+        decompose::run_sharded(ds.constraints, counting, closed_run);
+
+    ASSERT_EQ(closed.reason, StopReason::kCompleted);
+    EXPECT_GT(closed.stand_trees, 0u);
+    EXPECT_EQ(closed.stand_trees, enumerated.stand_trees);
+    ASSERT_EQ(closed.shards.size(), enumerated.shards.size());
+    for (std::size_t i = 0; i < closed.shards.size(); ++i)
+      EXPECT_EQ(closed.shards[i].stand_trees, enumerated.shards[i].stand_trees);
+    const ShardStats& residual = closed.shards.back();
+    ASSERT_EQ(residual.kind, ShardStats::Kind::kResidual);
+    EXPECT_EQ(residual.n_constraints, enumerated.shards.back().n_constraints);
+    EXPECT_GT(residual.intermediate_states, 0u);
+  }
+}
+
 TEST(ClosedFormResidual, FormulaMatchesTestutilOnSyntheticSplits) {
   const std::vector<std::vector<std::size_t>> cases = {
       {4}, {4, 4}, {4, 5}, {5, 6}, {3, 3, 3}, {4, 4, 4}, {4, 4, 4, 4}};

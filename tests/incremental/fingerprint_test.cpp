@@ -133,10 +133,16 @@ std::vector<phylo::Tree> relabel_instance(
     const std::vector<std::size_t>& perm) {
   phylo::TaxonSet as_perm;   // id i prints as "t<perm[i]>"
   phylo::TaxonSet as_dense;  // "t<j>" parses back to id j
-  for (std::size_t i = 0; i < n_taxa; ++i)
-    as_perm.add("t" + std::to_string(perm[i]));
-  for (std::size_t j = 0; j < n_taxa; ++j)
-    as_dense.add("t" + std::to_string(j));
+  for (std::size_t i = 0; i < n_taxa; ++i) {
+    std::string name = "t";
+    name += std::to_string(perm[i]);
+    as_perm.add(name);
+  }
+  for (std::size_t j = 0; j < n_taxa; ++j) {
+    std::string name = "t";
+    name += std::to_string(j);
+    as_dense.add(name);
+  }
   std::vector<phylo::Tree> out;
   out.reserve(constraints.size());
   for (const auto& tree : constraints)
@@ -178,7 +184,11 @@ TEST(InstanceCanonical, DisjointIsomorphicPartsStayRelabelInvariant) {
   // color class and the individualization budget runs out; canonicalized
   // part by part, every relabeling gives the same encoding.
   phylo::TaxonSet taxa;
-  for (int i = 0; i < 12; ++i) taxa.add("t" + std::to_string(i));
+  for (int i = 0; i < 12; ++i) {
+    std::string name = "t";
+    name += std::to_string(i);
+    taxa.add(name);
+  }
   const std::vector<phylo::Tree> quartets = {
       phylo::parse_newick("((t0,t1),(t2,t3));", taxa),
       phylo::parse_newick("((t4,t6),(t5,t7));", taxa),

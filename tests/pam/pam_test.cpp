@@ -66,7 +66,11 @@ TEST(Pam, InducedSubtreeMatchesRestriction) {
   support::Rng rng(8);
   phylo::TaxonSet taxa;
   std::vector<phylo::TaxonId> ids;
-  for (int i = 0; i < 12; ++i) ids.push_back(taxa.add("T" + std::to_string(i)));
+  for (int i = 0; i < 12; ++i) {
+    std::string name = "T";
+    name += std::to_string(i);
+    ids.push_back(taxa.add(name));
+  }
   const auto species = datagen::random_tree(ids, rng);
 
   Pam pam(12, 2);

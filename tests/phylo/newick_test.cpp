@@ -105,8 +105,11 @@ TEST(Newick, RandomTreeRoundTrips) {
     TaxonSet taxa;
     std::vector<TaxonId> ids;
     const std::size_t n = 4 + rng.below(40);
-    for (std::size_t i = 0; i < n; ++i)
-      ids.push_back(taxa.add("t" + std::to_string(i)));
+    for (std::size_t i = 0; i < n; ++i) {
+      std::string name = "t";
+      name += std::to_string(i);
+      ids.push_back(taxa.add(name));
+    }
     const Tree t = datagen::random_tree(ids, rng);
     TaxonSet taxa2 = taxa;
     const Tree back = parse_newick(to_newick(t, taxa), taxa2,
