@@ -65,8 +65,8 @@ class CounterSink {
 
   void add_stand_trees(std::uint64_t d) {
     // order: pure tally — fetch_add is atomic on its own; cross-thread
-    // publication happens at thread join, and the threshold test below
-    // only needs this thread's own returned value
+    // publication happens when the run completes, and the threshold test
+    // below only needs this thread's own returned value
     if (stand_trees_.fetch_add(d, std::memory_order_relaxed) + d >=
         rules_.max_stand_trees)
       request_stop(StopReason::kTreeLimit);
@@ -80,7 +80,7 @@ class CounterSink {
   }
 
   void add_dead_ends(std::uint64_t d) {
-    // order: pure tally; totals are read after workers join
+    // order: pure tally; totals are read after the run completes
     dead_ends_.fetch_add(d, std::memory_order_relaxed);
   }
 
@@ -95,8 +95,9 @@ class CounterSink {
 
   /// Registers (or clears, with nullptr) the scheduler to unpark when a
   /// stopping rule fires. Register before workers may block on the
-  /// scheduler and clear only after every worker has been joined; the
-  /// pointee must stay alive in between.
+  /// scheduler and clear only after every worker's job has returned (the
+  /// pool's threads stay parked for the next run, so no join marks the
+  /// end); the pointee must stay alive in between.
   void set_stop_waker(StopWaker* waker) {
     // order: release publishes the pointee's construction to the acquire
     // load in request_stop
@@ -133,21 +134,21 @@ class CounterSink {
   /// The rule that fired, or kCompleted when none did.
   StopReason reason() const {
     // order: callers read this after observing stop_ (acquire) or after
-    // joining the pool; both order the reason_ write before this load
+    // the run completes; both order the reason_ write before this load
     const int r = reason_.load(std::memory_order_relaxed);
     return r < 0 ? StopReason::kCompleted : static_cast<StopReason>(r);
   }
 
   std::uint64_t stand_trees() const {
-    // order: pure tally, read after workers join
+    // order: pure tally, read after the run completes
     return stand_trees_.load(std::memory_order_relaxed);
   }
   std::uint64_t states() const {
-    // order: pure tally, read after workers join
+    // order: pure tally, read after the run completes
     return states_.load(std::memory_order_relaxed);
   }
   std::uint64_t dead_ends() const {
-    // order: pure tally, read after workers join
+    // order: pure tally, read after the run completes
     return dead_ends_.load(std::memory_order_relaxed);
   }
 

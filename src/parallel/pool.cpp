@@ -2,13 +2,13 @@
 
 #include <atomic>
 #include <exception>
-#include <thread>
 #include <vector>
 
 #include "gentrius/counters.hpp"
 #include "gentrius/enumerator.hpp"
 #include "parallel/steal_deque.hpp"
 #include "parallel/task_queue.hpp"
+#include "parallel/worker_cache.hpp"
 #include "support/check.hpp"
 #include "support/error.hpp"
 #include "support/invariant.hpp"
@@ -54,8 +54,9 @@ bool drain(Enumerator& e) {
 // Shared-state discipline (checked by Clang -Wthread-safety where locks are
 // involved): the scheduler guards its own members internally (task_queue.hpp
 // / steal_deque.hpp), `sink` is lock-free atomics (counters.hpp), and each
-// worker writes only its own `out` slot — the pool joins every thread
-// before reading them. `Scheduler` is TaskQueue or DequeScheduler; a null
+// worker writes only its own `out` slot — the pool reads them only after
+// WorkerCache::run has seen every job return, which orders the writes
+// before the reads. `Scheduler` is TaskQueue or DequeScheduler; a null
 // scheduler (the static split) offers and steals nothing.
 template <class Scheduler>
 void worker_body(std::size_t tid, std::size_t n_threads,
@@ -107,11 +108,12 @@ void worker_body(std::size_t tid, std::size_t n_threads,
 }
 
 /// The first exception any worker threw. Nothing may leave a worker — an
-/// exception escaping a std::jthread terminates the process — so each
+/// exception escaping a worker thread terminates the process — so each
 /// worker's body runs under run_worker, which records the error and halts
-/// the sink: busy workers see the stop at their next step, parked ones are
-/// woken by the sink's StopWaker. The calling thread rethrows after every
-/// worker has joined.
+/// the sink: busy workers see the stop at their next step, ones blocked on
+/// the scheduler are woken by the sink's StopWaker. The calling thread
+/// rethrows after every worker's job has returned, and the worker threads
+/// go back to the cache for the next run.
 class FirstError {
  public:
   void capture(CounterSink& sink) {
@@ -119,7 +121,8 @@ class FirstError {
     sink.halt();
   }
 
-  /// Called after the join, which orders the winner's write before this read.
+  /// Called after every job has returned; the run's completion signal
+  /// orders the winner's write before this read.
   void rethrow_if_any() const {
     if (error_) std::rethrow_exception(error_);
   }
@@ -177,9 +180,10 @@ Result run_pool(const Problem& problem, const Options& options,
   GENTRIUS_CHECK(n_threads >= 1);
   CounterSink sink(options.stop, /*concurrent=*/n_threads > 1);
   std::vector<WorkerOutput> outputs(n_threads);
-  // Stop-wake hook: request_stop from any thread unparks blocked consumers
+  // Stop-wake hook: request_stop from any thread unblocks waiting consumers
   // immediately instead of waiting for a busy worker to notice the flag.
-  // Cleared before the scheduler goes out of scope.
+  // Cleared once every job has returned, before the scheduler goes out of
+  // scope.
   if (scheduler != nullptr) sink.set_stop_waker(scheduler);
 
   FirstError error;
@@ -191,16 +195,14 @@ Result run_pool(const Problem& problem, const Options& options,
     // Degenerate pool: still exercises the worker path, minus stealing.
     work(0);
   } else {
-    // Every worker gets a thread of its own, and the calling thread only
-    // waits for the join. Running worker 0 on the calling thread instead
-    // saves one spawn per run, but the benchmark's pool timings then
-    // varied several times more from one process to the next
-    // (docs/PERFORMANCE.md §13).
-    std::vector<std::jthread> threads;
-    threads.reserve(n_threads);
-    for (std::size_t tid = 0; tid < n_threads; ++tid)
-      threads.emplace_back(work, tid);
-  }  // jthreads join here
+    // Every worker gets a parked thread of its own, and the calling thread
+    // only waits until every job has returned. Running worker 0 on the
+    // calling thread instead made the benchmark's pool timings vary
+    // several times more from one process to the next
+    // (docs/PERFORMANCE.md §13), and starting fresh threads for every run
+    // cost 36–50 µs a pool (§16).
+    WorkerCache::shared().run(n_threads, work);
+  }
   sink.set_stop_waker(nullptr);
   error.rethrow_if_any();
   return assemble(sink, outputs, scheduler, clock.seconds());

@@ -150,7 +150,7 @@ class StealDeque {
     // free slots, which is safe for a reservation check
     const std::int64_t t = top_.load(std::memory_order_acquire);
     if (b - t >= capacity_) {
-      // order: monotonic diagnostic counter, read after workers join
+      // order: monotonic diagnostic counter, read after the run completes
       rejections_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -166,7 +166,7 @@ class StealDeque {
     // over-counts occupancy (a stale top_ only rejects early)
     const std::int64_t t = top_.load(std::memory_order_acquire);
     if (b - t >= capacity_) {
-      // order: monotonic diagnostic counter, read after workers join
+      // order: monotonic diagnostic counter, read after the run completes
       rejections_.fetch_add(1, std::memory_order_relaxed);
       return false;
     }
@@ -180,7 +180,7 @@ class StealDeque {
     bottom_.store(b + 1, std::memory_order_release);
     const std::size_t depth = static_cast<std::size_t>(b + 1 - t);
     // order: owner-written high-water stat; stats() reads are racy by
-    // design and only consumed after the pool joins
+    // design and only consumed after the run completes
     if (depth > max_depth_.load(std::memory_order_relaxed))
       max_depth_.store(depth, std::memory_order_relaxed);
     return true;
@@ -268,11 +268,11 @@ class StealDeque {
     return b > t ? static_cast<std::size_t>(b - t) : 0;
   }
   std::uint64_t rejections() const {
-    // order: monotonic diagnostic counter, read after workers join
+    // order: monotonic diagnostic counter, read after the run completes
     return rejections_.load(std::memory_order_relaxed);
   }
   std::size_t max_depth() const {
-    // order: owner-written stat, read after workers join
+    // order: owner-written stat, read after the run completes
     return max_depth_.load(std::memory_order_relaxed);
   }
 
@@ -456,11 +456,11 @@ class DequeScheduler final : public core::StopWaker {
 
   core::SchedulerStats stats() const {
     core::SchedulerStats s;
-    // order: monotonic diagnostic counters, read after the pool joins
+    // order: monotonic diagnostic counters, read after the run completes
     s.tasks_stolen = stolen_.load(std::memory_order_relaxed);
-    // order: same join-ordered diagnostic read as above
+    // order: same completion-ordered diagnostic read as above
     s.steal_attempts = probes_.load(std::memory_order_relaxed);
-    // order: same join-ordered diagnostic read as above
+    // order: same completion-ordered diagnostic read as above
     s.failed_steal_probes = failed_probes_.load(std::memory_order_relaxed);
     for (const StealDeque& d : deques_) {
       s.queue_full_rejections += d.rejections();
@@ -508,15 +508,15 @@ class DequeScheduler final : public core::StopWaker {
     for (std::size_t k = 0; k < workers_; ++k) {
       const std::size_t victim = (start + k) % workers_;
       if (victim == tid) continue;
-      // order: monotonic diagnostic counter, read after the pool joins
+      // order: monotonic diagnostic counter, read after the run completes
       probes_.fetch_add(1, std::memory_order_relaxed);
       if (deques_[victim].steal(out)) {
-        // order: monotonic diagnostic counter, read after the pool joins
+        // order: monotonic diagnostic counter, read after the run completes
         stolen_.fetch_add(1, std::memory_order_relaxed);
         note_taken();
         return true;
       }
-      // order: monotonic diagnostic counter, read after the pool joins
+      // order: monotonic diagnostic counter, read after the run completes
       failed_probes_.fetch_add(1, std::memory_order_relaxed);
     }
     return false;

@@ -1,0 +1,70 @@
+// Parked worker threads for the thread pool.
+//
+// The paper launches its workers through OpenMP, whose runtime keeps the
+// thread team parked between parallel regions. WorkerCache does the same
+// for run_parallel: a run takes N_t idle threads, hands each one its job,
+// waits until every job has returned and puts the threads back, parked on
+// a condition variable until the next run. A thread is started only when
+// no idle one is left, so the process-wide cache grows to the largest
+// number of workers in use at once, and its threads live until exit.
+//
+// Concurrent runs, and a run started from inside another run's job, take
+// disjoint threads. The cache's lock guards only the idle list: it is never
+// held while a job runs or while the caller waits. The completion signal
+// (a mutex-guarded count of the jobs still running) is the happens-before
+// edge from every job's writes to the caller's reads after run() returns.
+#pragma once
+
+#include <cstddef>
+#include <functional>
+#include <memory>
+#include <thread>
+#include <vector>
+
+#include "support/sync.hpp"
+#include "support/thread_annotations.hpp"
+
+namespace gentrius::parallel {
+
+class WorkerCache {
+ public:
+  /// One worker's job, called with the worker's index in [0, n).
+  using Job = std::function<void(std::size_t)>;
+  /// Starts a thread that runs `body`. The default starts a std::jthread;
+  /// tests substitute one that fails.
+  using ThreadStart = std::function<std::jthread(std::function<void()>)>;
+
+  explicit WorkerCache(ThreadStart start = start_thread);
+  /// Wakes and joins every thread. No run may be in progress.
+  ~WorkerCache();
+  WorkerCache(const WorkerCache&) = delete;
+  WorkerCache& operator=(const WorkerCache&) = delete;
+
+  /// The cache the pool runs on (a function-local static).
+  static WorkerCache& shared();
+
+  /// Calls job(0) … job(n − 1), each on a thread of its own and none on the
+  /// calling thread, and returns when every call has returned. All n
+  /// threads are taken before any job is handed out: when a thread cannot
+  /// be started, the ones taken go back to the idle list and the start's
+  /// exception propagates with no job run. `job` must not throw.
+  void run(std::size_t n, const Job& job) GENTRIUS_EXCLUDES(mutex_);
+
+ private:
+  struct Worker;
+  class Batch;
+
+  static std::jthread start_thread(std::function<void()> body);
+  static void park(Worker& worker);
+
+  std::vector<Worker*> take(std::size_t n) GENTRIUS_EXCLUDES(mutex_);
+  Worker* start_worker() GENTRIUS_EXCLUDES(mutex_);
+  void put_back(const std::vector<Worker*>& team) GENTRIUS_EXCLUDES(mutex_);
+
+  const ThreadStart start_;
+  support::Mutex mutex_{support::Rank::kWorkerCache};
+  std::vector<std::unique_ptr<Worker>> workers_ GENTRIUS_GUARDED_BY(mutex_);
+  std::vector<Worker*> idle_ GENTRIUS_GUARDED_BY(mutex_);  // last parked first
+};
+
+}  // namespace gentrius::parallel

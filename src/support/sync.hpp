@@ -26,8 +26,8 @@
 
 #include <algorithm>
 #include <condition_variable>
+#include <cstddef>
 #include <mutex>
-#include <vector>
 
 #include "support/invariant.hpp"
 #include "support/thread_annotations.hpp"
@@ -44,16 +44,28 @@ enum class Rank : int {
   kTaskQueue = 10,        // parallel/task_queue.hpp TaskQueue::mutex_
   kSchedulerSignal = 20,  // parallel/steal_deque.hpp DequeScheduler::mutex_
   kCounterSink = 30,      // reserved: CounterSink is lock-free today
+  kWorkerCache = 40,      // parallel/worker_cache.cpp idle list, mailboxes,
+                          // run completion; never nested
   kTest = 100,            // innermost; test fixtures and harness-only locks
 };
 
 namespace detail {
 #if GENTRIUS_ENABLE_INVARIANTS
 /// Ranks of the mutexes this thread currently holds, in acquisition order.
+/// Trivially destructible on purpose: the exiting thread's thread_locals
+/// are destroyed before static objects, and a static object's destructor
+/// may still lock a Mutex (the pool's parked-thread cache does), so the
+/// stack must stay usable after thread_local destruction.
+struct HeldRanks {
+  static constexpr std::size_t kCapacity = 16;
+  int rank[kCapacity];
+  std::size_t size;
+};
+
 /// Function-local thread_local so a header-only library gets exactly one
 /// instance per thread across translation units.
-inline std::vector<int>& held_ranks() {
-  thread_local std::vector<int> held;
+inline HeldRanks& held_ranks() {
+  thread_local HeldRanks held{};
   return held;
 }
 #endif
@@ -88,22 +100,27 @@ class GENTRIUS_CAPABILITY("mutex") Mutex {
  private:
   void check_rank_before_lock() const {
 #if GENTRIUS_ENABLE_INVARIANTS
-    for (int held : detail::held_ranks()) {
-      GENTRIUS_DCHECK_OP(<, held, rank_);
+    const auto& held = detail::held_ranks();
+    for (std::size_t i = 0; i < held.size; ++i) {
+      GENTRIUS_DCHECK_OP(<, held.rank[i], rank_);
     }
 #endif
   }
   void note_locked() const {
 #if GENTRIUS_ENABLE_INVARIANTS
-    detail::held_ranks().push_back(rank_);
+    auto& held = detail::held_ranks();
+    GENTRIUS_DCHECK_LT(held.size, detail::HeldRanks::kCapacity);
+    held.rank[held.size++] = rank_;
 #endif
   }
   void note_unlocked() const {
 #if GENTRIUS_ENABLE_INVARIANTS
     auto& held = detail::held_ranks();
-    auto it = std::find(held.rbegin(), held.rend(), rank_);
-    GENTRIUS_DCHECK(it != held.rend());
-    held.erase(std::next(it).base());
+    std::size_t i = held.size;  // the latest acquisition of this rank
+    while (i > 0 && held.rank[i - 1] != rank_) --i;
+    GENTRIUS_DCHECK(i > 0);
+    std::copy(held.rank + i, held.rank + held.size, held.rank + i - 1);
+    --held.size;
 #endif
   }
 

@@ -114,5 +114,30 @@ TEST(LockRank, ValidatorIsRaceFreeUnderContention) {
   EXPECT_EQ(shared, 4 * 2000);
 }
 
+// An exiting thread's thread_locals are destroyed before the static
+// objects, and a static object's destructor may still lock a Mutex: the
+// pool's parked-thread cache wakes and joins its threads that way at exit.
+// So the held-rank stack must stay usable after its own thread_local
+// destruction. Here a thread_local constructed before the stack, hence
+// destroyed after it, locks on the way out; a stack with heap storage
+// would be written after it was freed (ASan and TSan report it).
+TEST(LockRank, LockingAfterThreadLocalDestructionIsClean) {
+  Mutex mu(Rank::kTest);
+  int locked_on_exit = 0;
+  std::thread([&] {
+    struct LocksOnExit {
+      Mutex& mu;
+      int& count;
+      ~LocksOnExit() {
+        MutexLock lock(mu);
+        ++count;
+      }
+    };
+    thread_local LocksOnExit guard{mu, locked_on_exit};
+    MutexLock lock(mu);  // the stack's first use on this thread
+  }).join();
+  EXPECT_EQ(locked_on_exit, 1);
+}
+
 }  // namespace
 }  // namespace gentrius::support
