@@ -13,6 +13,14 @@ namespace gentrius::core {
 
 namespace {
 
+/// Paper §III-A offer floor: a frame offers work only while at least this
+/// many taxa remain open, its own included; below it, finishing the subtree
+/// locally is cheaper than the stealing round-trip. So no frame of the last
+/// two levels is ever offered, which lets a counting run count them in
+/// closed form (step()).
+constexpr std::size_t kOfferMinRemaining = 3;
+static_assert(kOfferMinRemaining > 2);
+
 /// Counter flushes per evaluation of the time rule (a clock read): every
 /// 256th flush at state batch 1, as in exact serial counting, and every
 /// flush from batch 256 on, the default batch included.
@@ -156,10 +164,7 @@ void Enumerator::record_stand_tree() {
 
 void Enumerator::maybe_offer_task(Frame& f) {
   if (task_sink_ == nullptr) return;
-  // Paper §III-A: no task submission with fewer than offer_min_remaining
-  // (default 3) remaining taxa — finishing that subtree is cheaper than the
-  // stealing round-trip.
-  if (terrace_.remaining_count() < options_->offer_min_remaining) return;
+  if (terrace_.remaining_count() < kOfferMinRemaining) return;
   if (f.branches.size() < 2) return;
   GENTRIUS_DCHECK(f.next == 0);  // frame freshly set up, nothing consumed yet
   // The paper's split: the first half of the branch set goes to the thief.
@@ -190,11 +195,6 @@ void Enumerator::apply_branch(Frame& f, bool count) {
   mode_ = Mode::kChoose;
 }
 
-bool Enumerator::counts_in_closed_form(std::size_t open) const {
-  return !options_->collect_trees &&
-         (task_sink_ == nullptr || open < options_->offer_min_remaining);
-}
-
 Enumerator::Step Enumerator::count_run(std::uint32_t lead,
                                        std::span<const std::uint32_t> segments) {
   // Counts and stop checks run in the order the per-branch steps would
@@ -204,23 +204,20 @@ Enumerator::Step Enumerator::count_run(std::uint32_t lead,
   return counters_.count_run(lead, segments) ? Step::kWorked : Step::kStopped;
 }
 
-Enumerator::Step Enumerator::count_last_taxon(const Frame& f) {
-  // Each admissible branch of the last taxon completes the agile tree, so it
-  // is one intermediate state and one stand tree (docs/ALGORITHM.md §2).
-  GENTRIUS_DCHECK_LT(f.next, f.branches.size());
-  const auto kept = static_cast<std::uint32_t>(f.branches.size() - f.next);
-  return count_run(/*lead=*/0, {&kept, 1});
-}
-
 Enumerator::Step Enumerator::step() {
   GENTRIUS_DCHECK_LE(depth_, frames_.size());
   if (mode_ == Mode::kDone) return Step::kExhausted;
   if (sink_->stop_requested()) return Step::kStopped;
 
   if (mode_ == Mode::kChoose) {
+    // A counting run counts its last two levels in closed form: no frame
+    // there is offered (kOfferMinRemaining).
+    const bool closed_form = !options_->collect_trees;
     const std::size_t open = terrace_.remaining_count();
-    if (open == 1 && counts_in_closed_form(1)) {
-      // Only the last taxon's count is needed, and 0 is one dead end.
+    if (open == 1 && closed_form) {
+      // Each admissible branch of the last taxon completes the agile tree,
+      // so only its count is needed (one state and one stand tree per
+      // branch, docs/ALGORITHM.md §2), and 0 is one dead end.
       const auto count = static_cast<std::uint32_t>(
           terrace_.count_branches(terrace_.first_remaining()));
       return count_run(/*lead=*/0, {&count, 1});
@@ -243,14 +240,10 @@ Enumerator::Step Enumerator::step() {
     f.next = 0;
     f.applied = false;
     if (f.branches.size() >= 2) maybe_offer_task(f);
-    if (open == 2 && counts_in_closed_form(2) &&
+    if (open == 2 && closed_form &&
         terrace_.second_taxon_counts(f.taxon, f.branches, pair_counts_)) {
       --depth_;  // nothing gets inserted, so the frame is never applied
       return count_run(/*lead=*/1, pair_counts_);
-    }
-    if (open == 1 && !options_->collect_trees) {
-      --depth_;
-      return count_last_taxon(f);
     }
     apply_branch(f, /*count=*/true);
     return Step::kWorked;

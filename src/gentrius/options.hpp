@@ -127,12 +127,6 @@ struct Options {
 
   /// Ignored (see enum Decompose above).
   Decompose decompose = Decompose::kOff;
-
-  /// Paper §III-A offer floor: a frame with at least this many remaining
-  /// taxa and >= 2 admissible branches offers half of them (branches / 2)
-  /// to another worker; below it, finishing the subtree locally is cheaper
-  /// than the stealing round-trip. The paper's constant is 3.
-  std::size_t offer_min_remaining = 3;
 };
 
 enum class StopReason : std::uint8_t {

@@ -1,6 +1,7 @@
 #include "gentrius/terrace.hpp"
 
 #include <algorithm>
+#include <type_traits>
 #include <unordered_map>
 
 #include "support/check.hpp"
@@ -8,19 +9,10 @@
 namespace gentrius::core {
 
 Terrace::Terrace(const Problem& problem, bool incremental)
-    : arena_(std::make_shared<support::Arena>()),
-      problem_(&problem),
+    : problem_(&problem),
       agile_(problem.constraints[problem.initial_constraint]),
       inserted_(problem.n_taxa),
-      incremental_(incremental),
-      slot_map_(64, arena_),
-      xorv_(support::ArenaAllocator<std::uint64_t>(arena_)),
-      cnt_(support::ArenaAllocator<std::uint32_t>(arena_)),
-      ctxk_(support::ArenaAllocator<std::uint64_t>(arena_)),
-      ctxs_(support::ArenaAllocator<std::uint32_t>(arena_)),
-      scratch_js_(support::ArenaAllocator<std::uint32_t>(arena_)),
-      scratch_eslot_(support::ArenaAllocator<const std::uint32_t*>(arena_)),
-      scratch_target_(support::ArenaAllocator<std::uint32_t>(arena_)) {
+      incremental_(incremental) {
   agile_.reserve_for_leaves(problem.all_taxa.count());
 
   for (const TaxonId t : agile_.taxa()) inserted_.set(t);
@@ -56,23 +48,11 @@ Terrace::Terrace(const Problem& problem, bool incremental)
 
   const std::size_t n_total = problem.all_taxa.count();
   max_edges_ = n_total < 2 ? 1 : 2 * n_total;  // capacity bound
-  // Per-constraint mapping storage stays empty until the constraint first
-  // activates (ensure_constraint_storage); only the outer vectors are paid
-  // up front. The inner vectors carry the arena allocator from day one, so
-  // activation carves all six arrays out of one contiguous arena region.
-  edge_slot_.assign(m, AVec<std::uint32_t>(
-                           support::ArenaAllocator<std::uint32_t>(arena_)));
-  target_slot_.assign(m, AVec<std::uint32_t>(
-                             support::ArenaAllocator<std::uint32_t>(arena_)));
-  slot_count_.assign(m, AVec<std::uint32_t>(
-                            support::ArenaAllocator<std::uint32_t>(arena_)));
-  slot_head_.assign(m, AVec<EdgeId>(support::ArenaAllocator<EdgeId>(arena_)));
-  link_next_.assign(m, AVec<EdgeId>(support::ArenaAllocator<EdgeId>(arena_)));
-  link_prev_.assign(m, AVec<EdgeId>(support::ArenaAllocator<EdgeId>(arena_)));
+  // Per-constraint mapping blocks stay empty until the constraint first
+  // activates (ensure_constraint_storage).
+  mapping_.resize(m);
   n_slots_.assign(m, 0);
   ctrav_.resize(m);
-  cslot_.assign(m, AVec<std::uint32_t>(
-                       support::ArenaAllocator<std::uint32_t>(arena_)));
   splits_.resize(m);
   pending_.assign(m, 0);
   deferred_.resize(problem.n_taxa);
@@ -98,24 +78,19 @@ std::vector<TaxonId> Terrace::remaining() const {
 }
 
 void Terrace::ensure_constraint_storage(std::size_t i) {
-  if (!edge_slot_[i].empty()) return;
-  edge_slot_[i].assign(max_edges_, kNoSlot);
-  target_slot_[i].assign(problem_->n_taxa, kNoSlot);
-  slot_count_[i].assign(max_edges_, 0);
-  slot_head_[i].assign(max_edges_, kNoId);
-  link_next_[i].assign(max_edges_, kNoId);
-  link_prev_[i].assign(max_edges_, kNoId);
-  cslot_[i].assign(problem_->constraints[i].edge_capacity(), kNoSlot);
+  static_assert(std::is_same_v<EdgeId, std::uint32_t> && kNoId == kNoSlot,
+                "edge ids share the slot sections' type and empty value");
+  auto& block = mapping_[i];
+  if (!block.empty()) return;
+  // Every section starts empty (kNoSlot, kNoId), the preimage counts at 0.
+  block.assign(5 * max_edges_ + problem_->n_taxa +
+                   problem_->constraints[i].edge_capacity(),
+               kNoSlot);
+  std::fill_n(mapping(i).slot_count, max_edges_, 0);
 }
 
 std::size_t Terrace::constraint_storage_bytes(std::size_t i) const {
-  return edge_slot_[i].capacity() * sizeof(std::uint32_t) +
-         target_slot_[i].capacity() * sizeof(std::uint32_t) +
-         slot_count_[i].capacity() * sizeof(std::uint32_t) +
-         slot_head_[i].capacity() * sizeof(EdgeId) +
-         link_next_[i].capacity() * sizeof(EdgeId) +
-         link_prev_[i].capacity() * sizeof(EdgeId) +
-         cslot_[i].capacity() * sizeof(std::uint32_t) +
+  return mapping_[i].capacity() * sizeof(std::uint32_t) +
          splits_[i].capacity() * sizeof(SplitRecord) +
          ctrav_[i].parent_pos.capacity() * sizeof(std::uint32_t) +
          ctrav_[i].edge.capacity() * sizeof(EdgeId) +
@@ -124,31 +99,29 @@ std::size_t Terrace::constraint_storage_bytes(std::size_t i) const {
 
 std::size_t Terrace::mapping_storage_bytes() const {
   std::size_t total = 0;
-  for (std::size_t i = 0; i < edge_slot_.size(); ++i)
+  for (std::size_t i = 0; i < mapping_.size(); ++i)
     total += constraint_storage_bytes(i);
   return total;
 }
 
 void Terrace::preimage_push(std::size_t i, std::uint32_t s, EdgeId e) {
-  auto& next = link_next_[i];
-  auto& prev = link_prev_[i];
-  EdgeId& head = slot_head_[i][s];
-  next[e] = head;
-  prev[e] = kNoId;
-  if (head != kNoId) prev[head] = e;
+  const auto m = mapping(i);
+  EdgeId& head = m.slot_head[s];
+  m.link_next[e] = head;
+  m.link_prev[e] = kNoId;
+  if (head != kNoId) m.link_prev[head] = e;
   head = e;
 }
 
 void Terrace::preimage_unlink(std::size_t i, std::uint32_t s, EdgeId e) {
-  auto& next = link_next_[i];
-  auto& prev = link_prev_[i];
-  const EdgeId p = prev[e];
-  const EdgeId n = next[e];
+  const auto m = mapping(i);
+  const EdgeId p = m.link_prev[e];
+  const EdgeId n = m.link_next[e];
   if (p != kNoId)
-    next[p] = n;
+    m.link_next[p] = n;
   else
-    slot_head_[i][s] = n;
-  if (n != kNoId) prev[n] = p;
+    m.slot_head[s] = n;
+  if (n != kNoId) m.link_prev[n] = p;
 }
 
 void Terrace::mark_dirty(std::size_t i) {
@@ -221,10 +194,11 @@ void Terrace::remove(const InsertRecord& rec) {
     const std::size_t m = problem_->constraints.size();
     for (std::size_t i = 0; i < m; ++i) {
       if (!computed_[i] || dirty_[i]) continue;
-      const std::uint32_t s = edge_slot_[i][rec.split_edge];
+      const auto map = mapping(i);
+      const std::uint32_t s = map.edge_slot[rec.split_edge];
       preimage_unlink(i, s, rec.moved_edge);
       preimage_unlink(i, s, rec.leaf_edge);
-      slot_count_[i][s] -= 2;
+      map.slot_count[s] -= 2;
     }
   }
   agile_.remove_leaf(rec);
@@ -302,11 +276,7 @@ void Terrace::rebuild_constraint(std::size_t i, TaxonId root) {
 
   slot_map_.clear();
   std::uint32_t n_slots = 0;
-  auto& eslot = edge_slot_[i];
-  auto& scount = slot_count_[i];
-  auto& shead = slot_head_[i];
-  auto& lnext = link_next_[i];
-  auto& lprev = link_prev_[i];
+  const auto map = mapping(i);
   for (std::size_t k = 1; k < n; ++k) {
     const std::uint32_t p = atrav_.parent_pos[k];
     std::uint64_t key;
@@ -325,8 +295,8 @@ void Terrace::rebuild_constraint(std::size_t i, TaxonId root) {
         std::uint32_t& v = slot_map_[key];
         if (v == 0) {
           s = n_slots++;
-          scount[s] = 0;
-          shead[s] = kNoId;
+          map.slot_count[s] = 0;
+          map.slot_head[s] = kNoId;
           v = s + 1;
         } else {
           s = v - 1;
@@ -341,12 +311,12 @@ void Terrace::rebuild_constraint(std::size_t i, TaxonId root) {
     ctxk_[k] = key;
     ctxs_[k] = s;
     const EdgeId e = atrav_.edge[k];
-    eslot[e] = s;
-    ++scount[s];
-    lnext[e] = shead[s];
-    lprev[e] = kNoId;
-    if (shead[s] != kNoId) lprev[shead[s]] = e;
-    shead[s] = e;
+    map.edge_slot[e] = s;
+    ++map.slot_count[s];
+    map.link_next[e] = map.slot_head[s];
+    map.link_prev[e] = kNoId;
+    if (map.slot_head[s] != kNoId) map.link_prev[map.slot_head[s]] = e;
+    map.slot_head[s] = e;
   }
   n_slots_[i] = n_slots;
 
@@ -372,8 +342,6 @@ void Terrace::rebuild_constraint(std::size_t i, TaxonId root) {
   xorv_[0] ^= keys[root];
   ++cnt_[0];
   GENTRIUS_DCHECK(xorv_[0] == hc);  // same C on both sides
-  auto& cs = cslot_[i];
-  auto& tslot = target_slot_[i];
   for (std::size_t k = 1; k < nc; ++k) {
     const std::uint32_t p = ct.parent_pos[k];
     std::uint64_t key;
@@ -394,9 +362,9 @@ void Terrace::rebuild_constraint(std::size_t i, TaxonId root) {
     }
     ctxk_[k] = key;
     ctxs_[k] = s;
-    cs[ct.edge[k]] = s;
+    map.cslot[ct.edge[k]] = s;
     const TaxonId t = ct.taxon[k];
-    if (t != kNoTaxon && !inserted_.test(t)) tslot[t] = s;
+    if (t != kNoTaxon && !inserted_.test(t)) map.target_slot[t] = s;
   }
 }
 
@@ -411,10 +379,11 @@ void Terrace::ensure_mappings() {
   for (const InsertRecord& rec : unflushed_) {
     for (std::size_t i = 0; i < m; ++i) {
       if (!computed_[i] || dirty_[i]) continue;
-      const std::uint32_t s = edge_slot_[i][rec.split_edge];
-      edge_slot_[i][rec.moved_edge] = s;
-      edge_slot_[i][rec.leaf_edge] = s;
-      slot_count_[i][s] += 2;
+      const auto map = mapping(i);
+      const std::uint32_t s = map.edge_slot[rec.split_edge];
+      map.edge_slot[rec.moved_edge] = s;
+      map.edge_slot[rec.leaf_edge] = s;
+      map.slot_count[s] += 2;
       preimage_push(i, s, rec.moved_edge);
       preimage_push(i, s, rec.leaf_edge);
     }
@@ -569,7 +538,8 @@ void Terrace::apply_pending(std::size_t i) {
 
 bool Terrace::split_constraint(std::size_t i, SplitRecord& r) {
   const TaxonId x = r.taxon;
-  const std::uint32_t s = target_slot_[i][x];
+  const auto map = mapping(i);
+  const std::uint32_t s = map.target_slot[x];
   const phylo::Tree& tree = problem_->constraints[i];
   const auto& y = problem_->constraint_taxa[i];
   // The mapping's common set is C_i without the taxa whose splits are still
@@ -582,9 +552,9 @@ bool Terrace::split_constraint(std::size_t i, SplitRecord& r) {
   };
   // The walk also checks admissibility: x's pendant edge must map onto its
   // target (an inadmissible probe fails here and rebuilds).
-  if (!walk_region(agile_, edge_slot_[i].data(), s, agile_.leaf_of(x), in_y,
+  if (!walk_region(agile_, map.edge_slot, s, agile_.leaf_of(x), in_y,
                    awalk_) ||
-      !walk_region(tree, cslot_[i].data(), s, tree.leaf_of(x), in_c, cwalk_))
+      !walk_region(tree, map.cslot, s, tree.leaf_of(x), in_c, cwalk_))
     return false;
   // Orient T_i's parts like the agile ones by their end signatures.
   bool swap;
@@ -605,22 +575,18 @@ bool Terrace::split_constraint(std::size_t i, SplitRecord& r) {
   if (sz[1] > sz[keep]) keep = 1;
   std::uint32_t label[3];
   std::uint32_t fresh = n_slots_[i];
-  auto& scount = slot_count_[i];
   for (int j = 0; j < 3; ++j) {
     if (j == keep) {
       label[j] = s;
       continue;
     }
     label[j] = fresh;
-    scount[fresh] = 0;
-    slot_head_[i][fresh] = kNoId;
+    map.slot_count[fresh] = 0;
+    map.slot_head[fresh] = kNoId;
     ++fresh;
   }
   n_slots_[i] = fresh;
 
-  auto& eslot = edge_slot_[i];
-  auto& cs = cslot_[i];
-  auto& tslot = target_slot_[i];
   for (int j = 0; j < 3; ++j) {
     if (j == keep) continue;
     const std::uint32_t t = label[j];
@@ -628,15 +594,15 @@ bool Terrace::split_constraint(std::size_t i, SplitRecord& r) {
       const EdgeId e = awalk_.edge[k];
       preimage_unlink(i, s, e);
       preimage_push(i, t, e);
-      eslot[e] = t;
+      map.edge_slot[e] = t;
     });
-    scount[s] -= sz[j];
-    scount[t] = sz[j];
+    map.slot_count[s] -= sz[j];
+    map.slot_count[t] = sz[j];
     const int jc = j < 2 && swap ? 1 - j : j;
     for_each_in_part(cwalk_, jc, [&](std::uint32_t k) {
-      cs[cwalk_.edge[k]] = t;
+      map.cslot[cwalk_.edge[k]] = t;
       const auto& vx = tree.vertex(cwalk_.far[k]);
-      if (vx.degree == 1 && !in_c(vx.taxon)) tslot[vx.taxon] = t;
+      if (vx.degree == 1 && !in_c(vx.taxon)) map.target_slot[vx.taxon] = t;
     });
   }
   r.slot = s;
@@ -647,29 +613,23 @@ bool Terrace::split_constraint(std::size_t i, SplitRecord& r) {
 void Terrace::merge_constraint(std::size_t i, const SplitRecord& r) {
   const std::uint32_t s = r.slot;
   const phylo::Tree& tree = problem_->constraints[i];
-  auto& eslot = edge_slot_[i];
-  auto& scount = slot_count_[i];
-  auto& shead = slot_head_[i];
-  auto& lnext = link_next_[i];
-  auto& lprev = link_prev_[i];
-  auto& cs = cslot_[i];
-  auto& tslot = target_slot_[i];
+  const auto map = mapping(i);
   // x's own target was never touched while it was inserted: walks and
   // rebuilds only write open taxa.
-  GENTRIUS_DCHECK(tslot[r.taxon] == s);
+  GENTRIUS_DCHECK(map.target_slot[r.taxon] == s);
   GENTRIUS_DCHECK(n_slots_[i] >= 2);
   for (std::uint32_t p = n_slots_[i] - 2; p < n_slots_[i]; ++p) {
     // Agile side: relabel p's preimage list and splice it onto s's.
     EdgeId last = kNoId;
-    for (EdgeId e = shead[p]; e != kNoId; e = lnext[e]) {
-      eslot[e] = s;
+    for (EdgeId e = map.slot_head[p]; e != kNoId; e = map.link_next[e]) {
+      map.edge_slot[e] = s;
       last = e;
     }
     if (last != kNoId) {
-      lnext[last] = shead[s];
-      if (shead[s] != kNoId) lprev[shead[s]] = last;
-      shead[s] = shead[p];
-      scount[s] += scount[p];
+      map.link_next[last] = map.slot_head[s];
+      if (map.slot_head[s] != kNoId) map.link_prev[map.slot_head[s]] = last;
+      map.slot_head[s] = map.slot_head[p];
+      map.slot_count[s] += map.slot_count[p];
     }
     // T_i side: the part is the subtree hanging off the median through its
     // one p-edge; relabeling as it goes keeps the walk from turning back.
@@ -678,11 +638,12 @@ void Terrace::merge_constraint(std::size_t i, const SplitRecord& r) {
     while (!trav_stack_.empty()) {
       const auto& vx = tree.vertex(trav_stack_.back().v);
       trav_stack_.pop_back();
-      if (vx.degree == 1 && !inserted_.test(vx.taxon)) tslot[vx.taxon] = s;
+      if (vx.degree == 1 && !inserted_.test(vx.taxon))
+        map.target_slot[vx.taxon] = s;
       for (std::uint8_t a = 0; a < vx.degree; ++a) {
         const EdgeId f = vx.adj[a].edge;
-        if (cs[f] != p) continue;
-        cs[f] = s;
+        if (map.cslot[f] != p) continue;
+        map.cslot[f] = s;
         trav_stack_.push_back(TravItem{vx.adj[a].to, 0, f});
       }
     }
@@ -727,13 +688,14 @@ bool Terrace::mapping_matches_rebuild(std::size_t i) const {
   const auto akey = edge_keys(agile_);
   const auto tkey = edge_keys(tree);
 
+  const auto map = mapping(i);
   const std::uint32_t n_slots = n_slots_[i];
   std::vector<std::uint64_t> slot_key(n_slots, 0);
   std::vector<std::uint32_t> seen(n_slots, 0);
   std::unordered_map<std::uint64_t, std::uint32_t> key_slot;
   for (EdgeId e = 0; e < agile_.edge_capacity(); ++e) {
     if (!agile_.edge_alive(e)) continue;
-    const std::uint32_t s = edge_slot_[i][e];
+    const std::uint32_t s = map.edge_slot[e];
     if (s >= n_slots) return false;
     if (seen[s]++ == 0) {
       slot_key[s] = akey[e];
@@ -743,10 +705,10 @@ bool Terrace::mapping_matches_rebuild(std::size_t i) const {
     }
   }
   for (std::uint32_t s = 0; s < n_slots; ++s) {
-    if (seen[s] == 0 || slot_count_[i][s] != seen[s]) return false;
+    if (seen[s] == 0 || map.slot_count[s] != seen[s]) return false;
     std::uint32_t listed = 0;
-    for (EdgeId e = slot_head_[i][s]; e != kNoId; e = link_next_[i][e]) {
-      if (edge_slot_[i][e] != s) return false;
+    for (EdgeId e = map.slot_head[s]; e != kNoId; e = map.link_next[e]) {
+      if (map.edge_slot[e] != s) return false;
       ++listed;
     }
     if (listed != seen[s]) return false;
@@ -759,11 +721,11 @@ bool Terrace::mapping_matches_rebuild(std::size_t i) const {
     if (!tree.vertex_alive(v) || tree.vertex(v).degree != 1) continue;
     const TaxonId t = tree.vertex(v).taxon;
     if (!inserted_.test(t) &&
-        target_slot_[i][t] != expected(tkey[tree.vertex(v).adj[0].edge]))
+        map.target_slot[t] != expected(tkey[tree.vertex(v).adj[0].edge]))
       return false;
   }
   for (EdgeId f = 0; f < tree.edge_capacity(); ++f)
-    if (tree.edge_alive(f) && cslot_[i][f] != expected(tkey[f])) return false;
+    if (tree.edge_alive(f) && map.cslot[f] != expected(tkey[f])) return false;
   return true;
 }
 
@@ -773,12 +735,13 @@ void Terrace::gather_constraints(TaxonId x) {
   scratch_target_.clear();
   for (const std::uint32_t i : problem_->trees_of_taxon[x]) {
     if (!active_[i]) continue;
-    // Active implies rebuilt (ensure_mappings ran), so the per-constraint
-    // arrays exist; cache the edge-slot base pointer and x's target slot so
-    // every probe below is one load + compare with no double indirection.
+    // Active implies rebuilt (ensure_mappings ran), so the block exists;
+    // cache its edge-slot section and x's target slot so every probe below
+    // is one load + compare with no double indirection.
+    const auto map = mapping(i);
     scratch_js_.push_back(i);
-    scratch_eslot_.push_back(edge_slot_[i].data());
-    scratch_target_.push_back(target_slot_[i][x]);
+    scratch_eslot_.push_back(map.edge_slot);
+    scratch_target_.push_back(map.target_slot[x]);
   }
 }
 
@@ -790,17 +753,16 @@ void Terrace::for_each_admissible(Visit&& visit) {
   for (std::size_t k = 0; k < nj; ++k) {
     const std::uint32_t ts = scratch_target_[k];
     if (ts == kNoSlot) return;
-    const std::uint32_t sc = slot_count_[scratch_js_[k]][ts];
+    const std::uint32_t sc = mapping(scratch_js_[k]).slot_count[ts];
     if (sc == 0) return;
     if (sc < best_n) {
       best_n = sc;
       best_k = k;
     }
   }
-  const std::uint32_t best_i = scratch_js_[best_k];
-  const auto& next = link_next_[best_i];
-  for (EdgeId e = slot_head_[best_i][scratch_target_[best_k]]; e != kNoId;
-       e = next[e]) {
+  const auto best = mapping(scratch_js_[best_k]);
+  for (EdgeId e = best.slot_head[scratch_target_[best_k]]; e != kNoId;
+       e = best.link_next[e]) {
     bool ok = true;
     for (std::size_t k = 0; k < nj; ++k) {
       if (k == best_k) continue;
@@ -819,7 +781,7 @@ std::size_t Terrace::admissible_count(TaxonId x) {
   if (scratch_js_.empty()) return agile_.edge_count();
   if (scratch_js_.size() == 1) {
     const std::uint32_t ts = scratch_target_[0];
-    return ts == kNoSlot ? 0 : slot_count_[scratch_js_[0]][ts];
+    return ts == kNoSlot ? 0 : mapping(scratch_js_[0]).slot_count[ts];
   }
   std::size_t count = 0;
   for_each_admissible([&](EdgeId) {
@@ -949,7 +911,7 @@ bool Terrace::second_taxon_counts(TaxonId x,
   // join y's admissible set exactly when the split branch is in it.
   for (const std::uint32_t i : problem_->trees_of_taxon[x]) {
     if (active_[i] && problem_->constraint_taxa[i].test(y) &&
-        target_slot_[i][x] == target_slot_[i][y])
+        mapping(i).target_slot[x] == mapping(i).target_slot[y])
       return false;
   }
   const auto base = static_cast<std::uint32_t>(admissible_count(y));
@@ -1008,8 +970,9 @@ bool Terrace::initial_state_consistent() {
       continue;
     }
     const phylo::Tree& tree = problem_->constraints[i];
+    const std::uint32_t* const cs = mapping(i).cslot;
     for (EdgeId f = 0; f < tree.edge_capacity() && ok; ++f)
-      ok = !tree.edge_alive(f) || cslot_[i][f] != kNoSlot;
+      ok = !tree.edge_alive(f) || cs[f] != kNoSlot;
   }
 #if GENTRIUS_ENABLE_EXPENSIVE_INVARIANTS
   bool day = true;

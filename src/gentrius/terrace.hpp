@@ -52,8 +52,10 @@
 //    rebuild is cheaper than a split), and removals whose record was
 //    discarded because the constraint went dirty in between, fall back to a
 //    rebuild.
-//  * Per-constraint mapping storage is allocated on first activation, so
-//    constraints that never reach |C| >= 2 with open taxa cost no memory.
+//  * Per-constraint mapping storage is one block, allocated on first
+//    activation, so constraints that never reach |C| >= 2 with open taxa
+//    cost no memory. Every member is a plain value, so a copied Terrace is
+//    independent of the original and may run on another thread.
 //  * The root check is the first mapping build (docs/ALGORITHM.md §2): a
 //    constraint with open taxa agrees with the initial tree iff every T_i
 //    edge got a slot. Only constraints with >= 4 common taxa and no open
@@ -67,13 +69,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "gentrius/options.hpp"
 #include "gentrius/problem.hpp"
 #include "phylo/tree.hpp"
-#include "support/arena.hpp"
 #include "support/bitset.hpp"
 #include "support/key_map.hpp"
 
@@ -175,19 +175,17 @@ class Terrace {
   using SelectionStats = core::SelectionStats;
   const SelectionStats& selection_stats() const noexcept { return stats_; }
 
-  /// Bytes currently allocated for constraint i's mapping storage (edge
-  /// and T_i-edge slots, preimage lists, target slots, traversal and split
-  /// records). Zero until the constraint first activates; never-activated
-  /// constraints stay at zero for the lifetime of the terrace.
+  /// Bytes currently allocated for constraint i's mapping storage: the
+  /// capacity of its mapping block (edge and T_i-edge slots, preimage
+  /// lists, target slots) plus its traversal and split records. Zero until
+  /// the constraint first activates; never-activated constraints stay at
+  /// zero for the lifetime of the terrace.
   std::size_t constraint_storage_bytes(std::size_t i) const;
   /// Bytes currently allocated for per-constraint mapping storage.
   std::size_t mapping_storage_bytes() const;
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  template <typename T>
-  using AVec = support::ArenaVector<T>;
 
   /// Flattened DFS traversal: preorder positions with parents before
   /// children; position 0 is the root leaf. Sweeping these arrays replaces
@@ -290,20 +288,47 @@ class Terrace {
   template <typename Visit>
   void for_each_admissible(Visit&& visit);
   /// Active constraint slots of x: |C_i| >= 2. Fills scratch_js_ plus the
-  /// probe caches (edge_slot_ row pointers and x's target slots).
+  /// probe caches (edge-slot sections and x's target slots).
   void gather_constraints(TaxonId x);
 
   // Intrusive preimage-list maintenance for constraint i, slot s.
   void preimage_push(std::size_t i, std::uint32_t s, EdgeId e);
   void preimage_unlink(std::size_t i, std::uint32_t s, EdgeId e);
 
-  // Per-worker arena backing every hot scratch container below (declared
-  // first: members are initialized in declaration order and the containers
-  // need the arena at construction). Copied Terraces share the arena via
-  // shared_ptr — memory-safe in every case, but the arena itself is not
-  // thread-safe, so a copy must stay on the owning worker's thread, which
-  // the class-wide "worker-private by design" contract already demands.
-  std::shared_ptr<support::Arena> arena_;
+  /// Constraint i's mapping: the sections of its block (mapping_[i]),
+  /// recomputed from the block on every call and never stored. edge_slot[e]
+  /// and target_slot[x] identify the common-subtree edge that agile edge e
+  /// and open taxon x map onto (kNoSlot: none on the agile side);
+  /// slot_count[s] is slot s's preimage size, and slot_head plus the link
+  /// arrays thread its preimage list through edge ids; cslot[f] is the slot
+  /// of T_i edge f (kNoSlot: its S-edge has no agile preimage), and an open
+  /// taxon's target is the slot of its pendant edge.
+  template <typename U>
+  struct Mapping {
+    U* edge_slot;
+    U* target_slot;
+    U* slot_count;
+    U* slot_head;
+    U* link_next;
+    U* link_prev;
+    U* cslot;
+  };
+  Mapping<std::uint32_t> mapping(std::size_t i) noexcept {
+    return sections(mapping_[i].data());
+  }
+  Mapping<const std::uint32_t> mapping(std::size_t i) const noexcept {
+    return sections(mapping_[i].data());
+  }
+  /// With E = max_edges_ and n = n_taxa: edge slots at 0, targets at E,
+  /// counts at E+n, heads at 2E+n, next links at 3E+n, prev links at 4E+n
+  /// and T_i's edge slots (its edge capacity long) at 5E+n.
+  template <typename U>
+  Mapping<U> sections(U* block) const noexcept {
+    const std::size_t e = max_edges_;
+    U* const counts = block + e + problem_->n_taxa;
+    return {block,          block + e,      counts,        counts + e,
+            counts + 2 * e, counts + 3 * e, counts + 4 * e};
+  }
 
   const Problem* problem_;
   phylo::Tree agile_;
@@ -329,28 +354,15 @@ class Terrace {
   std::vector<char> dirty_;
   std::size_t max_edges_ = 0;  // agile edge-capacity bound, fixed at build
 
-  // Slot-interned mapping storage, per constraint, allocated lazily — from
-  // the arena, so one activation lays a constraint's arrays out
-  // back-to-back. edge_slot_[i][e] / target_slot_[i][x] identify the
-  // common-subtree edge an agile edge / a remaining taxon maps onto
-  // (kNoSlot: none on the agile side). slot_count_[i][s] is the preimage
-  // size; slot_head_ plus the link_ arrays thread the preimage list through
-  // edge ids.
-  std::vector<AVec<std::uint32_t>> edge_slot_;
-  std::vector<AVec<std::uint32_t>> target_slot_;
-  std::vector<AVec<std::uint32_t>> slot_count_;
-  std::vector<AVec<EdgeId>> slot_head_;
-  std::vector<AVec<EdgeId>> link_next_;
-  std::vector<AVec<EdgeId>> link_prev_;
+  // Slot-interned mapping storage: one block per constraint, empty until
+  // the constraint first activates, read through mapping(i). Every rebuild
+  // sets it, and splits and merges maintain it in place.
+  std::vector<std::vector<std::uint32_t>> mapping_;
   std::vector<std::uint32_t> n_slots_;  // live slots
   support::KeyMap slot_map_;            // scratch key -> slot+1, per rebuild
 
-  // cslot_[i][f]: slot of T_i edge f (kNoSlot: its S-edge has no agile
-  // preimage), set by every rebuild and maintained by splits and merges;
-  // an open taxon's target is the slot of its pendant edge. splits_[i]:
-  // LIFO SplitRecords of constraint i's own taxa inserted since its last
-  // rebuild, applied ones below the pending_[i] pending ones.
-  std::vector<AVec<std::uint32_t>> cslot_;
+  // splits_[i]: LIFO SplitRecords of constraint i's own taxa inserted since
+  // its last rebuild, applied ones below the pending_[i] pending ones.
   std::vector<std::vector<SplitRecord>> splits_;
   std::vector<std::uint32_t> pending_;
   // Inserts since the last ensure_mappings, whose foreign-taxon slot update
@@ -370,25 +382,27 @@ class Terrace {
 
   SelectionStats stats_;
 
-  // Mapping-sweep scratch, indexed by traversal position; arena-backed so
-  // the rebuild sweeps stream contiguous warm regions (parallel arrays, same
-  // rationale as FlatTraversal).
-  AVec<std::uint64_t> xorv_;
-  AVec<std::uint32_t> cnt_;
-  AVec<std::uint64_t> ctxk_;
-  AVec<std::uint32_t> ctxs_;
+  // Mapping-sweep scratch, indexed by traversal position (parallel arrays,
+  // same rationale as FlatTraversal).
+  std::vector<std::uint64_t> xorv_;
+  std::vector<std::uint32_t> cnt_;
+  std::vector<std::uint64_t> ctxk_;
+  std::vector<std::uint32_t> ctxs_;
   // C_i = Y_i ∩ inserted of the constraint currently being rebuilt,
   // materialized once per rebuild by the fused restrict_and_count kernel so
   // the per-node membership test in both sweeps is a single bit probe.
   support::Bitset common_scratch_;
 
   // Probe caches filled by gather_constraints(x): the active constraint
-  // slots of x, plus — for the admissibility inner loop — each one's raw
-  // edge_slot_ row pointer and x's target slot, so a probe is one indexed
-  // load and compare with no double indirection.
-  AVec<std::uint32_t> scratch_js_;
-  AVec<const std::uint32_t*> scratch_eslot_;
-  AVec<std::uint32_t> scratch_target_;
+  // slots of x, plus — for the admissibility inner loop — each one's
+  // edge-slot section and x's target slot, so a probe is one indexed load
+  // and compare with no double indirection. The section pointers are the
+  // only pointers into a mapping block that the Terrace keeps; they are
+  // read only after the gather that set them (a copy's still point into
+  // the original's blocks until its first gather).
+  std::vector<std::uint32_t> scratch_js_;
+  std::vector<const std::uint32_t*> scratch_eslot_;
+  std::vector<std::uint32_t> scratch_target_;
 };
 
 }  // namespace gentrius::core

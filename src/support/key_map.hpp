@@ -12,32 +12,20 @@
 // plain slot-indexed arrays instead of 64-bit hash lookups.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
-
-#include "support/arena.hpp"
-#include "support/check.hpp"
 
 namespace gentrius::support {
 
 /// Maps uint64 keys (never 0 is *not* required) to uint32 values.
-/// insert-or-find only; no deletion. Capacity grows on demand.
-///
-/// The slot table can be carved out of a caller-supplied Arena so a Terrace's
-/// interning scratch shares the worker-private region with the rest of its
-/// mapping storage. Growth doubles the table and abandons the old one inside
-/// the arena — a bounded, one-time cost since the table only ever grows to
-/// the per-problem high-water mark. Without an arena the map owns a private
-/// one, which behaves like a plain heap-backed table.
+/// insert-or-find only; no deletion. Capacity grows on demand: growth
+/// doubles the table, a bounded cost since it only ever grows to the
+/// per-problem high-water mark.
 class KeyMap {
  public:
-  explicit KeyMap(std::size_t expected = 64,
-                  std::shared_ptr<Arena> arena = nullptr)
-      : slots_(ArenaAllocator<Slot>(arena != nullptr
-                                        ? std::move(arena)
-                                        : std::make_shared<Arena>())) {
+  explicit KeyMap(std::size_t expected = 64) {
     rehash(table_size_for(expected));
   }
 
@@ -124,17 +112,14 @@ class KeyMap {
   }
 
   void grow() {
-    ArenaVector<Slot> old = std::move(slots_);
+    const std::vector<Slot> old = std::move(slots_);
     const std::uint32_t old_epoch = epoch_;
-    rehash(old.size() * 2);  // moved-from vector keeps its allocator
+    rehash(old.size() * 2);
     for (const Slot& s : old)
       if (s.epoch == old_epoch) (*this)[s.key] = s.value;
   }
 
-  // The allocator inside the vector holds a shared_ptr<Arena>, so slots_
-  // co-owns its backing storage; it cannot outlive the arena.
-  // lint:allow(arena-escape)
-  ArenaVector<Slot> slots_;
+  std::vector<Slot> slots_;
   std::uint32_t epoch_ = 1;
   std::size_t count_ = 0;
 };

@@ -220,28 +220,25 @@ TEST(Enumerator, OfferedTaskIsTheFirstHalfOfTheFrame) {
   EXPECT_GT(checked, 10u);
 }
 
-// offer_min_remaining counts the remaining taxa at the frame, its own taxon
-// included: offers reach down to exactly that floor and never below it.
+// The paper's offer floor counts the remaining taxa at the frame, its own
+// taxon included: offers reach down to exactly 3 and never below it.
 TEST(Enumerator, OffersReachDownToTheOfferFloor) {
   const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/3);
-  for (const std::size_t min_remaining : {1u, 2u, 3u, 4u}) {
-    Options opts = flood_options(ds);
-    opts.offer_min_remaining = min_remaining;
-    const auto problem = build_problem(ds.constraints, opts);
-    CounterSink sink(opts.stop);
-    Enumerator e(problem, opts, sink);
-    RecordingSink log(0);
-    const std::size_t prefix = explore_all(e, log).length;
-    ASSERT_FALSE(log.offers.empty()) << "min_remaining=" << min_remaining;
-    std::size_t lowest = problem.missing_count();
-    for (const Task& offer : log.offers) {
-      const std::size_t remaining =
-          problem.missing_count() - prefix - offer.path.size();
-      EXPECT_GE(remaining, min_remaining);
-      lowest = std::min(lowest, remaining);
-    }
-    EXPECT_EQ(lowest, min_remaining);
+  const Options opts = flood_options(ds);
+  const auto problem = build_problem(ds.constraints, opts);
+  CounterSink sink(opts.stop);
+  Enumerator e(problem, opts, sink);
+  RecordingSink log(0);
+  const std::size_t prefix = explore_all(e, log).length;
+  ASSERT_FALSE(log.offers.empty());
+  std::size_t lowest = problem.missing_count();
+  for (const Task& offer : log.offers) {
+    const std::size_t remaining =
+        problem.missing_count() - prefix - offer.path.size();
+    EXPECT_GE(remaining, 3u);
+    lowest = std::min(lowest, remaining);
   }
+  EXPECT_EQ(lowest, 3u);
 }
 
 // A rejected offer leaves the producer its whole frame: one enumerator

@@ -4,9 +4,9 @@
 // two-taxon frame in closed form where its taxa cannot interact. Collecting
 // runs still insert every branch, so they are the reference: states, trees,
 // dead ends and the stop reason must agree with no limits and with limits
-// that land inside a last-taxon or a two-taxon frame, and every driver must
-// agree with the serial count when frames of the last two levels can be
-// handed to other workers.
+// that land inside a last-taxon or a two-taxon frame, and every driver,
+// whose workers hand frames to each other above the last two levels, must
+// agree with the serial count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -206,81 +206,46 @@ TEST(LastTaxonBatch, CountingMatchesCollectingUnderLimitsInsideFrames) {
   EXPECT_GT(dead_end_frames, 0u);
 }
 
-// offer_min_remaining = 1 lets a worker hand half of a last-taxon frame to
-// another worker; the batch must then count only the branches it kept, and
-// the thief counts the rest through its own (unbatched) frame. At 2 a
-// two-taxon frame can be handed off, so it is not counted in closed form;
-// at 3, the default, neither level can be, and both closed forms run.
-TEST(LastTaxonBatch, DriversMatchSerialWhenLastTaxonFramesAreOffered) {
+// Workers offer frames down to the paper's floor of 3 open taxa, so the
+// last two levels are never handed off and both closed forms run on every
+// worker: each driver counts what the serial driver counts.
+TEST(LastTaxonBatch, DriversMatchSerialWithBothClosedForms) {
   for (const Case& c : cases()) {
     const auto problem = build_problem(c.constraints, c.options);
-    for (const std::size_t floor : {1UL, 2UL, 3UL}) {
-      Options opts = c.options;
-      opts.offer_min_remaining = floor;
-      const Result want = serial(problem, opts, /*collect=*/false);
-      for (const Scheduler sched :
-           {Scheduler::kCentralQueue, Scheduler::kDistributedDeques}) {
-        opts.scheduler = sched;
-        const std::string tag = c.name + " " + to_string(sched) +
-                                " offer_min_remaining=" +
-                                std::to_string(floor);
-        for (const std::size_t nt : {2UL, 4UL}) {
-          expect_same_counts(parallel::run_parallel(problem, opts, nt), want,
-                             tag + " pool nt=" + std::to_string(nt));
-        }
-        for (const std::size_t nt : {2UL, 4UL, 8UL}) {
-          expect_same_counts(vthread::run_virtual(problem, opts, nt), want,
-                             tag + " virtual nt=" + std::to_string(nt));
-        }
+    Options opts = c.options;
+    const Result want = serial(problem, opts, /*collect=*/false);
+    for (const Scheduler sched :
+         {Scheduler::kCentralQueue, Scheduler::kDistributedDeques}) {
+      opts.scheduler = sched;
+      const std::string tag = c.name + " " + to_string(sched);
+      for (const std::size_t nt : {2UL, 4UL}) {
+        expect_same_counts(parallel::run_parallel(problem, opts, nt), want,
+                           tag + " pool nt=" + std::to_string(nt));
+      }
+      for (const std::size_t nt : {2UL, 4UL, 8UL}) {
+        expect_same_counts(vthread::run_virtual(problem, opts, nt), want,
+                           tag + " virtual nt=" + std::to_string(nt));
       }
     }
   }
 }
 
-TEST(LastTaxonBatch, FloodOffersLastTaxonFramesAtMinRemainingOne) {
-  // Guards the test above: the only frames offered at a minimum of 1
-  // remaining taxon but not at 2 are last-taxon frames.
-  const auto flood = datagen::make_flood_instance(7, 3);
-  const auto problem = build_problem(flood.constraints, Options{});
-  Options opts;
-  opts.offer_min_remaining = 2;
-  const auto without = vthread::run_virtual(problem, opts, 4);
-  opts.offer_min_remaining = 1;
-  const auto with = vthread::run_virtual(problem, opts, 4);
-  EXPECT_GT(with.tasks_offered, without.tasks_offered);
-  EXPECT_EQ(with.stand_trees, without.stand_trees);
-}
-
-TEST(LastTaxonBatch, FloodOffersTwoTaxonFramesAtMinRemainingTwo) {
-  // Guards the test above: the only frames offered at a minimum of 2
-  // remaining taxa but not at 3 are two-taxon frames.
-  const auto flood = datagen::make_flood_instance(7, 3);
-  const auto problem = build_problem(flood.constraints, Options{});
-  Options opts;
-  opts.offer_min_remaining = 3;
-  const auto without = vthread::run_virtual(problem, opts, 4);
-  opts.offer_min_remaining = 2;
-  const auto with = vthread::run_virtual(problem, opts, 4);
-  EXPECT_GT(with.tasks_offered, without.tasks_offered);
-  EXPECT_EQ(with.stand_trees, without.stand_trees);
-  EXPECT_EQ(with.intermediate_states, without.intermediate_states);
-}
-
-// An offer floor above the taxon count leaves the workers only their
-// initial-split slices: nothing is offered, and the count stays exact.
-TEST(OfferMinRemaining, FloorAboveEveryFrameDisablesAllOffers) {
+// Without work stealing the workers keep only their initial-split slices:
+// nothing is offered, and the count stays exact.
+TEST(StaticSplit, OffersNoTasksAndCountsExactly) {
   const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/1);
   Options opts;
   opts.select_initial_tree = false;
   opts.initial_constraint = *ds.forced_initial_constraint;
   opts.dynamic_taxon_order = false;
   opts.insertion_order = ds.forced_insertion_order;
-  opts.offer_min_remaining = 1'000;  // no frame ever qualifies
   const auto problem = build_problem(ds.constraints, opts);
   const Result want = run_serial(problem, opts);
-  const Result r = vthread::run_virtual(problem, opts, 4);
+  const Result r = vthread::run_virtual_static_split(problem, opts, 4);
   EXPECT_EQ(r.tasks_offered, 0u);
   EXPECT_EQ(r.stand_trees, want.stand_trees);
+  EXPECT_EQ(r.intermediate_states, want.intermediate_states);
+  EXPECT_EQ(r.dead_ends, want.dead_ends);
 }
 
 }  // namespace

@@ -567,6 +567,51 @@ TEST_P(DynamicChoice, MatchesItsDefinitionOnRandomWalks) {
 INSTANTIATE_TEST_SUITE_P(Seeds, DynamicChoice,
                          ::testing::Range<std::uint64_t>(1, 25));
 
+TEST(Terrace, CopyIsAnIndependentValue) {
+  // A copy taken mid-search owns its mapping blocks and scratch: driving
+  // either side deeper into the search changes no admissible set of the
+  // other, and the copy answers what the original answered.
+  datagen::SimulatedParams sp;
+  sp.n_taxa = 24;
+  sp.n_loci = 6;
+  sp.missing_fraction = 0.6;
+  sp.seed = 78;
+  const auto problem =
+      build_problem(datagen::make_simulated(sp).constraints, Options{});
+  std::vector<EdgeId> branches;
+  auto descend = [&](Terrace& t, std::size_t inserts) {
+    for (std::size_t k = 0; k < inserts && t.remaining_count() > 0; ++k) {
+      const auto choice = t.choose_dynamic(branches);
+      if (choice.dead_end) break;
+      t.insert(choice.taxon, branches.back());
+    }
+  };
+  auto admissible_sets = [&](Terrace& t) {
+    std::vector<std::vector<EdgeId>> out;
+    for (const TaxonId x : t.remaining()) {
+      t.choose_static(x, branches);
+      out.push_back(branches);
+    }
+    return out;
+  };
+
+  Terrace original(problem);
+  ASSERT_TRUE(original.initial_state_consistent());
+  descend(original, 3);
+  Terrace copy = original;
+  const auto before = admissible_sets(original);
+  ASSERT_GE(before.size(), 4u);
+  descend(original, 4);
+  EXPECT_EQ(admissible_sets(copy), before);
+  descend(copy, 4);
+  EXPECT_NE(admissible_sets(copy), before);
+
+  Terrace second = copy;
+  const auto deeper = admissible_sets(copy);
+  descend(copy, 100);
+  EXPECT_EQ(admissible_sets(second), deeper);
+}
+
 TEST(Terrace, NeverActivatedConstraintStaysUnallocated) {
   // Constraint 1's taxa all sit inside the initial tree (constraint 0), so
   // it never has an open taxon, never activates, and its mapping storage —

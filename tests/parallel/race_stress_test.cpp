@@ -5,7 +5,8 @@
 // many threads through a narrow synchronization window (producers racing
 // broadcast_stop, last-worker termination racing a late try_push, flush
 // storms into one CounterSink) and asserts the linearizable invariants that
-// must survive every schedule. Run them under GENTRIUS_SAN=thread (the
+// must survive every schedule. One more checks that a copied Terrace shares
+// no mutable state with its original. Run them under GENTRIUS_SAN=thread (the
 // `tsan` preset) to turn any data race into a failure; they also pass — and
 // check the same invariants — in plain builds.
 
@@ -16,7 +17,11 @@
 #include <thread>
 #include <vector>
 
+#include "datagen/dataset.hpp"
 #include "gentrius/counters.hpp"
+#include "gentrius/problem.hpp"
+#include "gentrius/serial.hpp"
+#include "gentrius/terrace.hpp"
 #include "parallel/steal_deque.hpp"
 #include "parallel/task_queue.hpp"
 
@@ -428,6 +433,128 @@ TEST(RaceStress, StopRuleFiresOnceUnderFlushStorm) {
   // Overshoot is bounded by in-flight batches (threads * batch) plus the
   // propagation window of the stop flag; 2x the limit is far beyond both.
   EXPECT_LE(sink.states(), 2 * kLimit);
+}
+
+// --- a copied Terrace is an independent value -------------------------------
+//
+// A Terrace copied before its first mapping build, or mid-search with its
+// mappings built, some splits applied and others pending, must share no
+// mutable state with the original. The original and the copy each run the
+// same choose/insert/remove DFS on their own thread: first the subtree
+// below a state down the search, then, after undoing the inserts that led
+// there, the whole stand. Under TSan a shared buffer is a reported race; in
+// every build each side must count exactly what one thread counts on a
+// fresh Terrace, and the whole stand is run_serial's.
+
+struct DfsCounts {
+  std::uint64_t trees = 0, states = 0, dead_ends = 0;
+  bool operator==(const DfsCounts&) const = default;
+};
+
+void dfs(core::Terrace& t, DfsCounts& counts) {
+  std::vector<core::EdgeId> branches;
+  const auto choice = t.choose_dynamic(branches);
+  if (choice.complete) {
+    ++counts.trees;
+    return;
+  }
+  if (choice.dead_end) {
+    ++counts.dead_ends;
+    return;
+  }
+  for (const core::EdgeId e : branches) {
+    const auto rec = t.insert(choice.taxon, e);
+    ++counts.states;
+    dfs(t, counts);
+    t.remove(rec);
+  }
+}
+
+/// 5,589 stand trees, 11,927 states.
+core::Problem copy_test_problem() {
+  datagen::SimulatedParams sp;
+  sp.n_taxa = 32;
+  sp.n_loci = 6;
+  sp.missing_fraction = 0.5;
+  sp.seed = 80;
+  return core::build_problem(datagen::make_simulated(sp).constraints,
+                             core::Options{});
+}
+
+/// The root check (the first mapping build), then down the last branch of
+/// each choice until three choices had more than one branch: the splits of
+/// all inserts but the last are applied, and the last insert's pending.
+std::vector<core::InsertRecord> build_and_descend(core::Terrace& t) {
+  EXPECT_TRUE(t.initial_state_consistent());
+  std::vector<core::InsertRecord> path;
+  std::vector<core::EdgeId> branches;
+  for (int real_choices = 0; real_choices < 3;) {
+    const auto choice = t.choose_dynamic(branches);
+    if (choice.complete || choice.dead_end) break;
+    if (branches.size() > 1) ++real_choices;
+    path.push_back(t.insert(choice.taxon, branches.back()));
+  }
+  return path;
+}
+
+struct CopyRun {
+  DfsCounts below, whole;
+  bool operator==(const CopyRun&) const = default;
+};
+
+/// The DFS below t's state, then the inserts of `path` undone (newest
+/// first) and the DFS of the whole stand.
+CopyRun run_from(core::Terrace& t,
+                 const std::vector<core::InsertRecord>& path) {
+  CopyRun r;
+  dfs(t, r.below);
+  for (auto it = path.rbegin(); it != path.rend(); ++it) t.remove(*it);
+  dfs(t, r.whole);
+  return r;
+}
+
+/// One thread on a fresh Terrace.
+CopyRun single_thread_run(const core::Problem& problem) {
+  core::Terrace fresh(problem);
+  const auto path = build_and_descend(fresh);
+  return run_from(fresh, path);
+}
+
+TEST(RaceStress, CopiedTerraceIsIndependentOfItsOriginal) {
+  const auto problem = copy_test_problem();
+  const CopyRun want = single_thread_run(problem);
+  ASSERT_GT(want.below.trees, 0u);
+  ASSERT_GT(want.whole.trees, want.below.trees);
+  const core::Result serial = core::run_serial(problem, core::Options{});
+  EXPECT_EQ(want.whole.trees, serial.stand_trees);
+  EXPECT_EQ(want.whole.states, serial.intermediate_states);
+  EXPECT_EQ(want.whole.dead_ends, serial.dead_ends);
+
+  core::Terrace original(problem);
+  const auto path = build_and_descend(original);
+  core::Terrace copy = original;
+  CopyRun got_original, got_copy;
+  std::thread a([&] { got_original = run_from(original, path); });
+  std::thread b([&] { got_copy = run_from(copy, path); });
+  a.join();
+  b.join();
+  EXPECT_EQ(got_original, want);
+  EXPECT_EQ(got_copy, want);
+}
+
+TEST(RaceStress, TerraceCopiedBeforeItsFirstBuildIsIndependent) {
+  const auto problem = copy_test_problem();
+  const CopyRun want = single_thread_run(problem);
+  core::Terrace original(problem);
+  core::Terrace copy = original;
+  auto run = [](core::Terrace& t) { return run_from(t, build_and_descend(t)); };
+  CopyRun got_original, got_copy;
+  std::thread a([&] { got_original = run(original); });
+  std::thread b([&] { got_copy = run(copy); });
+  a.join();
+  b.join();
+  EXPECT_EQ(got_original, want);
+  EXPECT_EQ(got_copy, want);
 }
 
 }  // namespace

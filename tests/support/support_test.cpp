@@ -129,6 +129,24 @@ TEST(KeyMap, GrowsBeyondInitialCapacity) {
     EXPECT_EQ(m.get(k * 0x9e3779b9ULL), k);
 }
 
+TEST(KeyMap, CopyIsIndependent) {
+  KeyMap a(4);
+  a[1] = 10;
+  a[2] = 20;
+  KeyMap b = a;
+  b[1] = 11;
+  for (std::uint64_t k = 100; k < 200; ++k) b[k] = 1;  // b grows
+  a.clear();
+  a[3] = 30;
+  EXPECT_EQ(b.get(1), 11u);
+  EXPECT_EQ(b.get(2), 20u);
+  EXPECT_FALSE(b.contains(3));
+  EXPECT_EQ(b.size(), 102u);
+  EXPECT_EQ(a.size(), 1u);
+  EXPECT_FALSE(a.contains(1));
+  EXPECT_FALSE(a.contains(150));
+}
+
 TEST(KeyMap, EpochClearSurvivesManyCycles) {
   KeyMap m(8);
   for (int cycle = 0; cycle < 10000; ++cycle) {

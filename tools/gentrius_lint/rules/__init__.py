@@ -13,13 +13,12 @@ Adding a rule = dropping a module here and listing it in ALL_RULES.
 
 from __future__ import annotations
 
-from gentrius_lint.rules import arena_escape, atomic_order, determinism, lock_rank
+from gentrius_lint.rules import atomic_order, determinism, lock_rank
 
 ALL_RULES = [
     determinism.RULE,
     atomic_order.RULE,
     lock_rank.RULE,
-    arena_escape.RULE,
 ]
 
 RULES_BY_NAME = {rule.name: rule for rule in ALL_RULES}

@@ -70,7 +70,7 @@ PATTERNS: dict[str, tuple[re.Pattern[str], str]] = {
             r"|\bdelete\s*\[\]"      # delete[] p
             r"|\bdelete\s+[A-Za-z_*(]"  # delete p   (but not `= delete;`)
         ),
-        "raw new/delete; use containers, std::make_unique or arena types",
+        "raw new/delete; use containers or std::make_unique",
     ),
 }
 
