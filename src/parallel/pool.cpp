@@ -52,8 +52,9 @@ bool drain(Enumerator& e) {
 }
 
 // Shared-state discipline (checked by Clang -Wthread-safety where locks are
-// involved): the scheduler guards its own members internally (task_queue.hpp
-// / steal_deque.hpp), `sink` is lock-free atomics (counters.hpp), and each
+// involved): the scheduler guards its own members internally (the central
+// queue under one mutex, task_queue.hpp; each worker's ring under its own,
+// steal_deque.hpp), `sink` is lock-free atomics (counters.hpp), and each
 // worker writes only its own `out` slot — the pool reads them only after
 // WorkerCache::run has seen every job return, which orders the writes
 // before the reads. `Scheduler` is TaskQueue or DequeScheduler; a null

@@ -5,12 +5,10 @@
 // paper's rule: N_t + 1 tasks for N_t < 8 threads, N_t / 2 otherwise —
 // enough to keep the pool fed without flooding it with tiny subproblems.
 //
-// Storage is a fixed ring of `capacity` Task slots allocated at
-// construction. The producer stages its pooled task outside the lock and a
-// push swaps it with the tail slot; a pop swaps the head slot with the
-// consumer's pooled task. Both critical sections are O(1) pointer
-// exchanges: every hand-off is allocation-free on both sides, and no node
-// allocation or element copying ever happens inside the critical section.
+// Storage is a TaskRing of `capacity` slots (task_ring.hpp). The producer
+// stages its pooled task outside the lock and a push swaps it into the back
+// slot; a pop swaps the front slot with the consumer's pooled task, so both
+// critical sections are O(1) pointer exchanges.
 //
 // Termination detection: the queue tracks how many workers are busy. The
 // last worker to go idle with an empty queue declares the run finished and
@@ -24,10 +22,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "gentrius/counters.hpp"
 #include "gentrius/enumerator.hpp"
+#include "parallel/task_ring.hpp"
 #include "support/invariant.hpp"
 #include "support/sync.hpp"
 #include "support/thread_annotations.hpp"
@@ -57,28 +55,17 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
  public:
   /// All `workers` participants start in the busy state.
   TaskQueue(std::size_t capacity, std::size_t workers)
-      : capacity_(capacity), slots_(capacity), busy_(workers) {}
+      : ring_(capacity), busy_(workers) {}
 
   /// Producer side (called from inside Enumerator::step). Non-blocking:
   /// a full queue rejects the task — left untouched, the producer keeps
   /// the branches — and a terminated queue (done_) rejects every task. On
-  /// success the task's vectors are swapped into the tail slot; whatever
+  /// success the task's vectors are swapped into the back slot; whatever
   /// capacity the slot accumulated travels back to the producer's pool.
   bool try_push(core::Task& task) override GENTRIUS_EXCLUDES(mutex_) {
     {
       support::MutexLock lock(mutex_);
-      GENTRIUS_DCHECK_LE(size_, capacity_);
-      if (done_) return false;
-      if (size_ >= capacity_) {
-        ++rejections_;
-        return false;
-      }
-      core::Task& slot = slots_[(head_ + size_) % capacity_];
-      std::swap(slot.path, task.path);
-      slot.next_taxon = task.next_taxon;
-      std::swap(slot.branches, task.branches);
-      ++size_;
-      if (size_ > max_depth_) max_depth_ = size_;
+      if (done_ || !ring_.push_back(task)) return false;
     }
     cv_.notify_one();
     return true;
@@ -96,20 +83,15 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
     {
       support::MutexLock lock(mutex_);
       GENTRIUS_DCHECK_GT(busy_, 0u);
-      if (--busy_ == 0 && size_ == 0) {
+      if (--busy_ == 0 && ring_.empty()) {
         done_ = true;
         i_terminated = true;
       } else {
         for (;;) {
           if (done_ || sink.stop_requested()) break;
-          if (size_ > 0) {
-            // Swap instead of move: the consumer's old vectors end up in
-            // the slot and get reused by a later push.
-            std::swap(out.path, slots_[head_].path);
-            out.next_taxon = slots_[head_].next_taxon;
-            std::swap(out.branches, slots_[head_].branches);
-            head_ = (head_ + 1) % capacity_;
-            --size_;
+          // The consumer's old vectors end up in the slot and get reused by
+          // a later push.
+          if (ring_.pop_front(out)) {
             ++busy_;
             ++pops_;
             got = true;
@@ -147,7 +129,7 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
   /// Diagnostics (tests): current queue occupancy.
   std::size_t size() const GENTRIUS_EXCLUDES(mutex_) {
     support::MutexLock lock(mutex_);
-    return size_;
+    return ring_.size();
   }
 
   /// Scheduler observability. Every hand-off crosses the shared queue, so
@@ -158,23 +140,18 @@ class TaskQueue final : public core::TaskSink, public core::StopWaker {
     core::SchedulerStats s;
     s.tasks_stolen = pops_;
     s.steal_attempts = pops_;
-    s.queue_full_rejections = rejections_;
-    s.max_queue_depth = max_depth_;
+    s.queue_full_rejections = ring_.rejections();
+    s.max_queue_depth = ring_.max_depth();
     return s;
   }
 
  private:
-  const std::size_t capacity_;
   mutable support::Mutex mutex_{support::Rank::kTaskQueue};
   support::CondVar cv_;
-  std::vector<core::Task> slots_ GENTRIUS_GUARDED_BY(mutex_);  // fixed ring
-  std::size_t head_ GENTRIUS_GUARDED_BY(mutex_) = 0;
-  std::size_t size_ GENTRIUS_GUARDED_BY(mutex_) = 0;
+  TaskRing<> ring_ GENTRIUS_GUARDED_BY(mutex_);
   std::size_t busy_ GENTRIUS_GUARDED_BY(mutex_);
   bool done_ GENTRIUS_GUARDED_BY(mutex_) = false;
   std::uint64_t pops_ GENTRIUS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t rejections_ GENTRIUS_GUARDED_BY(mutex_) = 0;
-  std::size_t max_depth_ GENTRIUS_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace gentrius::parallel

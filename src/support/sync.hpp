@@ -43,6 +43,9 @@ class CondVar;
 enum class Rank : int {
   kTaskQueue = 10,        // parallel/task_queue.hpp TaskQueue::mutex_
   kSchedulerSignal = 20,  // parallel/steal_deque.hpp DequeScheduler::mutex_
+  kStealDeque = 25,       // parallel/steal_deque.hpp StealDeque::mutex_, one
+                          // per worker ring; held for one slot swap, never
+                          // nested with another ring or the signal mutex
   kCounterSink = 30,      // reserved: CounterSink is lock-free today
   kWorkerCache = 40,      // parallel/worker_cache.cpp idle list, mailboxes,
                           // run completion; never nested

@@ -10,6 +10,7 @@
 #include "gentrius/enumerator.hpp"
 #include "parallel/steal_deque.hpp"
 #include "parallel/task_queue.hpp"
+#include "parallel/task_ring.hpp"
 #include "support/check.hpp"
 #include "support/invariant.hpp"
 #include "support/stopwatch.hpp"
@@ -34,10 +35,9 @@ namespace {
 /// the queue is only ever touched from inside the scheduler's RoleGuard
 /// scope — the mechanical form of the determinism guarantee the header
 /// documents. The push cost is charged to whichever worker's clock is
-/// installed as the producer. Like the real TaskQueue, storage is a fixed
-/// ring of Task slots: pushes swap the producer's staged task into a slot,
-/// pops swap the slot with the scheduler's pooled steal target, so the
-/// simulated hand-off is allocation-free too.
+/// installed as the producer. Like the real TaskQueue, storage is a
+/// TaskRing; each slot's stamp is the virtual time its task becomes
+/// available.
 ///
 /// The queue's one mutex is modeled as a serial resource: a successful push
 /// or pop starts no earlier than `lock_free_at_` (the previous holder's
@@ -50,7 +50,7 @@ namespace {
 class VirtualQueue final : public core::TaskSink {
  public:
   VirtualQueue(std::size_t capacity, double queue_cost)
-      : capacity_(capacity), queue_cost_(queue_cost), slots_(capacity) {}
+      : queue_cost_(queue_cost), ring_(capacity) {}
 
   /// The scheduler capability; the event loop holds it for the whole run.
   support::SequentialRole& role() GENTRIUS_RETURN_CAPABILITY(role_) {
@@ -64,45 +64,30 @@ class VirtualQueue final : public core::TaskSink {
   // Called through core::TaskSink from inside Enumerator::step, which only
   // runs while the event loop (holding the role) steps the worker.
   bool try_push(Task& task) override GENTRIUS_REQUIRES(role_) {
-    GENTRIUS_DCHECK_LE(size_, capacity_);
-    if (size_ >= capacity_) {
-      ++rejections_;
-      return false;
-    }
+    if (ring_.full()) return ring_.push_back(task);  // counted, charged nothing
     GENTRIUS_DCHECK(producer_clock_ != nullptr);
     const double start = std::max(*producer_clock_, lock_free_at_);
     *producer_clock_ = start + queue_cost_;
     lock_free_at_ = *producer_clock_;
-    Entry& slot = slots_[(head_ + size_) % capacity_];
-    std::swap(slot.task.path, task.path);
-    slot.task.next_taxon = task.next_taxon;
-    std::swap(slot.task.branches, task.branches);
-    slot.available_at = *producer_clock_;
-    ++size_;
-    if (size_ > max_depth_) max_depth_ = size_;
-    return true;
+    return ring_.push_back(task, *producer_clock_);
   }
 
-  bool empty() const GENTRIUS_REQUIRES(role_) { return size_ == 0; }
+  bool empty() const GENTRIUS_REQUIRES(role_) { return ring_.empty(); }
 
   /// Earliest virtual time a pop could complete its lock acquisition: the
   /// oldest entry must exist and the queue mutex must be free.
   double pop_available_at() const GENTRIUS_REQUIRES(role_) {
-    GENTRIUS_DCHECK(size_ > 0);
-    return std::max(slots_[head_].available_at, lock_free_at_);
+    return std::max(ring_.front_stamp(), lock_free_at_);
   }
 
   /// Pops the oldest task for a thief whose lock acquisition begins at
   /// `start` (>= pop_available_at()); returns the thief's clock after the
   /// critical section.
   double pop_front(Task& out, double start) GENTRIUS_REQUIRES(role_) {
-    GENTRIUS_DCHECK(size_ > 0);
     GENTRIUS_DCHECK_GE(start, lock_free_at_);
-    std::swap(out.path, slots_[head_].task.path);
-    out.next_taxon = slots_[head_].task.next_taxon;
-    std::swap(out.branches, slots_[head_].task.branches);
-    head_ = (head_ + 1) % capacity_;
-    --size_;
+    const bool popped = ring_.pop_front(out);
+    GENTRIUS_DCHECK(popped);
+    static_cast<void>(popped);
     ++pops_;
     lock_free_at_ = start + queue_cost_;
     return lock_free_at_;
@@ -112,38 +97,30 @@ class VirtualQueue final : public core::TaskSink {
     core::SchedulerStats s;
     s.tasks_stolen = pops_;
     s.steal_attempts = pops_;
-    s.queue_full_rejections = rejections_;
-    s.max_queue_depth = max_depth_;
+    s.queue_full_rejections = ring_.rejections();
+    s.max_queue_depth = ring_.max_depth();
     return s;
   }
 
  private:
-  struct Entry {
-    Task task;
-    double available_at = 0.0;
-  };
-  const std::size_t capacity_;
   const double queue_cost_;
   support::SequentialRole role_;
-  std::vector<Entry> slots_ GENTRIUS_GUARDED_BY(role_);  // fixed ring
-  std::size_t head_ GENTRIUS_GUARDED_BY(role_) = 0;
-  std::size_t size_ GENTRIUS_GUARDED_BY(role_) = 0;
+  parallel::TaskRing<double> ring_ GENTRIUS_GUARDED_BY(role_);
   double* producer_clock_ GENTRIUS_GUARDED_BY(role_) = nullptr;
   double lock_free_at_ GENTRIUS_GUARDED_BY(role_) = 0.0;
   std::uint64_t pops_ GENTRIUS_GUARDED_BY(role_) = 0;
-  std::uint64_t rejections_ GENTRIUS_GUARDED_BY(role_) = 0;
-  std::size_t max_depth_ GENTRIUS_GUARDED_BY(role_) = 0;
 };
 
-/// Simulated distributed scheduler: the deterministic twin of the
-/// lock-free parallel::DequeScheduler. One bounded ring per worker,
-/// owner-local LIFO push/pop charged flat (deque_owner_cost — uncontended
-/// atomics, never serialized), FIFO steals under the *same* seeded
-/// VictimSelector streams as the real scheduler, with thief traffic
-/// serialized per victim deque on its steal_free_at (the CAS'd top index
-/// behaves as a serial resource among thieves). The owner/thief race for a
-/// deque's final element is not modeled (see CostModel). All state is
-/// guarded by the SequentialRole capability exactly like VirtualQueue's.
+/// Simulated distributed scheduler: the deterministic twin of
+/// parallel::DequeScheduler. One bounded TaskRing per worker, owner-local
+/// LIFO push/pop charged flat (deque_owner_cost — the owner's ring lock is
+/// uncontended except during a thief's swap, never serialized), FIFO
+/// steals under the *same* seeded VictimSelector streams as the real
+/// scheduler, with thief traffic serialized per victim deque on its
+/// steal_free_at (the victim's ring lock behaves as a serial resource among
+/// thieves). The owner/thief race for a deque's final element is not
+/// modeled (see CostModel). All state is guarded by the SequentialRole
+/// capability exactly like VirtualQueue's.
 class VirtualDeques {
  public:
   VirtualDeques(std::size_t workers, const CostModel& costs,
@@ -151,11 +128,11 @@ class VirtualDeques {
       : workers_(workers), costs_(&costs) {
     const std::size_t cap = parallel::steal_deque_capacity_for(workers);
     support::RoleGuard guard(role_);
-    deques_.resize(workers);
-    for (auto& d : deques_) d.slots.resize(cap);
+    deques_.reserve(workers);
     selectors_.reserve(workers);
     sinks_.reserve(workers);
     for (std::size_t tid = 0; tid < workers; ++tid) {
+      deques_.push_back(Ring{parallel::TaskRing<double>(cap)});
       selectors_.emplace_back(steal_seed, tid, workers);
       sinks_.push_back(Sink{this, tid});
     }
@@ -215,12 +192,11 @@ class VirtualDeques {
       const std::size_t victim = (sweep_start + k) % workers_;
       if (victim == tid) continue;
       const Ring& d = deques_[victim];
-      if (d.size == 0) {
+      if (d.tasks.empty()) {
         ++scanned;
         continue;
       }
-      const double avail =
-          std::max(d.slots[d.head].available_at, d.steal_free_at);
+      const double avail = std::max(d.tasks.front_stamp(), d.steal_free_at);
       if (avail <= now) {  // ready right now: the sweep stops here
         plan.valid = true;
         plan.victim = victim;
@@ -241,23 +217,22 @@ class VirtualDeques {
 
   /// Commits a planned steal for a thief whose sweep begins at its current
   /// clock: failed probes are charged first, then the successful probe and
-  /// the steal CAS/hand-off (serialized on that deque's steal_free_at —
-  /// thieves targeting one deque pass the contended top index around one
-  /// at a time). Returns the thief's clock after the hand-off.
+  /// the steal's locked hand-off (serialized on that deque's steal_free_at —
+  /// thieves targeting one deque pass its ring lock around one at a time).
+  /// Returns the thief's clock after the hand-off.
   double commit_steal(const StealPlan& plan, double thief_clock, Task& out)
       GENTRIUS_REQUIRES(role_) {
     GENTRIUS_DCHECK(plan.valid);
     Ring& d = deques_[plan.victim];
-    GENTRIUS_DCHECK(d.size > 0);
     const double probed =
         thief_clock + static_cast<double>(plan.failed_probes) *
                           (costs_->steal_attempt_cost + costs_->failed_probe_cost);
     const double start = std::max(probed, plan.available_at);
     const double end =
         start + costs_->steal_attempt_cost + costs_->deque_steal_cost;
-    swap_out(out, d.slots[d.head].task);
-    d.head = (d.head + 1) % d.slots.size();
-    --d.size;
+    const bool popped = d.tasks.pop_front(out);
+    GENTRIUS_DCHECK(popped);
+    static_cast<void>(popped);
     d.steal_free_at = end;
     ++stolen_;
     probes_ += plan.failed_probes + 1;
@@ -266,21 +241,20 @@ class VirtualDeques {
   }
 
   bool own_deque_empty(std::size_t tid) const GENTRIUS_REQUIRES(role_) {
-    return deques_[tid].size == 0;
+    return deques_[tid].tasks.empty();
   }
 
   /// Owner-side LIFO pop (the real acquire()'s first resort): takes the
-  /// newest task from the worker's own ring. The lock-free owner path is
-  /// never serialized against thieves, so the pop is charged flat at
-  /// deque_owner_cost. Returns the owner's clock after the pop.
+  /// newest task from the worker's own ring. The owner's lock is
+  /// uncontended except during a thief's swap, so the pop is charged flat
+  /// at deque_owner_cost, never serialized against thieves. Returns the
+  /// owner's clock after the pop.
   double own_pop(std::size_t tid, double now, Task& out)
       GENTRIUS_REQUIRES(role_) {
-    Ring& d = deques_[tid];
-    GENTRIUS_DCHECK(d.size > 0);
-    const double end = now + costs_->deque_owner_cost;
-    --d.size;
-    swap_out(out, d.slots[(d.head + d.size) % d.slots.size()].task);
-    return end;
+    const bool popped = deques_[tid].tasks.pop_back(out);
+    GENTRIUS_DCHECK(popped);
+    static_cast<void>(popped);
+    return now + costs_->deque_owner_cost;
   }
 
   core::SchedulerStats stats() const GENTRIUS_REQUIRES(role_) {
@@ -289,52 +263,30 @@ class VirtualDeques {
     s.steal_attempts = probes_;
     s.failed_steal_probes = failed_probes_;
     for (const Ring& d : deques_) {
-      s.queue_full_rejections += d.rejections;
-      s.max_queue_depth = std::max<std::uint64_t>(s.max_queue_depth, d.max_depth);
+      s.queue_full_rejections += d.tasks.rejections();
+      s.max_queue_depth =
+          std::max<std::uint64_t>(s.max_queue_depth, d.tasks.max_depth());
     }
     return s;
   }
 
  private:
-  struct Entry {
-    Task task;
-    double available_at = 0.0;
-  };
   struct Ring {
-    std::vector<Entry> slots;
-    std::size_t head = 0;
-    std::size_t size = 0;
-    double steal_free_at = 0.0;  ///< thief-side serial resource (top CAS)
-    std::uint64_t rejections = 0;
-    std::size_t max_depth = 0;
+    parallel::TaskRing<double> tasks;  ///< stamp: virtual time available
+    double steal_free_at = 0.0;  ///< thief-side serial resource (ring lock)
   };
-
-  static void swap_out(Task& dst, Task& src) {
-    std::swap(dst.path, src.path);
-    dst.next_taxon = src.next_taxon;
-    std::swap(dst.branches, src.branches);
-  }
 
   // Reached through core::TaskSink from inside Enumerator::step, which only
   // runs while the event loop (holding the role) steps the producer.
   bool push(std::size_t tid, Task& task) GENTRIUS_REQUIRES(role_) {
-    Ring& d = deques_[tid];
-    GENTRIUS_DCHECK_LE(d.size, d.slots.size());
-    if (d.size >= d.slots.size()) {
-      ++d.rejections;  // free bail, like VirtualQueue's rejected push
-      return false;
-    }
+    parallel::TaskRing<double>& ring = deques_[tid].tasks;
+    // A full ring is a free bail, like VirtualQueue's rejected push.
+    if (ring.full()) return ring.push_back(task);
     GENTRIUS_DCHECK(producer_clock_ != nullptr);
-    // Owner pushes are lock-free and uncontended: flat charge, no
-    // serialization against thieves (the release-store publish needs no
-    // wait on the thief-side top CAS).
+    // The owner's lock is uncontended except during a thief's swap: flat
+    // charge, no serialization against thieves.
     *producer_clock_ += costs_->deque_owner_cost;
-    Entry& slot = d.slots[(d.head + d.size) % d.slots.size()];
-    swap_out(slot.task, task);
-    slot.available_at = *producer_clock_;
-    ++d.size;
-    if (d.size > d.max_depth) d.max_depth = d.size;
-    return true;
+    return ring.push_back(task, *producer_clock_);
   }
 
   const std::size_t workers_;

@@ -44,21 +44,21 @@ struct CostModel {
   double spawn_cost = 200.0;  ///< per-thread creation/teardown (N_t > 1 only)
 
   // Distributed-scheduler terms (Options::Scheduler::kDistributedDeques),
-  // mirroring the lock-free Chase-Lev StealDeque. The owner's push/pop is
-  // an uncontended atomic path — cheap and never serialized against other
-  // workers. A steal is a CAS on the victim's top index: thieves targeting
-  // the same deque hand the contended cache line around one at a time, so
-  // steals are modeled as a serial resource per deque (an operation begins
-  // no earlier than the previous steal's completion) while owner
-  // operations are charged flat and unserialized. The owner/thief race for
-  // the final element is deliberately not modeled: it costs one extra CAS
-  // on a line the participants already hold, is rare (it needs a
-  // one-element deque and a simultaneous probe), and either resolution
-  // keeps the task counted exactly once.
+  // mirroring parallel::StealDeque, a bounded ring behind one mutex per
+  // worker. The owner's push/pop locks its own ring, which is uncontended
+  // except during a thief's O(1) swap — cheap and never serialized against
+  // other workers. A steal try_locks the victim's ring, so thieves
+  // targeting the same deque get it one at a time (a thief that finds it
+  // held sweeps again); steals are modeled as a serial resource per deque
+  // (an operation begins no earlier than the previous steal's completion)
+  // while owner operations are charged flat and unserialized. The owner/thief race for the final
+  // element is deliberately not modeled: it costs one lock hand-over, is
+  // rare (it needs a one-element deque and a simultaneous probe), and
+  // either resolution keeps the task counted exactly once.
   double steal_attempt_cost = 0.05;  ///< probing one victim deque
   double failed_probe_cost = 0.02;   ///< surcharge when the probe found nothing
-  double deque_owner_cost = 0.08;    ///< one owner push/pop (uncontended atomics)
-  double deque_steal_cost = 0.3;     ///< one steal CAS + hand-off (serialized per deque)
+  double deque_owner_cost = 0.08;    ///< one owner push/pop (uncontended lock)
+  double deque_steal_cost = 0.3;     ///< one steal hand-off (serialized per deque)
   /// Per-op surcharge on the central queue's mutex for each *additional*
   /// worker sharing it (same shape as flush_contention): hand-off of a
   /// contended cache line costs roughly linearly in the number of cores

@@ -268,20 +268,22 @@ TEST(RaceStress, DequeStealStormVersusBroadcastStop) {
   }
 }
 
-// --- raw Chase-Lev deque: owner loop versus a steal storm ------------------
+// --- raw locked deque: owner loop versus a steal storm ---------------------
 //
-// Below the scheduler, the lock-free StealDeque itself: one owner pushes
+// Below the scheduler, the StealDeque itself: one owner pushes
 // sequence-tagged tasks and pops interleaved while several thieves steal
 // concurrently. Every pushed task must surface exactly once — at the owner
 // or at exactly one thief — across every interleaving of the owner's
-// bottom_ updates with the thieves' top_ CAS. The per-sequence tally turns
-// both a lost hand-off and a duplicated one into a failure; under
-// GENTRIUS_SAN=thread any unsynchronized ring access is a race report.
-TEST(RaceStress, LockFreeDequeExactlyOnceUnderStealStorm) {
+// locked pushes and pops with the thieves' try_lock steals. The
+// per-sequence tally turns both a lost hand-off and a duplicated one into a
+// failure; under GENTRIUS_SAN=thread any unsynchronized ring access is a
+// race report.
+TEST(RaceStress, LockedDequeExactlyOnceUnderStealStorm) {
   constexpr int kTasks = 20000;
   constexpr std::size_t kThieves = 3;
 
-  StealDeque deque(/*capacity=*/8, /*max_thieves=*/kThieves);
+  std::atomic<std::size_t> pending{0};
+  StealDeque deque(/*capacity=*/8, pending);
   std::vector<std::atomic<int>> seen(kTasks);
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
   std::atomic<bool> owner_done{false};
@@ -317,7 +319,7 @@ TEST(RaceStress, LockFreeDequeExactlyOnceUnderStealStorm) {
       // Ring full: drain one (this also exercises pop racing the thieves).
       if (deque.owner_pop(out)) record(out);
     }
-    // Interleave owner pops so the last-element CAS window is hit often.
+    // Interleave owner pops so the last-element race is hit often.
     if (seq % 3 == 0 && deque.owner_pop(out)) record(out);
   }
   while (deque.owner_pop(out)) record(out);
@@ -330,15 +332,16 @@ TEST(RaceStress, LockFreeDequeExactlyOnceUnderStealStorm) {
   }
 }
 
-// --- raw Chase-Lev deque: the one-element owner/thief race -----------------
+// --- raw locked deque: the one-element owner/thief race --------------------
 //
-// Capacity 1 pins every round on the narrowest window in the protocol: the
-// owner's bottom_ decrement racing the thief's top_ CAS for the same final
-// element. Exactly one side may win each round; the loser must observe an
-// empty deque, never a duplicate or a stale task.
-TEST(RaceStress, LockFreeDequeLastElementRaceHandsOffExactlyOnce) {
+// Capacity 1 pins every round on the narrowest window: the owner's pop
+// racing the thief's steal for the same final element. Exactly one side may
+// win each round; the loser must observe an empty deque (or, for the thief,
+// a held lock), never a duplicate or a stale task.
+TEST(RaceStress, LockedDequeLastElementRaceHandsOffExactlyOnce) {
   constexpr int kRounds = 4000;
-  StealDeque deque(/*capacity=*/1, /*max_thieves=*/1);
+  std::atomic<std::size_t> pending{0};
+  StealDeque deque(/*capacity=*/1, pending);
   std::vector<std::atomic<int>> seen(kRounds);
   for (auto& s : seen) s.store(0, std::memory_order_relaxed);
   std::atomic<int> round_ready{-1};

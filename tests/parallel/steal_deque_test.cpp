@@ -1,9 +1,10 @@
 // Unit tests for the distributed scheduler's building blocks: StealDeque
-// ring semantics (owner LIFO / thief FIFO, capacity rejection, stats),
-// DequeScheduler termination and stop handling, and the stop-wake
-// regression — a consumer parked inside either scheduler must unblock
-// promptly when CounterSink::request_stop fires from another thread,
-// without anyone calling broadcast_stop.
+// ring semantics (owner LIFO / thief FIFO, capacity rejection, stats, the
+// shared pending count), DequeScheduler termination, stop handling and
+// locked-victim probes, and the stop-wake regression — a consumer parked
+// inside either scheduler must unblock promptly when
+// CounterSink::request_stop fires from another thread, without anyone
+// calling broadcast_stop.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,6 +15,7 @@
 
 #include "parallel/steal_deque.hpp"
 #include "parallel/task_queue.hpp"
+#include "support/sync.hpp"
 
 namespace gentrius::parallel {
 namespace {
@@ -66,7 +68,8 @@ TEST(VictimSelector, SeededSelectionIsDeterministicPerThread) {
 }
 
 TEST(StealDeque, OwnerPopsLifoThievesStealFifo) {
-  StealDeque d(4);
+  std::atomic<std::size_t> pending{0};
+  StealDeque d(4, pending);
   ASSERT_TRUE(push(d, make_task(1)));
   ASSERT_TRUE(push(d, make_task(2)));
   ASSERT_TRUE(push(d, make_task(3)));
@@ -82,7 +85,8 @@ TEST(StealDeque, OwnerPopsLifoThievesStealFifo) {
 }
 
 TEST(StealDeque, RejectsWhenFullAndCountsRejections) {
-  StealDeque d(2);
+  std::atomic<std::size_t> pending{0};
+  StealDeque d(2, pending);
   EXPECT_TRUE(push(d, make_task(1)));
   EXPECT_TRUE(push(d, make_task(2)));
   EXPECT_FALSE(push(d, make_task(3)));
@@ -95,17 +99,9 @@ TEST(StealDeque, RejectsWhenFullAndCountsRejections) {
   EXPECT_EQ(d.rejections(), 2u);
 }
 
-TEST(StealDeque, TryReserveCountsButDoesNotConsume) {
-  StealDeque d(1);
-  EXPECT_TRUE(d.try_reserve());
-  EXPECT_TRUE(d.try_reserve());  // a reservation holds no slot
-  ASSERT_TRUE(push(d, make_task(1)));
-  EXPECT_FALSE(d.try_reserve());
-  EXPECT_EQ(d.rejections(), 1u);
-}
-
 TEST(StealDeque, RingWrapsAcrossManyHandoffs) {
-  StealDeque d(3);
+  std::atomic<std::size_t> pending{0};
+  StealDeque d(3, pending);
   core::Task out;
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(push(d, make_task(2 * i)));
@@ -117,6 +113,28 @@ TEST(StealDeque, RingWrapsAcrossManyHandoffs) {
   }
   EXPECT_EQ(d.size(), 0u);
   EXPECT_EQ(d.max_depth(), 2u);
+}
+
+// The scheduler-wide pending count that rings share: it rises with every
+// accepted push, not with a rejected one, and falls with every pop or
+// steal, whichever ring the task leaves.
+TEST(StealDeque, PendingCountsQueuedTasksAcrossRings) {
+  std::atomic<std::size_t> pending{0};
+  StealDeque a(1, pending);
+  StealDeque b(2, pending);
+  ASSERT_TRUE(push(a, make_task(1)));
+  EXPECT_FALSE(push(a, make_task(2)));
+  ASSERT_TRUE(push(b, make_task(3)));
+  ASSERT_TRUE(push(b, make_task(4)));
+  EXPECT_EQ(pending.load(), 3u);
+  core::Task out;
+  ASSERT_TRUE(a.steal(out));
+  ASSERT_TRUE(b.owner_pop(out));
+  EXPECT_EQ(pending.load(), 1u);
+  EXPECT_FALSE(a.owner_pop(out));
+  EXPECT_EQ(pending.load(), 1u);
+  ASSERT_TRUE(b.steal(out));
+  EXPECT_EQ(pending.load(), 0u);
 }
 
 TEST(DequeScheduler, PerWorkerCapacityBeatsTheCentralRuleAtScale) {
@@ -205,6 +223,49 @@ TEST(DequeScheduler, HandleKeepsTheTaskSinkContract) {
   EXPECT_EQ(tag_of(out), tag_of(sent));
   EXPECT_EQ(out.path, sent.path);
   EXPECT_EQ(out.branches, sent.branches);
+  EXPECT_EQ(sched.stats().tasks_stolen, 1u);
+}
+
+// A thief that finds the victim's ring locked counts a failed probe and
+// sweeps again instead of waiting for the lock. Once the lock is free it
+// takes the task, and nobody takes it a second time: both workers then go
+// idle and the pool terminates. A thief that blocked on the lock would
+// make no failed probe in the 5 s the lock is held at most.
+TEST(DequeScheduler, LockedVictimRingIsAFailedProbeAndTheTaskMovesOnce) {
+  core::CounterSink sink({});
+  DequeScheduler sched(2, /*steal_seed=*/1);
+  core::Task t = make_task(7);
+  ASSERT_TRUE(sched.sink_for(0)->try_push(t));
+
+  support::Mutex& victim_ring = sched.deque(0).mutex();
+  victim_ring.lock();
+  core::Task out;
+  bool stolen = false;
+  std::thread thief([&] { stolen = sched.acquire(1, sink, out); });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (sched.failed_probes() == 0 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  EXPECT_EQ(sched.pending(), 1u);  // still queued while the ring is held
+  victim_ring.unlock();
+  thief.join();
+
+  ASSERT_TRUE(stolen);
+  EXPECT_EQ(tag_of(out), 7);
+  const auto s = sched.stats();
+  EXPECT_EQ(s.tasks_stolen, 1u);
+  EXPECT_GE(s.failed_steal_probes, 1u);
+  EXPECT_EQ(s.steal_attempts, s.failed_steal_probes + 1);
+  EXPECT_EQ(sched.pending(), 0u);
+
+  std::thread owner([&] {
+    core::Task none;
+    EXPECT_FALSE(sched.acquire(0, sink, none));
+  });
+  core::Task none;
+  EXPECT_FALSE(sched.acquire(1, sink, none));
+  owner.join();
   EXPECT_EQ(sched.stats().tasks_stolen, 1u);
 }
 

@@ -309,60 +309,3 @@ def _find_body_after_init_list(text: str, i: int) -> int | None:
             return i
         return None
     return None
-
-
-# --- atomic operation extraction --------------------------------------------
-
-ATOMIC_OPS = (
-    "load", "store", "exchange", "fetch_add", "fetch_sub", "fetch_or",
-    "fetch_and", "compare_exchange_strong", "compare_exchange_weak",
-)
-
-_ATOMIC_OP_RE = re.compile(
-    r"(\w+)(?:\[[^\]]*\])?\s*\.\s*(" + "|".join(ATOMIC_OPS) + r")\s*\(")
-_FENCE_RE = re.compile(r"\batomic_thread_fence\s*\(")
-_ORDER_TOKEN_RE = re.compile(r"\bmemory_order_(\w+)")
-
-
-@dataclasses.dataclass(frozen=True)
-class AtomicOp:
-    var: str     # variable name; "fence" for a standalone fence
-    op: str      # load/store/cas/fence/...
-    orders: tuple[str, ...]
-    line: int    # 1-based
-
-    def render(self) -> str:
-        if self.op == "fence":
-            return f"fence {','.join(self.orders)}"
-        return f"{self.var}.{self.op} {','.join(self.orders)}"
-
-
-def extract_atomic_ops(flat: FlatText, start: int, end: int) -> list[AtomicOp]:
-    """Atomic member operations and fences in ``flat.text[start:end]``, in
-    source order. compare_exchange_* is reported as op "cas" with its
-    (success, failure) orders; an op with no explicit memory_order argument
-    reports ("seq_cst",)."""
-    text = flat.text
-    found: list[tuple[int, AtomicOp]] = []
-    for m in _ATOMIC_OP_RE.finditer(text, start, end):
-        open_paren = text.index("(", m.end() - 1)
-        close = _skip_balanced(text, open_paren)
-        orders = tuple(o.group(1)
-                       for o in _ORDER_TOKEN_RE.finditer(text, open_paren, close))
-        if not orders:
-            orders = ("seq_cst",)
-        op = m.group(2)
-        if op.startswith("compare_exchange"):
-            op = "cas"
-        found.append((m.start(),
-                      AtomicOp(m.group(1), op, orders, flat.line_of(m.start()))))
-    for m in _FENCE_RE.finditer(text, start, end):
-        open_paren = text.index("(", m.end() - 1)
-        close = _skip_balanced(text, open_paren)
-        orders = tuple(o.group(1)
-                       for o in _ORDER_TOKEN_RE.finditer(text, open_paren, close))
-        found.append((m.start(),
-                      AtomicOp("fence", "fence", orders or ("seq_cst",),
-                               flat.line_of(m.start()))))
-    found.sort(key=lambda pair: pair[0])
-    return [op for _pos, op in found]

@@ -1,34 +1,13 @@
 """Atomic-ordering audit.
 
-Two analyses over ``src/``:
-
 ``atomic-order`` — every *explicit non-seq_cst* ``std::memory_order_*``
-argument must carry an adjacent ``// order:`` justification: on the same
-line, or in the comment block attached directly above the statement (the
-walk upward passes through continuation lines of a multi-line statement
-and stops at the previous statement boundary or a blank line). seq_cst is
-the safe default and needs no justification; anything weaker is a claim
-about the program's happens-before structure and must say why it holds.
-
-``atomic-hb`` — a declared happens-before table is checked against the
-code. A source file may declare, in comments,
-
-    // hb-table: StealDeque
-    //   owner_push: bottom_.load relaxed ; top_.load acquire ;
-    //     ring_.store relaxed ; bottom_.store release
-    //   steal: top_.load acquire ; fence seq_cst ; ...
-    // hb-end
-
-Rows name a function and its exact sequence of atomic operations on the
-*covered* variables (the union of variables the table mentions), plus all
-fences, in source order; ``cas`` stands for compare_exchange_strong/weak
-and lists success,failure orders. The rule re-extracts each declared
-function's sequence from the code and fails on any drift — a changed
-order, a reordered op, an added or dropped access — and on any function in
-the file that touches a covered variable without being declared. The
-table is therefore a *checked* protocol spec: edits to the Chase-Lev
-deque's top/bottom/buffer choreography cannot land without updating the
-declared happens-before reasoning next to it.
+argument in ``src/`` must carry an adjacent ``// order:`` justification: on
+the same line, or in the comment block attached directly above the
+statement (the walk upward passes through continuation lines of a
+multi-line statement and stops at the previous statement boundary or a
+blank line). seq_cst is the safe default and needs no justification;
+anything weaker is a claim about the program's happens-before structure
+and must say why it holds.
 """
 
 from __future__ import annotations
@@ -42,13 +21,6 @@ _WEAK_ORDER_RE = re.compile(
     r"\bmemory_order_(relaxed|acquire|release|acq_rel|consume)\b")
 _ORDER_COMMENT_RE = re.compile(r"(?://|/\*|\*).*\border:")
 _STMT_BOUNDARY_RE = re.compile(r"[;{}:]\s*$")
-
-_TABLE_START_RE = re.compile(r"//\s*hb-table:\s*(\w+)")
-_TABLE_END_RE = re.compile(r"//\s*hb-end")
-_ROW_START_RE = re.compile(r"^\s*([A-Za-z_]\w*)\s*:\s*(.*)$")
-
-_OP_SPEC_RE = re.compile(
-    r"^(?:(fence)|(\w+)\.(\w+))\s+([a-z_]+(?:\s*,\s*[a-z_]+)*)$")
 
 
 def _has_order_justification(sf: core.SourceFile, lineno: int) -> bool:
@@ -94,154 +66,14 @@ def _check_order_comments(sf: core.SourceFile) -> list[core.Finding]:
     return findings
 
 
-# --- happens-before tables ---------------------------------------------------
-
-class _Table:
-    def __init__(self, name: str, line: int):
-        self.name = name
-        self.line = line
-        # function -> (declaration line, [(var, op, orders...)])
-        self.rows: dict[str, tuple[int, list[tuple[str, str, tuple[str, ...]]]]] = {}
-
-
-def _parse_tables(sf: core.SourceFile) -> tuple[list[_Table], list[core.Finding]]:
-    tables: list[_Table] = []
-    findings: list[core.Finding] = []
-    current: _Table | None = None
-    row_fn: str | None = None
-    pending: str = ""
-
-    def flush_row() -> None:
-        nonlocal pending, row_fn
-        if current is None or row_fn is None:
-            return
-        line = current.rows[row_fn][0]
-        ops = current.rows[row_fn][1]
-        for spec in pending.split(";"):
-            spec = spec.strip()
-            if not spec:
-                continue
-            m = _OP_SPEC_RE.match(spec)
-            if not m:
-                findings.append(
-                    core.Finding(sf.path, line, "atomic-hb",
-                                 f"unparseable hb-table op spec '{spec}' "
-                                 "(want 'var.op order[,order]' or "
-                                 "'fence order')", spec))
-                continue
-            if m.group(1):
-                var, op = "fence", "fence"
-            else:
-                var, op = m.group(2), m.group(3)
-            orders = tuple(o.strip().removeprefix("std::memory_order_")
-                           for o in m.group(4).split(","))
-            ops.append((var, op, orders))
-        pending = ""
-
-    for lineno, raw in enumerate(sf.raw_lines, start=1):
-        start = _TABLE_START_RE.search(raw)
-        if start:
-            current = _Table(start.group(1), lineno)
-            tables.append(current)
-            row_fn = None
-            continue
-        if current is None:
-            continue
-        if _TABLE_END_RE.search(raw):
-            flush_row()
-            current = None
-            row_fn = None
-            continue
-        body = raw.strip()
-        if not body.startswith("//"):
-            findings.append(
-                core.Finding(sf.path, lineno, "atomic-hb",
-                             "hb-table interrupted by non-comment line "
-                             "before hb-end", body))
-            current = None
-            continue
-        body = body[2:]
-        row = _ROW_START_RE.match(body)
-        if row:
-            flush_row()
-            row_fn = row.group(1)
-            current.rows[row_fn] = (lineno, [])
-            pending = row.group(2)
-        elif row_fn is not None:
-            pending += " " + body.strip()
-    return tables, findings
-
-
-def _check_tables(sf: core.SourceFile) -> list[core.Finding]:
-    tables, findings = _parse_tables(sf)
-    if not tables:
-        return findings
-    flat = core.FlatText(sf.code_lines)
-    functions = core.extract_functions(flat)
-    by_name: dict[str, list[core.FunctionDef]] = {}
-    for f in functions:
-        by_name.setdefault(f.name, []).append(f)
-
-    for table in tables:
-        covered = {var for _line, ops in table.rows.values()
-                   for var, _op, _orders in ops if var != "fence"}
-
-        def relevant(ops: list[core.AtomicOp]) -> list[core.AtomicOp]:
-            return [op for op in ops if op.var in covered or op.op == "fence"]
-
-        for fn_name, (decl_line, declared) in table.rows.items():
-            defs = by_name.get(fn_name)
-            if not defs:
-                findings.append(
-                    core.Finding(sf.path, decl_line, "atomic-hb",
-                                 f"hb-table '{table.name}' declares "
-                                 f"'{fn_name}' but no such function is "
-                                 "defined in this file", fn_name))
-                continue
-            fndef = defs[0]
-            actual = relevant(
-                core.extract_atomic_ops(flat, fndef.body_start, fndef.body_end))
-            declared_fmt = [f"{v}.{o} {','.join(orders)}" if v != "fence"
-                            else f"fence {','.join(orders)}"
-                            for v, o, orders in declared]
-            actual_fmt = [op.render() for op in actual]
-            if declared_fmt != actual_fmt:
-                if sf.allowed(fndef.header_line, "atomic-hb"):
-                    continue
-                findings.append(
-                    core.Finding(
-                        sf.path, fndef.header_line, "atomic-hb",
-                        f"'{fn_name}' drifted from hb-table '{table.name}': "
-                        f"declared [{'; '.join(declared_fmt)}] but code does "
-                        f"[{'; '.join(actual_fmt)}] — update the protocol "
-                        "table with the reasoning for the change", fn_name))
-        # Completeness: any function touching a covered variable must be in
-        # the table, or the protocol spec is silently partial.
-        for fndef in functions:
-            if fndef.name in table.rows:
-                continue
-            touched = [op for op in core.extract_atomic_ops(
-                           flat, fndef.body_start, fndef.body_end)
-                       if op.var in covered]
-            if touched and not sf.allowed(fndef.header_line, "atomic-hb"):
-                findings.append(
-                    core.Finding(
-                        sf.path, fndef.header_line, "atomic-hb",
-                        f"'{fndef.name}' touches hb-table '{table.name}' "
-                        f"variable '{touched[0].var}' but is not declared "
-                        "in the table", fndef.name))
-    return findings
-
-
 class AtomicOrderRule:
     name = "atomic-order"
-    codes = frozenset({"atomic-order", "atomic-hb"})
+    codes = frozenset({"atomic-order"})
     dirs = ("src",)
 
     @staticmethod
     def describe() -> str:
-        return ("non-seq_cst memory orders need '// order:' justifications; "
-                "hb-table protocol specs are checked against the code")
+        return "non-seq_cst memory orders need '// order:' justifications"
 
     @staticmethod
     def check(files: list[core.SourceFile],
@@ -250,7 +82,6 @@ class AtomicOrderRule:
         findings: list[core.Finding] = []
         for sf in files:
             findings.extend(_check_order_comments(sf))
-            findings.extend(_check_tables(sf))
         return findings
 
     @staticmethod
@@ -260,33 +91,7 @@ class AtomicOrderRule:
 
 def _lint(text: str) -> list[core.Finding]:
     sf = core.SourceFile("<seeded>", text, AtomicOrderRule.codes)
-    return _check_order_comments(sf) + _check_tables(sf)
-
-
-_HB_SNIPPET_OK = """\
-// hb-table: Ring
-//   push: buf_.store relaxed ; tail_.store release
-//   pop: tail_.load acquire ; fence seq_cst ;
-//     head_.cas seq_cst,relaxed
-// hb-end
-struct Ring {
-  bool push(int v) {
-    // order: payload published by the tail_ release below
-    buf_.store(v, std::memory_order_relaxed);
-    // order: pairs with pop's tail_ acquire
-    tail_.store(1, std::memory_order_release);
-    return true;
-  }
-  bool pop() {
-    // order: pairs with push's tail_ release
-    int t = tail_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    // order: failure path re-reads, no payload access
-    return head_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                         std::memory_order_relaxed);
-  }
-};
-"""
+    return _check_order_comments(sf)
 
 
 def _self_test() -> list[tuple[str, bool]]:
@@ -324,32 +129,6 @@ def _self_test() -> list[tuple[str, bool]]:
                    not fires(seeded + "  // lint:allow(atomic-order)",
                              "atomic-order")))
 
-    checks.append(("atomic-hb: matching table is quiet",
-                   not fires(_HB_SNIPPET_OK, "atomic-hb")))
-    drifted = _HB_SNIPPET_OK.replace("tail_.store(1, std::memory_order_release)",
-                                     "tail_.store(1, std::memory_order_relaxed)")
-    checks.append(("atomic-hb: fires when a declared order drifts",
-                   fires(drifted, "atomic-hb")))
-    reordered = _HB_SNIPPET_OK.replace(
-        "push: buf_.store relaxed ; tail_.store release",
-        "push: tail_.store release ; buf_.store relaxed")
-    checks.append(("atomic-hb: fires when the declared op sequence is "
-                   "reordered",
-                   fires(reordered, "atomic-hb")))
-    undeclared = _HB_SNIPPET_OK.replace(
-        "};", "  int peek() { return tail_.load(std::memory_order_seq_cst); }\n"
-              "};")
-    checks.append(("atomic-hb: fires on an undeclared function touching a "
-                   "covered variable",
-                   fires(undeclared, "atomic-hb")))
-    allowed = undeclared.replace(
-        "  int peek() {",
-        "  // lint:allow(atomic-hb) diagnostics-only read\n  int peek() {")
-    checks.append(("atomic-hb: undeclared function silenced by lint:allow",
-                   not fires(allowed, "atomic-hb")))
-    missing_fn = _HB_SNIPPET_OK.replace("bool pop()", "bool pop_renamed()")
-    checks.append(("atomic-hb: fires when a declared function is missing",
-                   fires(missing_fn, "atomic-hb")))
     seeded_decompose = core.SourceFile("src/decompose/sharded.cpp",
                                        seeded + "\n",
                                        AtomicOrderRule.codes)

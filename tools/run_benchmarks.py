@@ -76,14 +76,16 @@ Typical use:
       --decompose --incremental
   python3 tools/run_benchmarks.py --min-time 0.1 --mapping-scale 0.2 \
       --schedulers --decompose --incremental \
-      --check-against BENCH_9.json  # CI smoke
+      --check-against BENCH_9.json --output BENCH_9.ci.json  # CI smoke
 
 --check-against compares every micro-benchmark present in both reports
 (medians vs medians: states/s and items/s must not fall below, latency-only
 micros such as BM_FullStateExpansion must not rise above, baseline within
 the --max-regression factor) plus, when both reports carry a scheduler
 sweep, the distributed speedup at N_t = 48. Exits non-zero on any
-regression (the CI gate).
+regression (the CI gate). The report is written before the baseline is
+read, so --output must name another file: the script refuses to start when
+both flags resolve to the same path.
 """
 
 from __future__ import annotations
@@ -523,6 +525,12 @@ def main() -> int:
                     help="regression factor that fails --check-against "
                          "(default 2.0 = fail when less than half as fast)")
     args = ap.parse_args()
+    if (args.check_against is not None
+            and args.output.resolve() == args.check_against.resolve()):
+        sys.exit(f"error: --output and --check-against name the same file "
+                 f"({args.output}): the report would overwrite the baseline "
+                 "and then be compared with itself; pass --output another "
+                 "file")
 
     report = {
         "schema": "gentrius-bench-9",
