@@ -279,21 +279,22 @@ struct Shard {
   std::size_t n_taxa = 0;
   std::vector<phylo::Tree> instance;
   /// Cached runs only: the shard's key and its hit, held by shared
-  /// ownership because a later insert at capacity may evict it.
-  core::CanonicalInstance canon;
+  /// ownership because a later insert at capacity may evict either.
+  std::shared_ptr<const core::CanonicalInstance> canon;
   std::shared_ptr<const CacheEntry> hit;
 };
 
-/// The shard, with its canonical key and cache hit when there is a cache.
+/// The shard, with its canonical key and cache hit when there is a cache
+/// that can hold anything: at capacity 0 nothing is keyed.
 Shard look_up(Kind kind, std::size_t n_taxa, std::vector<phylo::Tree> instance,
               ResultCache* cache) {
   Shard s;
   s.kind = kind;
   s.n_taxa = n_taxa;
   s.instance = std::move(instance);
-  if (cache != nullptr) {
-    s.canon = core::canonicalize_instance(s.instance);
-    s.hit = cache->find(s.canon.fp, s.canon.encoding);
+  if (cache != nullptr && cache->capacity() > 0) {
+    s.canon = cache->key(s.instance);
+    s.hit = cache->find(s.canon->fp, s.canon->encoding);
   }
   return s;
 }
@@ -485,7 +486,7 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
       if (component) out.cache.reused_components += 1;
       if (collect_stand)
         component_stands.push_back(
-            from_rank_space(s.hit->stands, s.canon.order, plan.labels));
+            from_rank_space(s.hit->stands, s.canon->order, plan.labels));
       return stats;
     }
 
@@ -507,16 +508,16 @@ Result run_sharded(const std::vector<phylo::Tree>& constraints,
       out.cache.misses += 1;
       out.cache.recomputed_states += r.intermediate_states;
       if (component) out.cache.recomputed_components += 1;
-      if (finished(r.reason)) {
+      if (s.canon && finished(r.reason)) {
         CacheEntry entry;
-        entry.encoding = s.canon.encoding;
+        entry.encoding = s.canon->encoding;
         entry.stand_trees = r.stand_trees;
         entry.stats = stats;
         if (collect_stand && r.trees.size() == r.stand_trees) {
-          entry.stands = to_rank_space(r.trees, s.canon.order, plan.labels);
+          entry.stands = to_rank_space(r.trees, s.canon->order, plan.labels);
           entry.stands_complete = true;
         }
-        cache->insert(s.canon.fp, std::move(entry));
+        cache->insert(s.canon->fp, std::move(entry));
       }
     }
     if (collect_stand) component_stands.push_back(std::move(r.trees));

@@ -138,14 +138,17 @@ ShardPlan plan_shards(const std::vector<phylo::Tree>& constraints);
 /// applies per shard. This function is the one way into decomposition.
 ///
 /// With a `cache`, each component and an enumerated residual are keyed by
-/// core::canonicalize_instance. Every component is looked up before any
-/// runs, the residual only after the components' results are inserted. A
-/// hit is served under the consumer's shard kind with ShardStats::reused
-/// set; a collecting component is served only from an entry that holds its
-/// complete stand. Finished misses are inserted. Result::cache reports the
-/// traffic, and the summed counters, scheduler and selection stats and the
-/// virtual makespan cover executed shards only. Counts, per-shard counts
-/// and stands equal an uncached run's.
+/// core::canonicalize_instance, which the cache memoizes by the instance's
+/// exact content (ResultCache::key), so only an instance it has not seen is
+/// refined; a cache of capacity 0 holds nothing, and nothing is keyed.
+/// Every component is looked up before any runs, the residual only after
+/// the components' results are inserted. A hit is served under the
+/// consumer's shard kind with ShardStats::reused set; a collecting
+/// component is served only from an entry that holds its complete stand.
+/// Finished misses are inserted. Result::cache reports the traffic, and the
+/// summed counters, scheduler and selection stats and the virtual makespan
+/// cover executed shards only. Counts, per-shard counts and stands equal an
+/// uncached run's.
 core::Result run_sharded(const std::vector<phylo::Tree>& constraints,
                          const core::Options& options,
                          const ShardRunOptions& run = {},

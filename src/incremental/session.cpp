@@ -2,6 +2,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "support/error.hpp"
 
@@ -54,9 +55,20 @@ core::Result IncrementalSession::apply(const EditScript& script) {
 }
 
 core::Result IncrementalSession::enumerate() {
-  core::Result out = decompose::run_sharded(
-      pam::induced_subtrees(species_, pam_, options_.min_taxa),
-      options_.engine, options_.run, &cache_);
+  // pam::induced_subtrees, reusing each slot whose row is unchanged. A slot
+  // is replaced whole, after its subtree is built, so a throw leaves it
+  // matching its own row.
+  loci_.resize(pam_.locus_count());
+  std::vector<phylo::Tree> constraints;
+  for (std::size_t l = 0; l < loci_.size(); ++l) {
+    const support::Bitset& row = pam_.locus_taxa(l);
+    if (row.count() < options_.min_taxa) continue;
+    if (!loci_[l] || loci_[l]->row != row)
+      loci_[l] = Locus{row, pam::induced_subtree(species_, pam_, l)};
+    constraints.push_back(loci_[l]->tree);
+  }
+  core::Result out = decompose::run_sharded(constraints, options_.engine,
+                                            options_.run, &cache_);
   lifetime_.merge(out.cache);
   return out;
 }

@@ -9,9 +9,19 @@
 // enumerable component and the enumerated residual, is keyed by its
 // canonical instance encoding (core::canonicalize_instance); a shard whose
 // key hits is served without expanding a single state.
+//
+// A re-enumeration pays only for what the edits changed. One slot per locus
+// holds the locus's exact row and its induced subtree. The species tree
+// never changes, so the row determines the subtree, and a slot is rebuilt
+// only when its row differs (an add_taxon widens every row, so it rebuilds
+// them all); a rolled-back script leaves only slots that match their own
+// rows. The cache memoizes canonical keys by exact content
+// (ResultCache::key), so an unchanged component is not refined again.
 #pragma once
 
 #include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "decompose/cache.hpp"
 #include "decompose/sharded.hpp"
@@ -19,6 +29,7 @@
 #include "incremental/delta.hpp"
 #include "pam/pam.hpp"
 #include "phylo/tree.hpp"
+#include "support/bitset.hpp"
 
 namespace gentrius::incremental {
 
@@ -28,8 +39,9 @@ struct SessionOptions {
   core::Options engine;
   /// Shard execution backend (serial / pool / virtual), as in run_sharded.
   decompose::ShardRunOptions run;
-  /// ResultCache entries (component and residual shards). 0 disables
-  /// caching — every re-enumeration is from scratch.
+  /// ResultCache entries (component and residual shards), and the most
+  /// canonical keys it memoizes. 0 disables caching — every
+  /// re-enumeration is from scratch.
   std::size_t cache_capacity = 256;
   /// Loci with fewer present taxa induce no constraint (pam::induced_subtrees).
   std::size_t min_taxa = 4;
@@ -66,11 +78,20 @@ class IncrementalSession {
   }
 
  private:
+  /// A locus's exact row (its present taxa) and the subtree it induces.
+  struct Locus {
+    support::Bitset row;
+    phylo::Tree tree;
+  };
+
   phylo::Tree species_;
   pam::Pam pam_;
   SessionOptions options_;
   decompose::ResultCache cache_;
   core::CacheStats lifetime_;
+  /// One slot per locus of the matrix enumerate() last ran on; empty until
+  /// built.
+  std::vector<std::optional<Locus>> loci_;
 };
 
 }  // namespace gentrius::incremental

@@ -97,6 +97,139 @@ void expect_same(Result inc, Result ref, const std::string& where) {
   EXPECT_EQ(sorted_trees(inc), sorted_trees(ref));
 }
 
+/// The session's result equals `ref`, run_sharded over the same matrix's
+/// pam::induced_subtrees with a cache of the session's capacity that saw
+/// the same runs: counts, stands, per-shard counts and reuse, and every
+/// cache counter.
+void expect_same_traffic(Result inc, Result ref, const std::string& where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(inc.stand_trees, ref.stand_trees);
+  EXPECT_EQ(sorted_trees(inc), sorted_trees(ref));
+  ASSERT_EQ(inc.shards.size(), ref.shards.size());
+  for (std::size_t j = 0; j < ref.shards.size(); ++j) {
+    EXPECT_EQ(inc.shards[j].stand_trees, ref.shards[j].stand_trees)
+        << "shard " << j;
+    EXPECT_EQ(inc.shards[j].reused, ref.shards[j].reused) << "shard " << j;
+  }
+  EXPECT_EQ(inc.cache.hits, ref.cache.hits);
+  EXPECT_EQ(inc.cache.misses, ref.cache.misses);
+  EXPECT_EQ(inc.cache.evictions, ref.cache.evictions);
+  EXPECT_EQ(inc.cache.reused_components, ref.cache.reused_components);
+  EXPECT_EQ(inc.cache.recomputed_components, ref.cache.recomputed_components);
+  EXPECT_EQ(inc.cache.reused_states, ref.cache.reused_states);
+  EXPECT_EQ(inc.cache.recomputed_states, ref.cache.recomputed_states);
+}
+
+// The per-locus subtree slots under the edits that stress them: a locus
+// cleared below the floor and refilled, a new locus, a new taxon (which
+// widens every row), and scripts that fail and roll back, one of them
+// after its rows were rebuilt (with min_taxa 2, 2-taxon loci induce
+// constraints yet leave nothing enumerable). At every step the session
+// equals a cached reference run with the same capacity.
+TEST(SessionDifferential, LocusSlotsMatchACachedReferenceRun) {
+  for (const std::size_t capacity : {std::size_t{1}, std::size_t{256}})
+    for (const std::size_t min_taxa : {std::size_t{2}, std::size_t{4}})
+      for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const auto ds =
+            benchutil::make_multi_component(params_for_seed(seed, 2));
+        SCOPED_TRACE(ds.name + " capacity=" + std::to_string(capacity) +
+                     " min_taxa=" + std::to_string(min_taxa));
+        const std::size_t n = ds.taxon_count();
+        const std::size_t max_taxa = ds.species_tree.leaf_count();
+        // One taxon short, so an add_taxon can bring the last one back.
+        pam::Pam shadow(n - 1, ds.pam.locus_count());
+        for (std::size_t l = 0; l < ds.pam.locus_count(); ++l)
+          for (phylo::TaxonId t = 0; t + 1 < n; ++t)
+            if (ds.pam.present(t, l)) shadow.set_present(t, l);
+
+        const Options opts = engine_options(ds.taxa);
+        SessionOptions so;
+        so.engine = opts;
+        so.cache_capacity = capacity;
+        so.min_taxa = min_taxa;
+        IncrementalSession session(ds.species_tree, shadow, so);
+        decompose::ResultCache reference_cache(capacity);
+        const auto reference = [&](const pam::Pam& pam) {
+          return decompose::run_sharded(
+              pam::induced_subtrees(ds.species_tree, pam, min_taxa), opts,
+              so.run, &reference_cache);
+        };
+        int step = 0;
+        const auto check = [&](Result inc, const std::string& what) {
+          expect_same_traffic(std::move(inc), reference(shadow),
+                              "step " + std::to_string(step++) + ": " + what);
+        };
+        const auto apply_script = [&](const EditScript& script) {
+          Result inc = session.apply(script);
+          std::string what;
+          for (const PamDelta& edit : script) {
+            incremental::apply_edit(shadow, edit, max_taxa);
+            what += incremental::to_string(edit) + "; ";
+          }
+          check(std::move(inc), what);
+        };
+        const auto apply = [&](const PamDelta& edit) { apply_script({edit}); };
+        check(session.enumerate(), "initial");
+
+        // Below the floor one cell at a time, then back.
+        std::size_t locus = 0;
+        while (shadow.locus_taxa(locus).count() < min_taxa) ++locus;
+        std::vector<phylo::TaxonId> cleared;
+        while (shadow.locus_taxa(locus).count() >= min_taxa) {
+          cleared.push_back(shadow.locus_taxa_list(locus).back());
+          apply(PamDelta::clear_cell(cleared.back(), locus));
+        }
+        for (auto t = cleared.rbegin(); t != cleared.rend(); ++t)
+          apply(PamDelta::fill_cell(*t, locus));
+        // One script swaps a present taxon for an absent one: the row keeps
+        // its count but not its taxa.
+        phylo::TaxonId absent = 0;
+        while (shadow.present(absent, locus)) ++absent;
+        apply_script({PamDelta::clear_cell(cleared.front(), locus),
+                      PamDelta::fill_cell(absent, locus)});
+
+        apply(PamDelta::add_locus({0, 1, static_cast<phylo::TaxonId>(n - 3),
+                                   static_cast<phylo::TaxonId>(n - 2)}));
+        std::vector<std::size_t> loci{0};
+        for (std::size_t l = 1; l < ds.pam.locus_count(); ++l)
+          if (ds.pam.present(static_cast<phylo::TaxonId>(n - 1), l))
+            loci.push_back(l);
+        apply(PamDelta::add_taxon(loci));
+        ASSERT_EQ(session.pam().taxon_count(), n);
+
+        // Fails mid-script: the second fill meets a filled cell.
+        PamDelta fill = PamDelta::fill_cell(0, 0);
+        while (shadow.present(fill.taxon, fill.locus)) ++fill.taxon;
+        const std::string before = session.pam().to_text(ds.taxa);
+        EXPECT_THROW(session.apply(EditScript{fill, fill}),
+                     support::InvalidInput);
+        EXPECT_EQ(session.pam().to_text(ds.taxa), before);
+        check(session.enumerate(), "after a failed script");
+
+        // Applies, but leaves at most two taxa per locus: nothing is
+        // enumerable, so the re-enumeration throws and the matrix rolls
+        // back (at min_taxa 2, after its 2-taxon slots were rebuilt).
+        EditScript starve;
+        pam::Pam starved = shadow;
+        for (std::size_t l = 0; l < shadow.locus_count(); ++l) {
+          const auto present = shadow.locus_taxa_list(l);
+          for (std::size_t i = 2; i < present.size(); ++i) {
+            starve.push_back(PamDelta::clear_cell(present[i], l));
+            incremental::apply_edit(starved, starve.back(), max_taxa);
+          }
+        }
+        EXPECT_THROW(session.apply(starve), support::InvalidInput);
+        EXPECT_THROW(reference(starved), support::InvalidInput);
+        EXPECT_EQ(session.pam().to_text(ds.taxa), before);
+        check(session.enumerate(), "after a rolled-back enumeration");
+
+        support::Rng rng(seed * 131 + min_taxa);
+        for (int i = 0; i < 4; ++i)
+          if (const auto edit = random_edit(shadow, rng)) apply(*edit);
+        if (HasFailure()) return;
+      }
+}
+
 TEST(SessionDifferential, RandomEditStreamsMatchFromScratch) {
   std::uint64_t total_hits = 0;
   for (std::uint64_t seed = 1; seed <= kProductLawSeeds; ++seed) {

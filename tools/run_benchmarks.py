@@ -82,8 +82,12 @@ Typical use:
 (medians vs medians: states/s and items/s must not fall below, latency-only
 micros such as BM_FullStateExpansion must not rise above, baseline within
 the --max-regression factor) plus, when both reports carry a scheduler
-sweep, the distributed speedup at N_t = 48. Exits non-zero on any
-regression (the CI gate). The report is written before the baseline is
+sweep, the distributed speedup at N_t = 48. For every incremental family
+present in both reports it also requires the deterministic cache traffic to
+equal the baseline's: each edit's kind, dirty, inc_states, scratch_states,
+hits and misses, and the family's init, lifetime_hits, lifetime_misses and
+max_dirty; a failure names the first field that differs. Exits non-zero on
+any regression (the CI gate). The report is written before the baseline is
 read, so --output must name another file: the script refuses to start when
 both flags resolve to the same path.
 """
@@ -358,6 +362,13 @@ INC_SUM = re.compile(
 # one component per edit, and agree with the baseline exactly.
 INCREMENTAL_MIN_COMPONENTS = 4
 INCREMENTAL_MIN_MEDIAN_SPEEDUP = 5.0
+# Cache traffic is as deterministic as states expanded: --check-against
+# requires every incremental family present in both reports to repeat the
+# baseline's values of these fields exactly.
+INCREMENTAL_EXACT_FAMILY_FIELDS = ("init", "lifetime_hits",
+                                   "lifetime_misses", "max_dirty")
+INCREMENTAL_EXACT_EDIT_FIELDS = ("kind", "dirty", "inc_states",
+                                 "scratch_states", "hits", "misses")
 
 
 def run_incremental_sweep(build_dir: pathlib.Path) -> dict:
@@ -461,6 +472,25 @@ def gate_incremental(sweep: dict) -> bool:
         print("incremental gate: no stand-collecting family: FAIL")
         ok = False
     return ok
+
+
+def incremental_traffic_diff(fresh: dict, base: dict) -> str | None:
+    """The first exact field in which an incremental family differs from
+    its baseline, described, or None when every one is equal."""
+    for field in INCREMENTAL_EXACT_FAMILY_FIELDS:
+        if fresh.get(field) != base.get(field):
+            return (f"{field} {fresh.get(field)!r} vs baseline "
+                    f"{base.get(field)!r}")
+    fresh_edits, base_edits = fresh.get("edits", []), base.get("edits", [])
+    if len(fresh_edits) != len(base_edits):
+        return (f"edit count {len(fresh_edits)} vs baseline "
+                f"{len(base_edits)}")
+    for i, (f, b) in enumerate(zip(fresh_edits, base_edits), 1):
+        for field in INCREMENTAL_EXACT_EDIT_FIELDS:
+            if f.get(field) != b.get(field):
+                return (f"edit {i} {field} {f.get(field)!r} vs baseline "
+                        f"{b.get(field)!r}")
+    return None
 
 
 def print_incremental_table(sweep: dict) -> None:
@@ -679,6 +709,15 @@ def main() -> int:
                   f"baseline {base_inc:.2f}x (floor {floor:.2f}x): "
                   f"{verdict}")
             if fresh_inc < floor:
+                return 1
+        base_fams = (base.get("incremental_edits") or {}).get("families", {})
+        fresh_fams = (report["incremental_edits"] or {}).get("families", {})
+        for name in sorted(set(fresh_fams) & set(base_fams)):
+            diff = incremental_traffic_diff(fresh_fams[name], base_fams[name])
+            verdict = ("equal to baseline: OK" if diff is None
+                       else f"{diff}: REGRESSION")
+            print(f"incremental check: family={name} cache traffic {verdict}")
+            if diff is not None:
                 return 1
     return 0
 
