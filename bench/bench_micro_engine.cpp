@@ -8,11 +8,18 @@
 //  * §V (future work): updating the branch mappings consumes 15-30 % of the
 //    runtime — BM_InsertRemoveOnly vs BM_FullStateExpansion isolates the
 //    mapping/selection share of a state expansion.
+//  * §III: the pool hands its workers their jobs and waits for them at
+//    every run — BM_PoolRoundTrip times that hand-off on its own (an empty
+//    two-job run on the parked threads) and inside a short two-thread run.
 #include <benchmark/benchmark.h>
+
+#include <cstddef>
 
 #include "datagen/dataset.hpp"
 #include "gentrius/enumerator.hpp"
 #include "gentrius/serial.hpp"
+#include "parallel/pool.hpp"
+#include "parallel/worker_cache.hpp"
 #include "support/rng.hpp"
 
 namespace {
@@ -169,6 +176,41 @@ void BM_InsertRemoveOnly(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_InsertRemoveOnly);
+
+enum class RoundTrip { kEmptyRun, kRunParallel };
+
+void BM_PoolRoundTrip(benchmark::State& state, RoundTrip what) {
+  // The empty run is the whole hand-off: give two parked threads a job that
+  // does nothing and wait until both have returned. The run_parallel case
+  // adds the pool's own work on an instance as short as a typical run of
+  // wallbench's `corpus` (~0.1 ms serially, 16,497 trees).
+  datagen::SimulatedParams p;
+  p.n_taxa = 20;
+  p.n_loci = 5;
+  p.missing_fraction = 0.5;
+  p.seed = 4;
+  const core::Options opts;
+  const auto problem =
+      core::build_problem(datagen::make_simulated(p).constraints, opts);
+  const parallel::WorkerCache::Job empty = [](std::size_t tid) {
+    benchmark::DoNotOptimize(tid);
+  };
+  for (auto _ : state) {
+    if (what == RoundTrip::kEmptyRun) {
+      parallel::WorkerCache::shared().run(2, empty);
+    } else {
+      const auto r = parallel::run_parallel(problem, opts, 2);
+      benchmark::DoNotOptimize(r.stand_trees);
+    }
+  }
+}
+// Real time: the caller mostly waits, so its CPU time says little.
+BENCHMARK_CAPTURE(BM_PoolRoundTrip, empty_run, RoundTrip::kEmptyRun)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+BENCHMARK_CAPTURE(BM_PoolRoundTrip, run_parallel, RoundTrip::kRunParallel)
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
 
 }  // namespace
 

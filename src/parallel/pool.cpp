@@ -111,8 +111,9 @@ void worker_body(std::size_t tid, std::size_t n_threads,
 /// The first exception any worker threw. Nothing may leave a worker — an
 /// exception escaping a worker thread terminates the process — so each
 /// worker's body runs under run_worker, which records the error and halts
-/// the sink: busy workers see the stop at their next step, ones blocked on
-/// the scheduler are woken by the sink's StopWaker. The calling thread
+/// the sink: busy workers see the stop at their next step, ones spinning in
+/// the scheduler see the stop flag, and ones blocked there are woken by the
+/// sink's StopWaker. The calling thread
 /// rethrows after every worker's job has returned, and the worker threads
 /// go back to the cache for the next run.
 class FirstError {
@@ -201,7 +202,10 @@ Result run_pool(const Problem& problem, const Options& options,
     // calling thread instead made the benchmark's pool timings vary
     // several times more from one process to the next
     // (docs/PERFORMANCE.md §13), and starting fresh threads for every run
-    // cost 36–50 µs a pool (§16).
+    // cost 36–50 µs a pool (§16). When N_t workers plus this thread fit the
+    // machine, every wait of the run, the caller's included, spins for
+    // about 0.2 ms before it blocks, so a short run pays no futex wake-up
+    // (§20).
     WorkerCache::shared().run(n_threads, work);
   }
   sink.set_stop_waker(nullptr);

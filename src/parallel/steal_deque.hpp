@@ -21,10 +21,14 @@
 // go idle with zero pending tasks declares the run finished and wakes
 // everyone. The pending-task count is an atomic that each ring keeps under
 // its own lock: it rises before any thief can see a task and falls when the
-// task leaves, so it never underflows. Producers only touch the signal
-// mutex when a sleeper is actually parked (Dekker-style pairing of the
-// pending increment with the sleeper count, both seq_cst, closes the
-// lost-wakeup race).
+// task leaves, so it never underflows. An idle worker first spins briefly
+// (support/spin_wait.hpp), holding no lock, on the pending count, the
+// termination flag and the stop flag; only then does it block on the
+// signal condition variable. A spinning worker is not a sleeper: producers
+// only touch the signal mutex when a sleeper is actually blocked
+// (Dekker-style pairing of the pending increment with the sleeper count,
+// both seq_cst, closes the lost-wakeup race), and a spinner sees the
+// pending count rise by itself.
 //
 // Decomposition semantics are identical to the central queue: an offered
 // task carries half of a frame's admissible branches plus the replay path,
@@ -49,6 +53,7 @@
 #include "parallel/task_ring.hpp"
 #include "support/invariant.hpp"
 #include "support/rng.hpp"
+#include "support/spin_wait.hpp"
 #include "support/sync.hpp"
 #include "support/thread_annotations.hpp"
 
@@ -106,50 +111,50 @@ class StealDeque {
 
   /// Owner side: false when full (the task is untouched and the caller
   /// keeps its branches); counts the rejection.
-  bool owner_push(core::Task& task) GENTRIUS_EXCLUDES(ring_mutex_) {
-    support::MutexLock lock(ring_mutex_);
+  bool owner_push(core::Task& task) GENTRIUS_EXCLUDES(mutex_) {
+    support::MutexLock lock(mutex_);
     if (!ring_.push_back(task)) return false;
     pending_.fetch_add(1, std::memory_order_seq_cst);
     return true;
   }
 
   /// Owner side: newest task (deepest subtree), or false when empty.
-  bool owner_pop(core::Task& out) GENTRIUS_EXCLUDES(ring_mutex_) {
-    support::MutexLock lock(ring_mutex_);
+  bool owner_pop(core::Task& out) GENTRIUS_EXCLUDES(mutex_) {
+    support::MutexLock lock(mutex_);
     return note_taken(ring_.pop_back(out));
   }
 
   /// Thief side: oldest task (shallowest, biggest subtree), or false when
   /// the ring is empty or its lock is held by another thread. The scheduler
   /// treats both as a failed probe and re-checks pending work before
-  /// parking, so no task is ever lost.
-  bool steal(core::Task& out) GENTRIUS_EXCLUDES(ring_mutex_) {
-    if (!ring_mutex_.try_lock()) return false;
+  /// waiting, so no task is ever lost.
+  bool steal(core::Task& out) GENTRIUS_EXCLUDES(mutex_) {
+    if (!mutex_.try_lock()) return false;
     const bool got = note_taken(ring_.pop_front(out));
-    ring_mutex_.unlock();
+    mutex_.unlock();
     return got;
   }
 
-  std::size_t size() const GENTRIUS_EXCLUDES(ring_mutex_) {
-    support::MutexLock lock(ring_mutex_);
+  std::size_t size() const GENTRIUS_EXCLUDES(mutex_) {
+    support::MutexLock lock(mutex_);
     return ring_.size();
   }
-  std::uint64_t rejections() const GENTRIUS_EXCLUDES(ring_mutex_) {
-    support::MutexLock lock(ring_mutex_);
+  std::uint64_t rejections() const GENTRIUS_EXCLUDES(mutex_) {
+    support::MutexLock lock(mutex_);
     return ring_.rejections();
   }
-  std::size_t max_depth() const GENTRIUS_EXCLUDES(ring_mutex_) {
-    support::MutexLock lock(ring_mutex_);
+  std::size_t max_depth() const GENTRIUS_EXCLUDES(mutex_) {
+    support::MutexLock lock(mutex_);
     return ring_.max_depth();
   }
 
   /// The ring's lock (tests hold it to make a thief's probe fail).
-  support::Mutex& mutex() GENTRIUS_RETURN_CAPABILITY(ring_mutex_) {
-    return ring_mutex_;
+  support::Mutex& mutex() GENTRIUS_RETURN_CAPABILITY(mutex_) {
+    return mutex_;
   }
 
  private:
-  bool note_taken(bool popped) GENTRIUS_REQUIRES(ring_mutex_) {
+  bool note_taken(bool popped) GENTRIUS_REQUIRES(mutex_) {
     if (!popped) return false;
     const std::size_t before = pending_.fetch_sub(1, std::memory_order_seq_cst);
     GENTRIUS_DCHECK_GT(before, 0u);
@@ -157,24 +162,24 @@ class StealDeque {
     return true;
   }
 
-  // Named apart from DequeScheduler::mutex_: gentrius-analyze's lock-rank
-  // rule maps a mutex to its rank by member name within a file.
-  mutable support::Mutex ring_mutex_{support::Rank::kStealDeque};
-  TaskRing<> ring_ GENTRIUS_GUARDED_BY(ring_mutex_);
+  mutable support::Mutex mutex_{support::Rank::kStealDeque};
+  TaskRing<> ring_ GENTRIUS_GUARDED_BY(mutex_);
   std::atomic<std::size_t>& pending_;
 };
 
 /// The full distributed scheduler: N_t deques, per-worker victim streams,
-/// busy-count termination, and a signal mutex/condvar for parking idle
-/// workers. Workers interact through per-worker handles: the handle is the
-/// enumerator's TaskSink (offers land in the worker's own deque) and the
-/// pool's blocking acquire source. Task hand-off takes only ring locks; the
-/// signal mutex is touched only to park, to unpark a parked worker, and to
-/// arbitrate termination.
+/// busy-count termination, and a signal mutex/condvar for idle workers that
+/// stopped spinning. Workers interact through per-worker handles: the
+/// handle is the enumerator's TaskSink (offers land in the worker's own
+/// deque) and the pool's waiting acquire source. Task hand-off takes only
+/// ring locks; the signal mutex is touched only to go idle, to block, to
+/// wake a blocked worker, and to arbitrate termination.
 class DequeScheduler final : public core::StopWaker {
  public:
+  /// The run's idle waits spin when `workers` threads plus their caller fit
+  /// the machine.
   DequeScheduler(std::size_t workers, std::uint64_t steal_seed)
-      : workers_(workers), busy_(workers) {
+      : workers_(workers), spin_(support::spin_fits(workers)), busy_(workers) {
     handles_.reserve(workers);
     for (std::size_t tid = 0; tid < workers; ++tid) {
       deques_.emplace_back(steal_deque_capacity_for(workers), pending_);
@@ -206,10 +211,10 @@ class DequeScheduler final : public core::StopWaker {
     return &handles_[tid];
   }
 
-  /// Blocking acquire for worker `tid`: own deque LIFO first, then a steal
-  /// sweep over the other deques, then park until a push or termination.
-  /// Returns false when the pool terminated (all workers idle, no pending
-  /// tasks) or a stopping rule fired; `out` is untouched then.
+  /// Waiting acquire for worker `tid`: own deque LIFO first, then a steal
+  /// sweep over the other deques, then spin and block until a push or
+  /// termination. Returns false when the pool terminated (all workers idle,
+  /// no pending tasks) or a stopping rule fired; `out` is untouched then.
   bool acquire(std::size_t tid, const core::CounterSink& sink, core::Task& out)
       GENTRIUS_EXCLUDES(mutex_) {
     GENTRIUS_DCHECK_LT(tid, workers_);
@@ -224,7 +229,7 @@ class DequeScheduler final : public core::StopWaker {
       // pending_ re-check under the lock closes the race with a push that
       // landed between the failed sweep and the lock acquisition (a probe
       // that found a victim's ring locked also lands here; the thief
-      // re-sweeps or parks, and the pending count keeps termination exact).
+      // re-sweeps or waits, and the pending count keeps termination exact).
       bool i_terminated = false;
       {
         support::MutexLock lock(mutex_);
@@ -236,35 +241,30 @@ class DequeScheduler final : public core::StopWaker {
           // done_ == true see the final termination state
           done_.store(true, std::memory_order_release);
           i_terminated = true;
-        } else {
-          // Dekker pairing with push_local: the sleeper count is raised
-          // *before* re-reading pending_ (both seq_cst), the producer
-          // raises pending_ *before* reading the sleeper count — at least
-          // one side must see the other, so no push can slip between this
-          // predicate check and the wait.
-          sleepers_.fetch_add(1, std::memory_order_seq_cst);
-          // order: done_ acquire pairs with its release sites; wake-up
-          // reason must be visible before acting on it
-          while (!done_.load(std::memory_order_acquire) &&
-                 !sink.stop_requested() &&
-                 pending_.load(std::memory_order_seq_cst) == 0) {
-            cv_.wait(mutex_);
-          }
-          sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-          // order: same pairing as the wait predicate above
-          if (done_.load(std::memory_order_acquire) || sink.stop_requested())
-            return false;  // busy_ stays decremented: this worker is leaving
-          ++busy_;
+        } else if (!spin_ && !block(sink)) {
+          return false;  // busy_ stays decremented: this worker is leaving
         }
       }
       if (i_terminated) {
         cv_.notify_all();
         return false;
       }
+      if (spin_) {
+        // Idle but not a sleeper: no push notifies this worker, so it
+        // polls the pending count itself, then blocks as a sleeper.
+        support::spin_until([&] {
+          // order: done_ acquire pairs with its release sites, as above
+          return pending_.load(std::memory_order_seq_cst) > 0 ||
+                 done_.load(std::memory_order_acquire) ||
+                 sink.stop_requested();
+        });
+        support::MutexLock lock(mutex_);
+        if (!block(sink)) return false;  // busy_ stays decremented
+      }
     }
   }
 
-  /// Wakes all parked workers (stopping rule / external stop). Subsequent
+  /// Wakes all waiting workers (stopping rule / external stop). Subsequent
   /// pushes are rejected so producers keep their branches.
   void broadcast_stop() GENTRIUS_EXCLUDES(mutex_) {
     {
@@ -319,13 +319,36 @@ class DequeScheduler final : public core::StopWaker {
     // observe the rejection state
     if (done_.load(std::memory_order_acquire)) return false;
     if (!deques_[tid].owner_push(task)) return false;
-    // Wake a parked worker only when one exists — the common case (all
-    // workers busy) never touches the signal mutex. See the Dekker note
-    // in acquire() for why this cannot miss a sleeper.
+    // Wake a blocked worker only when one exists — the common case (all
+    // workers busy or spinning) never touches the signal mutex. See the
+    // Dekker note in block() for why this cannot miss a sleeper.
     if (sleepers_.load(std::memory_order_seq_cst) > 0) {
       { support::MutexLock lock(mutex_); }
       cv_.notify_one();
     }
+    return true;
+  }
+
+  /// Blocks the calling idle worker as a sleeper until a task is pending,
+  /// the run terminated or a stopping rule fired. True when a task is
+  /// pending: the worker is busy again and sweeps. False when the run ended.
+  bool block(const core::CounterSink& sink) GENTRIUS_REQUIRES(mutex_) {
+    // Dekker pairing with push_local: the sleeper count is raised *before*
+    // re-reading pending_ (both seq_cst), the producer raises pending_
+    // *before* reading the sleeper count — at least one side must see the
+    // other, so no push can slip between this predicate check and the wait.
+    sleepers_.fetch_add(1, std::memory_order_seq_cst);
+    // order: done_ acquire pairs with its release sites; wake-up reason
+    // must be visible before acting on it
+    while (!done_.load(std::memory_order_acquire) && !sink.stop_requested() &&
+           pending_.load(std::memory_order_seq_cst) == 0) {
+      cv_.wait(mutex_);
+    }
+    sleepers_.fetch_sub(1, std::memory_order_seq_cst);
+    // order: same pairing as the wait predicate above
+    if (done_.load(std::memory_order_acquire) || sink.stop_requested())
+      return false;
+    ++busy_;
     return true;
   }
 
@@ -349,16 +372,18 @@ class DequeScheduler final : public core::StopWaker {
   }
 
   const std::size_t workers_;
-  std::atomic<std::size_t> pending_{0};  // queued tasks across all deques
+  const bool spin_;
+  // Polled by spinning workers, so each sits on a cache line of its own.
+  support::PolledAtomic<std::size_t> pending_{0};  // queued, all deques
+  support::PolledAtomic<bool> done_{false};
   std::deque<StealDeque> deques_;  // StealDeque is pinned: not relocatable
   std::vector<Handle> handles_;
 
-  // Parking + termination arbitration only.
+  // Blocking + termination arbitration only.
   mutable support::Mutex mutex_{support::Rank::kSchedulerSignal};
   support::CondVar cv_;
-  std::atomic<std::size_t> sleepers_{0};  // workers parked on cv_
+  std::atomic<std::size_t> sleepers_{0};  // workers blocked on cv_
   std::size_t busy_ GENTRIUS_GUARDED_BY(mutex_);
-  std::atomic<bool> done_{false};
 
   std::atomic<std::uint64_t> stolen_{0};
   std::atomic<std::uint64_t> probes_{0};

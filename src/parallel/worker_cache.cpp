@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "support/spin_wait.hpp"
+
 namespace gentrius::parallel {
 
 /// One parked thread and its mailbox. The thread is declared last, so it is
@@ -14,6 +16,7 @@ struct WorkerCache::Worker {
     {
       support::MutexLock lock(mutex);
       exit = true;
+      posted.store(true);
     }
     wake.notify_one();
   }
@@ -24,10 +27,15 @@ struct WorkerCache::Worker {
       support::MutexLock lock(mutex);
       batch = &next;
       tid = next_tid;
+      posted.store(true);
     }
     wake.notify_one();
   }
 
+  /// Set, under `mutex`, when the mailbox holds a job or the exit; cleared,
+  /// under `mutex`, when the thread takes the job. A spinning thread polls
+  /// it, then reads the mailbox under `mutex`.
+  support::PolledAtomic<bool> posted{false};
   support::Mutex mutex{support::Rank::kWorkerCache};
   support::CondVar wake;
   Batch* batch GENTRIUS_GUARDED_BY(mutex) = nullptr;
@@ -36,30 +44,38 @@ struct WorkerCache::Worker {
   std::jthread thread;
 };
 
-/// One run: its job, and the number of calls that have not returned yet.
-/// It lives on the caller's stack until wait_for_all() returns.
+/// One run: its job, whether its waits spin, and the number of calls that
+/// have not returned yet. It lives on the caller's stack until
+/// wait_for_all() returns.
 class WorkerCache::Batch {
  public:
-  Batch(const Job& job, std::size_t n) : job_(job), pending_(n) {}
+  Batch(const Job& job, std::size_t n)
+      : job_(job), spin_(support::spin_fits(n)), pending_(n) {}
+
+  /// Whether the run's waits spin before they block.
+  bool spins() const { return spin_; }
 
   void run_one(std::size_t tid) GENTRIUS_EXCLUDES(mutex_) {
     job_(tid);
     support::MutexLock lock(mutex_);
-    // Notified under the lock: once wait_for_all() reads 0 the caller
-    // destroys this batch, so nothing may touch it after the unlock.
-    if (--pending_ == 0) done_.notify_one();
+    // Decremented and notified under the lock: the caller takes the lock
+    // before it destroys this batch, so nothing touches it after the
+    // unlock.
+    if (pending_.fetch_sub(1) == 1) done_.notify_one();
   }
 
   void wait_for_all() GENTRIUS_EXCLUDES(mutex_) {
+    if (spin_) support::spin_until([this] { return pending_.load() == 0; });
     support::MutexLock lock(mutex_);
-    while (pending_ > 0) done_.wait(mutex_);
+    while (pending_.load() > 0) done_.wait(mutex_);
   }
 
  private:
   const Job& job_;
+  const bool spin_;
+  support::PolledAtomic<std::size_t> pending_;
   support::Mutex mutex_{support::Rank::kWorkerCache};
   support::CondVar done_;
-  std::size_t pending_ GENTRIUS_GUARDED_BY(mutex_);
 };
 
 WorkerCache::WorkerCache(ThreadStart start) : start_(std::move(start)) {}
@@ -84,7 +100,9 @@ std::jthread WorkerCache::start_thread(std::function<void()> body) {
 }
 
 void WorkerCache::park(Worker& worker) {
+  bool spin = false;  // the last run's decision; a new thread blocks at once
   for (;;) {
+    if (spin) support::spin_until([&worker] { return worker.posted.load(); });
     Batch* batch = nullptr;
     std::size_t tid = 0;
     {
@@ -94,7 +112,10 @@ void WorkerCache::park(Worker& worker) {
       if (worker.batch == nullptr) return;  // exit
       batch = std::exchange(worker.batch, nullptr);
       tid = worker.tid;
+      worker.posted.store(false);
     }
+    // Read before the job: the batch may be gone once run_one returns.
+    spin = batch->spins();
     batch->run_one(tid);
   }
 }

@@ -3,16 +3,25 @@
 // The paper launches its workers through OpenMP, whose runtime keeps the
 // thread team parked between parallel regions. WorkerCache does the same
 // for run_parallel: a run takes N_t idle threads, hands each one its job,
-// waits until every job has returned and puts the threads back, parked on
-// a condition variable until the next run. A thread is started only when
-// no idle one is left, so the process-wide cache grows to the largest
-// number of workers in use at once, and its threads live until exit.
+// waits until every job has returned and puts the threads back. A thread is
+// started only when no idle one is left, so the process-wide cache grows to
+// the largest number of workers in use at once, and its threads live until
+// exit.
+//
+// Like an OpenMP runtime's idle threads, a waiting thread spins briefly
+// before it blocks (support/spin_wait.hpp): a thread that finished its job
+// polls its mailbox, and the caller polls the run's count of unfinished
+// jobs, for about 0.2 ms each, and then blocks on a condition variable. A
+// run spins only when its N_t workers plus the caller fit the machine
+// (support::spin_fits); otherwise every wait blocks at once. No lock is
+// held while a thread spins.
 //
 // Concurrent runs, and a run started from inside another run's job, take
 // disjoint threads. The cache's lock guards only the idle list: it is never
 // held while a job runs or while the caller waits. The completion signal
-// (a mutex-guarded count of the jobs still running) is the happens-before
-// edge from every job's writes to the caller's reads after run() returns.
+// (the count of the jobs still running, decremented under the run's mutex,
+// which the caller takes before it returns) is the happens-before edge from
+// every job's writes to the caller's reads after run() returns.
 #pragma once
 
 #include <cstddef>

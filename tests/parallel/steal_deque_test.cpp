@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -267,6 +268,71 @@ TEST(DequeScheduler, LockedVictimRingIsAFailedProbeAndTheTaskMovesOnce) {
   EXPECT_FALSE(sched.acquire(1, sink, none));
   owner.join();
   EXPECT_EQ(sched.stats().tasks_stolen, 1u);
+}
+
+// The three ways a waiting worker is released, each with no pause before
+// it: the calling thread plays worker 0, still busy, and acts as soon as
+// worker 1's steal sweep has failed, the step before it goes idle. A
+// two-worker scheduler lets an idle worker spin when the host has a CPU to
+// spare, and a spinning worker is not a sleeper: no push notifies it, so
+// it must see the pending count rise by itself. On a host without a spare
+// CPU the worker blocks as a sleeper at once. The StopWake tests below
+// cover a worker that is surely blocked.
+constexpr int kReleaseRounds = 100;
+
+/// Runs `acquire` for worker 1 on a new thread and returns once its first
+/// steal sweep has failed.
+std::thread start_idle_worker(DequeScheduler& sched,
+                              const std::function<void()>& acquire) {
+  std::thread worker(acquire);
+  while (sched.failed_probes() == 0) std::this_thread::yield();
+  return worker;
+}
+
+TEST(DequeScheduler, PushReachesAWaitingThief) {
+  core::CounterSink sink({});
+  for (int round = 0; round < kReleaseRounds; ++round) {
+    DequeScheduler sched(2, /*steal_seed=*/1);
+    int got = -1;
+    std::thread thief = start_idle_worker(sched, [&] {
+      core::Task out;
+      if (sched.acquire(1, sink, out)) got = tag_of(out);
+    });
+    core::Task t = make_task(round);
+    ASSERT_TRUE(sched.sink_for(0)->try_push(t));
+    thief.join();
+    EXPECT_EQ(got, round);
+    EXPECT_EQ(sched.pending(), 0u);
+  }
+}
+
+TEST(DequeScheduler, LastBusyWorkerReleasesAWaitingWorker) {
+  core::CounterSink sink({});
+  for (int round = 0; round < kReleaseRounds; ++round) {
+    DequeScheduler sched(2, /*steal_seed=*/1);
+    std::thread other = start_idle_worker(sched, [&] {
+      core::Task out;
+      EXPECT_FALSE(sched.acquire(1, sink, out));
+    });
+    core::Task out;
+    EXPECT_FALSE(sched.acquire(0, sink, out));  // the last to go idle
+    other.join();
+  }
+}
+
+TEST(DequeScheduler, RequestStopReleasesAWaitingWorker) {
+  for (int round = 0; round < kReleaseRounds; ++round) {
+    core::CounterSink sink({});
+    DequeScheduler sched(2, /*steal_seed=*/1);
+    sink.set_stop_waker(&sched);
+    std::thread other = start_idle_worker(sched, [&] {
+      core::Task out;
+      EXPECT_FALSE(sched.acquire(1, sink, out));
+    });
+    sink.request_stop(core::StopReason::kTreeLimit);
+    other.join();
+    sink.set_stop_waker(nullptr);
+  }
 }
 
 TEST(DequeScheduler, PushRejectedAfterStop) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -170,6 +171,72 @@ TEST(TaskQueue, TryPushRejectedAfterLastWorkerTerminates) {
   core::Task out;
   EXPECT_FALSE(q.pop(sink, out));  // sole worker goes idle: done
   EXPECT_FALSE(push(q, make_task(1)));
+}
+
+// The three ways a waiting consumer is released, each with no pause
+// before it: the calling thread plays the other, busy worker and acts as
+// soon as the consumer has started its pop. A two-worker queue lets its
+// consumer spin when the host has a CPU to spare, so the release meets a
+// consumer that is still spinning, or one that has not gone idle yet; on a
+// host without a spare CPU it meets a blocked one. StopReleasesWaiters
+// covers a consumer that is surely blocked.
+constexpr int kReleaseRounds = 100;
+
+/// Runs `pop` on a new thread and returns once that thread is about to
+/// call it.
+std::thread start_consumer(const std::function<void()>& pop) {
+  std::atomic<bool> started{false};
+  std::thread consumer([&started, pop] {
+    started.store(true);
+    pop();
+  });
+  while (!started.load()) std::this_thread::yield();
+  return consumer;
+}
+
+TEST(TaskQueue, PushReachesAWaitingConsumer) {
+  core::CounterSink sink({});
+  for (int round = 0; round < kReleaseRounds; ++round) {
+    TaskQueue q(4, /*workers=*/2);
+    int got = -1;
+    std::thread consumer = start_consumer([&] {
+      core::Task t;
+      if (q.pop(sink, t)) got = static_cast<int>(t.next_taxon);
+    });
+    ASSERT_TRUE(push(q, make_task(round)));
+    consumer.join();
+    EXPECT_EQ(got, round);
+    EXPECT_EQ(q.size(), 0u);
+  }
+}
+
+TEST(TaskQueue, LastBusyWorkerReleasesAWaitingConsumer) {
+  core::CounterSink sink({});
+  for (int round = 0; round < kReleaseRounds; ++round) {
+    TaskQueue q(4, /*workers=*/2);
+    std::thread consumer = start_consumer([&] {
+      core::Task t;
+      EXPECT_FALSE(q.pop(sink, t));
+    });
+    core::Task t;
+    EXPECT_FALSE(q.pop(sink, t));  // whoever goes idle last terminates
+    consumer.join();
+  }
+}
+
+TEST(TaskQueue, RequestStopReleasesAWaitingConsumer) {
+  for (int round = 0; round < kReleaseRounds; ++round) {
+    core::CounterSink sink({});
+    TaskQueue q(4, /*workers=*/2);
+    sink.set_stop_waker(&q);
+    std::thread consumer = start_consumer([&] {
+      core::Task t;
+      EXPECT_FALSE(q.pop(sink, t));
+    });
+    sink.request_stop(core::StopReason::kTreeLimit);
+    consumer.join();
+    sink.set_stop_waker(nullptr);
+  }
 }
 
 TEST(TaskQueue, ManyThreadsStress) {

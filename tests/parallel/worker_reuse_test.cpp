@@ -1,9 +1,12 @@
 // Parked pool threads: runs reuse the threads of earlier runs instead of
 // starting new ones, concurrent and nested runs get threads of their own,
-// and a thread that served a stopped run serves the next run exactly.
+// and a thread that served a stopped run serves the next run exactly. A
+// run's waits spin before they block when the host has a CPU to spare for
+// them; every test here holds on either side.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <filesystem>
 #include <functional>
@@ -177,6 +180,55 @@ TEST(WorkerCache, EachJobRunsOnItsOwnThreadAndNestedRunsTakeOthers) {
   EXPECT_EQ(distinct.size(), 4u);
   EXPECT_EQ(distinct.count(std::this_thread::get_id()), 0u);
   EXPECT_EQ(starts.load(), 4);
+}
+
+// Back-to-back runs meet threads that are still spinning after the last
+// job; runs 20 ms apart, far past the spin, meet blocked ones. Either way
+// each job runs once, on a thread of its own, before run() returns. The
+// records are plain memory written by the jobs and read after run()
+// returns, so the TSan build also checks the completion's happens-before.
+TEST(WorkerCache, EachJobRunsOnceOnItsOwnThreadWhetherSpinningOrBlocked) {
+  parallel::WorkerCache cache;
+  int calls[2] = {0, 0};
+  std::thread::id ids[2];
+  const auto job = [&](std::size_t tid) {
+    ++calls[tid];
+    ids[tid] = std::this_thread::get_id();
+  };
+  const auto check_run = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    calls[0] = calls[1] = 0;
+    cache.run(2, job);
+    EXPECT_EQ(calls[0], 1);
+    EXPECT_EQ(calls[1], 1);
+    EXPECT_NE(ids[0], ids[1]);
+    EXPECT_NE(ids[0], std::this_thread::get_id());
+    EXPECT_NE(ids[1], std::this_thread::get_id());
+  };
+  for (int run = 0; run < 200; ++run)
+    check_run("back-to-back run " + std::to_string(run));
+  for (int run = 0; run < 5; ++run) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    check_run("spaced run " + std::to_string(run));
+  }
+}
+
+TEST(WorkerCache, DestroyedRightAfterARunJoinsItsThreads) {
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> exited{0};
+    std::atomic<int> calls{0};
+    {
+      parallel::WorkerCache cache([&exited](std::function<void()> body) {
+        return std::jthread([&exited, body = std::move(body)] {
+          body();
+          exited.fetch_add(1);
+        });
+      });
+      cache.run(2, [&calls](std::size_t) { calls.fetch_add(1); });
+      EXPECT_EQ(calls.load(), 2);
+    }  // the threads may still be spinning for their next job here
+    EXPECT_EQ(exited.load(), 2) << "round " << round;
+  }
 }
 
 }  // namespace

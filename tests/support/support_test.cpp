@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <set>
+#include <thread>
 
 #include "support/bitset.hpp"
 #include "support/key_map.hpp"
 #include "support/rng.hpp"
+#include "support/spin_wait.hpp"
 
 namespace gentrius::support {
 namespace {
@@ -157,6 +159,36 @@ TEST(KeyMap, EpochClearSurvivesManyCycles) {
     EXPECT_FALSE(m.contains(static_cast<std::uint64_t>(cycle) + 1'000'000));
   }
 }
+
+TEST(SpinWait, EndsAtTheFirstTrueAnswer) {
+  int polls = 0;
+  spin_until([&polls] { return ++polls == 3; });
+  EXPECT_EQ(polls, 3);
+}
+
+TEST(SpinWait, GivesUpAfterTheBound) {
+  int polls = 0;
+  spin_until([&polls] {
+    ++polls;
+    return false;
+  });
+  EXPECT_EQ(polls, kSpinIterations);
+}
+
+// A run spins only when its threads plus the waiting caller fit the
+// machine; at or above the hardware threads every wait blocks at once.
+TEST(SpinWait, OnlyRunsThatLeaveACpuForTheCallerSpin) {
+  const std::size_t cpus = std::thread::hardware_concurrency();
+  EXPECT_FALSE(spin_fits(cpus));
+  EXPECT_FALSE(spin_fits(cpus + 1));
+  if (cpus >= 2) {
+    EXPECT_TRUE(spin_fits(cpus - 1));
+  }
+}
+
+static_assert(sizeof(PolledAtomic<bool>) == kCacheLine &&
+                  alignof(PolledAtomic<std::size_t>) == kCacheLine,
+              "a polled atomic must have its cache line to itself");
 
 }  // namespace
 }  // namespace gentrius::support

@@ -43,6 +43,9 @@ _RANK_ARG_RE = re.compile(r"\bRank::(k\w+)")
 _LOCK_SITE_RE = re.compile(r"\bMutexLock\b\s+\w+\s*[({]([^)}]*)[)}]")
 _ACQUIRES_RE = re.compile(r"//\s*lint:acquires\(\s*(k\w+(?:\s*,\s*k\w+)*)\s*\)")
 _CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
+_CLASS_KEY_RE = re.compile(r"\b(?:class|struct)\b")
+_QUALIFIED_NAME_RE = re.compile(r"[A-Za-z_]\w*(?:\s*::\s*[A-Za-z_]\w*)*")
+_QUALIFIER_RE = re.compile(r"\b([A-Za-z_]\w*)\s*::\s*~?\s*$")
 
 
 def parse_rank_enum(files: list[core.SourceFile]) -> dict[str, int]:
@@ -69,11 +72,86 @@ def parse_rank_enum(files: list[core.SourceFile]) -> dict[str, int]:
         "(expected in src/support/sync.hpp)")
 
 
+def _class_bodies(flat: core.FlatText) -> list[tuple[str, int, int]]:
+    """(class name, body '{' offset, offset past the '}') of every class or
+    struct defined in the file. Attribute macros and ``alignas(...)`` before
+    the name, ``final`` and a base clause after it are skipped; forward
+    declarations, ``enum class`` and template parameters have no body."""
+    text = flat.text
+    bodies: list[tuple[str, int, int]] = []
+    for m in _CLASS_KEY_RE.finditer(text):
+        prev = core._PRECEDING_TOKEN_RE.search(text, 0, m.start())
+        if prev and prev.group(1) in {"enum", "friend"}:
+            continue
+        name = None
+        i = m.end()
+        while True:
+            i = core._skip_ws(text, i)
+            if i >= len(text):
+                break
+            ch = text[i]
+            if ch == "(":
+                i = core._skip_balanced(text, i)
+                continue
+            if ch == ":" and text[i + 1:i + 2] != ":":  # base clause
+                brace, semi = text.find("{", i), text.find(";", i)
+                i = brace if brace >= 0 and not 0 <= semi < brace else -1
+                break
+            word = _QUALIFIED_NAME_RE.match(text, i)
+            if not word:
+                break
+            if word.group(0) != "final":
+                name = word.group(0).split("::")[-1]
+            i = word.end()
+        if name is None or not 0 <= i < len(text) or text[i] != "{":
+            continue
+        bodies.append((name, i, core._skip_balanced(text, i)))
+    return bodies
+
+
+def _class_at(bodies: list[tuple[str, int, int]], offset: int) -> str | None:
+    """The innermost class whose body holds ``offset``."""
+    best = None
+    for name, start, end in bodies:
+        if start < offset < end and (best is None or start > best[1]):
+            best = (name, start)
+    return best[0] if best else None
+
+
+class _MutexTable:
+    """Where each Mutex is declared. A ``MutexLock`` site resolves its name
+    against the members of the class of the function that holds it: as
+    declared in the site's own file, else in any file (a class's header
+    declares what its source file locks). Failing that, it falls back to
+    every declaration in the site's file (foreign objects, locals)."""
+
+    def __init__(self) -> None:
+        # (path, class, name) -> rank, and the same without the path
+        self.in_file: dict[tuple[str, str, str], str] = {}
+        self.anywhere: dict[tuple[str, str], str] = {}
+        self.file_scope: dict[str, dict[str, str]] = {}  # path -> name -> rank
+
+    def add(self, path: str, cls: str | None, var: str, rank: str) -> None:
+        self.file_scope.setdefault(path, {})[var] = rank
+        if cls is not None:
+            self.in_file[(path, cls, var)] = rank
+            self.anywhere[(cls, var)] = rank
+
+    def resolve(self, path: str, cls: str | None, var: str) -> str | None:
+        if cls is not None:
+            rank = self.in_file.get((path, cls, var),
+                                    self.anywhere.get((cls, var)))
+            if rank is not None:
+                return rank
+        return self.file_scope.get(path, {}).get(var)
+
+
 def _find_mutexes(sf: core.SourceFile, ranks: dict[str, int],
-                  findings: list[core.Finding]) -> dict[str, str]:
-    """Mutex variable name -> rank name for this file; emits mutex-rank
-    findings for unranked declarations."""
-    table: dict[str, str] = {}
+                  table: _MutexTable, findings: list[core.Finding]) -> None:
+    """Records this file's ranked Mutex declarations in ``table``; emits
+    mutex-rank findings for unranked declarations."""
+    flat = core.FlatText(sf.code_lines)
+    bodies = _class_bodies(flat)
     for lineno, code in enumerate(sf.code_lines, start=1):
         for m in _MUTEX_DECL_RE.finditer(code):
             var, init = m.group(1), m.group(2) or ""
@@ -95,8 +173,19 @@ def _find_mutexes(sf: core.SourceFile, ranks: dict[str, int],
                         f"(known: {sorted(ranks)})",
                         sf.raw_lines[lineno - 1].strip()))
                 continue
-            table[var] = name
-    return table
+            table.add(sf.path,
+                      _class_at(bodies, flat.line_starts[lineno - 1] + m.start()),
+                      var, name)
+
+
+def _function_class(fndef: core.FunctionDef, flat: core.FlatText,
+                    bodies: list[tuple[str, int, int]]) -> str | None:
+    """The class a function belongs to: ``C`` for a ``C::f`` (or ``C::~C``)
+    definition, else the class whose body defines it."""
+    qualifier = _QUALIFIER_RE.search(flat.text, 0, fndef.name_offset)
+    if qualifier:
+        return qualifier.group(1)
+    return _class_at(bodies, fndef.name_offset)
 
 
 def _declared_acquires(sf: core.SourceFile, header_line: int) -> set[str]:
@@ -157,22 +246,22 @@ class _DeclaredStub:
         self.acquires = set(ranks)
 
 
-def _collect_functions(files: list[core.SourceFile],
-                       mutex_tables: dict[str, dict[str, str]],
+def _collect_functions(files: list[core.SourceFile], mutexes: _MutexTable,
                        ) -> dict[str, list[_Function]]:
     by_name: dict[str, list[_Function]] = {}
     for sf in files:
         flat = core.FlatText(sf.code_lines)
-        local = mutex_tables.get(sf.path, {})
+        bodies = _class_bodies(flat)
         for fndef in core.extract_functions(flat):
             fn = _Function(sf, fndef, flat)
+            cls = _function_class(fndef, flat, bodies)
             for m in _LOCK_SITE_RE.finditer(flat.text, fndef.body_start,
                                             fndef.body_end):
                 arg = m.group(1)
                 var_m = re.search(r"(\w+)\s*$", arg)
                 if not var_m:
                     continue
-                rank = local.get(var_m.group(1))
+                rank = mutexes.resolve(sf.path, cls, var_m.group(1))
                 if rank is None:
                     continue  # unresolvable (parameter, foreign object)
                 fn.sites.append(_Site(
@@ -276,9 +365,10 @@ def _find_rank_cycle(edges: set[tuple[str, str]]) -> list[str] | None:
 def run_check(files: list[core.SourceFile]) -> list[core.Finding]:
     findings: list[core.Finding] = []
     ranks = parse_rank_enum(files)
-    mutex_tables = {sf.path: _find_mutexes(sf, ranks, findings)
-                    for sf in files}
-    by_name = _collect_functions(files, mutex_tables)
+    mutexes = _MutexTable()
+    for sf in files:
+        _find_mutexes(sf, ranks, mutexes, findings)
+    by_name = _collect_functions(files, mutexes)
     _close_acquires(by_name)
 
     graph_edges: set[tuple[str, str]] = set()
@@ -458,6 +548,41 @@ class Same {
 """
     checks.append(("lock-order: equal ranks are not 'strictly increasing'",
                    fires("lock-order", same_rank)))
+    # One member name in two classes of one file: each MutexLock site takes
+    # the rank of its own class's mutex_, for a member function defined in
+    # the class body (Signal::notify) and for a Queue::push definition.
+    two_classes = """\
+class Signal {
+ public:
+  void notify() {
+    support::MutexLock lock(mutex_);
+  }
+
+ private:
+  support::Mutex mutex_{support::Rank::kSchedulerSignal};
+};
+
+class Queue {
+ public:
+  void push(Signal& signal);
+
+ private:
+  support::Mutex mutex_{support::Rank::kTaskQueue};
+};
+
+void Queue::push(Signal& signal) {
+  support::MutexLock lock(mutex_);
+  signal.notify();
+}
+"""
+    checks.append(("lock-order: a mutex name shared by two classes resolves "
+                   "per class", not any(_lint(two_classes))))
+    swapped = two_classes.replace("Rank::kTaskQueue", "Rank::kTEMP").replace(
+        "Rank::kSchedulerSignal", "Rank::kTaskQueue").replace(
+        "Rank::kTEMP", "Rank::kSchedulerSignal")
+    checks.append(("lock-order: fires on an inversion between two classes "
+                   "that share a mutex name", fires("lock-order", swapped)))
+
     seeded_decompose = [
         core.SourceFile("src/support/sync.hpp", _ENUM_SRC,
                         LockRankRule.codes),
