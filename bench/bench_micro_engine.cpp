@@ -11,10 +11,14 @@
 //  * §III: the pool hands its workers their jobs and waits for them at
 //    every run — BM_PoolRoundTrip times that hand-off on its own (an empty
 //    two-job run on the parked threads) and inside a short two-thread run.
+//  * §III-B: the serial program keeps plain counters; batched publication
+//    exists for threads — BM_SerialCountingFrames times a long counting run
+//    of run_serial, whose counters flush at the paper's batches.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 
+#include "benchutil/corpus.hpp"
 #include "datagen/dataset.hpp"
 #include "gentrius/enumerator.hpp"
 #include "gentrius/serial.hpp"
@@ -83,10 +87,30 @@ void BM_SerialStateThroughputMultiConstraint(benchmark::State& state) {
 BENCHMARK(BM_SerialStateThroughputMultiConstraint)
     ->Unit(benchmark::kMillisecond);
 
+void BM_SerialCountingFrames(benchmark::State& state) {
+  // Instance 18 of the seed-202 batch-6 empirical-like corpus, counted to
+  // the end with the tree and state rules lifted: 53.9M stand trees, almost
+  // all of them counted in closed form in the last two levels, so the time
+  // is mostly counting.
+  const auto corpus = benchutil::empirical_corpus(32, 202 * 1000003ULL + 6);
+  core::Options opts;
+  opts.stop.max_stand_trees = UINT64_MAX;
+  opts.stop.max_states = UINT64_MAX;
+  const auto problem = core::build_problem(corpus[18].constraints, opts);
+  std::uint64_t trees = 0;
+  for (auto _ : state) {
+    const auto r = core::run_serial(problem, opts);
+    trees += r.stand_trees;
+  }
+  state.counters["trees/s"] = benchmark::Counter(
+      static_cast<double>(trees), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SerialCountingFrames)->Unit(benchmark::kMillisecond);
+
 void BM_TaskReplay(benchmark::State& state) {
   core::Options opts;
   const auto problem = core::build_problem(bench_dataset().constraints, opts);
-  core::CounterSink sink(opts.stop);
+  core::CounterSink sink(opts.stop, /*workers=*/1);
 
   // The worker sits at the initial split state I0; a scout copy of its
   // Terrace walks admissible insertions from there, building a replayable

@@ -7,6 +7,14 @@
 // 2^10 / 2^13 / 2^10 increments. A consequence the paper documents is that
 // parallel runs can overshoot the limits by up to (threads * batch).
 //
+// One flush rule for every worker: a worker publishes its pending count of
+// a kind (a flush) every `batch` units of that kind, and each such flush
+// tests the limits and reads the clock (stopping rule 3). A worker alone on
+// its sink knows the exact totals, the sink's plus its own pending counts,
+// so it also flushes at the unit that reaches a tree or state limit: a
+// one-worker run stops exactly at its limits, as the paper's serial program
+// does, and pays one atomic add per batch.
+//
 // Concurrency discipline: CounterSink is deliberately lock-free — every
 // member is a std::atomic and there is no mutex to annotate for
 // -Wthread-safety. The only cross-thread ordering that matters is the stop
@@ -17,23 +25,18 @@
 // Enumerator per worker) and must never be shared.
 //
 // Runs of counts (LocalCounters::count_run): a step that counts a whole
-// frame without inserting its taxa publishes the frame's units together,
-// one sink add per counter kind, wherever no stopping-rule check can fall
-// among them. That stays exact: a limit is tested and the clock read only
-// at flushes, so a merged run that holds no clock read and reaches no limit
-// changes nothing a per-unit count would have observed. At batch 1 (serial
-// runs) every unit is a flush, and the sink's totals say exactly where the
-// next limit is; at the pool batches every flush reads the clock, so a run
-// ends before the unit that flushes.
+// frame without inserting its taxa adds the frame's units to the pending
+// counts together, up to the next unit that flushes, which is counted on
+// its own. That stays exact: limits are tested and the clock read only at
+// flushes, so a merged run, which holds no flush, changes nothing a
+// per-unit count would have observed.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "gentrius/options.hpp"
 #include "support/invariant.hpp"
@@ -57,11 +60,12 @@ class StopWaker {
 /// Process-wide totals. One instance per run, shared by all threads.
 class CounterSink {
  public:
-  /// `concurrent`: several threads publish at once (the thread pool with
-  /// two or more workers), so a total read between flushes is only a lower
-  /// bound and LocalCounters::count_run never merges flushes.
-  explicit CounterSink(const StoppingRules& rules, bool concurrent = false)
-      : rules_(rules), concurrent_(concurrent) {}
+  /// `workers`: how many LocalCounters publish into this sink, one per
+  /// worker of the run. With one, the sink's totals plus that worker's
+  /// pending counts are the exact totals; with more, a total read between
+  /// flushes is only a lower bound.
+  CounterSink(const StoppingRules& rules, std::size_t workers)
+      : rules_(rules), workers_(workers) {}
 
   void add_stand_trees(std::uint64_t d) {
     // order: pure tally — fetch_add is atomic on its own; cross-thread
@@ -84,9 +88,9 @@ class CounterSink {
     dead_ends_.fetch_add(d, std::memory_order_relaxed);
   }
 
-  /// Stopping rule 3. Called by LocalCounters at its configured flush
-  /// period; cheap relative to batch work. Wall-clock by definition (the
-  /// paper's 168 h limit); equivalence tests disable this rule, so it
+  /// Stopping rule 3. Called by LocalCounters at every flush a counted
+  /// unit triggers; cheap relative to batch work. Wall-clock by definition
+  /// (the paper's 168 h limit); equivalence tests disable this rule, so it
   /// cannot perturb serial-vs-parallel comparisons.
   void check_time() {
     if (clock_.seconds() >= rules_.max_seconds)
@@ -152,14 +156,26 @@ class CounterSink {
     return dead_ends_.load(std::memory_order_relaxed);
   }
 
+  /// Seconds since the sink was made: the run's wall time.
   double seconds() const { return clock_.seconds(); }
 
   const StoppingRules& rules() const { return rules_; }
-  bool concurrent() const { return concurrent_; }
+  std::size_t workers() const { return workers_; }
+
+  /// Called once by each LocalCounters made on this sink. A worker that
+  /// believed itself alone beside another would flush too late for exact
+  /// limits, so more of them than `workers` is a bug.
+  void attach() {
+    // order: pure tally, read only by the check below
+    const std::size_t attached =
+        attached_.fetch_add(1, std::memory_order_relaxed) + 1;
+    GENTRIUS_DCHECK_LE(attached, workers_);
+  }
 
  private:
   StoppingRules rules_;
-  bool concurrent_;
+  std::size_t workers_;
+  std::atomic<std::size_t> attached_{0};
   std::atomic<std::uint64_t> stand_trees_{0};
   std::atomic<std::uint64_t> states_{0};
   std::atomic<std::uint64_t> dead_ends_{0};
@@ -169,65 +185,49 @@ class CounterSink {
   support::Stopwatch clock_;  // lint:allow(wall-clock) -- stopping rule 3
 };
 
-/// Per-thread accumulator. Publishes to the sink in batches; every
-/// `time_check_period`-th flush also evaluates the time rule (period 1, the
-/// default, preserves the documented every-flush granularity; a larger
-/// period amortizes the clock syscall over K flushes). Not thread-safe by
-/// design: each worker owns exactly one instance.
+/// Per-thread accumulator. Publishes each kind of count to the sink every
+/// `batch` units of it, and a worker alone on its sink also at the unit
+/// that reaches a tree or state limit; every such flush evaluates the time
+/// rule. Not thread-safe by design: each worker owns exactly one instance.
 class LocalCounters {
  public:
   LocalCounters(CounterSink& sink, std::uint32_t tree_batch,
-                std::uint32_t state_batch, std::uint32_t dead_end_batch,
-                std::uint32_t time_check_period = 1)
+                std::uint32_t state_batch, std::uint32_t dead_end_batch)
       : sink_(&sink),
-        tree_batch_(tree_batch ? tree_batch : 1),
-        state_batch_(state_batch ? state_batch : 1),
-        dead_end_batch_(dead_end_batch ? dead_end_batch : 1),
-        time_check_period_(time_check_period ? time_check_period : 1) {}
-
-  void count_stand_tree() {
-    ++counted_;
-    if (++trees_ >= tree_batch_) flush_trees();
+        alone_(sink.workers() == 1),
+        batch_{std::max<std::uint32_t>(state_batch, 1),
+               std::max<std::uint32_t>(tree_batch, 1),
+               std::max<std::uint32_t>(dead_end_batch, 1)} {
+    sink.attach();
+    for (const Kind k : {kState, kTree, kDeadEnd}) flush_at_[k] = next_flush(k);
   }
 
-  void count_state() {
-    ++counted_;
-    if (++states_ >= state_batch_) flush_states();
-  }
-
-  void count_dead_end() {
-    ++counted_;
-    if (++dead_ends_ >= dead_end_batch_) flush_dead_ends();
-  }
+  void count_stand_tree() { count(kTree); }
+  void count_state() { count(kState); }
+  void count_dead_end() { count(kDeadEnd); }
 
   /// Counts a run of units, in this order: for each entry m of `segments`,
   /// `lead` states, then m (state, stand tree) pairs, or one dead end when
   /// m is 0. Equivalent to the per-unit calls with a stop check before every
   /// unit but the first; returns false when such a check finds a stop.
   ///
-  /// Units are counted together while none of them needs a stopping-rule
-  /// check: a unit that would flush at a batch above 1, read the clock, or
-  /// reach a limit is counted on its own, and at batch 1 a concurrent
-  /// sink's totals cannot say where a limit is, so there every unit is. The
-  /// sink totals, flush_count() and counted() advance exactly as per-unit
-  /// calls would. A concurrent run may see another thread's stop only at
-  /// its next unit counted on its own, which stays within the batch.
+  /// Units are added to the pending counts together up to the next unit
+  /// that flushes, which is counted on its own, so the sink totals,
+  /// flush_count() and counted() advance exactly as per-unit calls would.
+  /// A worker beside others may see another one's stop only at its next
+  /// flush, which stays within the batch.
   bool count_run(std::uint32_t lead, std::span<const std::uint32_t> segments) {
     Walk w;
     w.room = room();
-    w.start = counted_;
-    late_flushes_.clear();
     for (const std::uint32_t m : segments) {
-      if (lead > 0) {
-        w.step = position(w);
-        for (std::uint32_t l = 0; l < lead; ++l)
-          if (!walk_unit(w, kState)) return false;
-        w.step = position(w);
-      }
+      for (std::uint32_t l = 0; l < lead; ++l)
+        if (!walk_unit(w, kState)) return false;
       if (m == 0 && !walk_unit(w, kDeadEnd)) return false;
       for (std::uint64_t left = m; left > 0;) {
         if (!settle(w)) return false;
-        const std::uint64_t j = std::min(left, pairs_that_fit(w));
+        const std::uint64_t j = std::min(
+            {left, w.room.n[kState] - w.run.n[kState],
+             w.room.n[kTree] - w.run.n[kTree]});
         if (j > 0) {
           w.run.n[kState] += j;
           w.run.n[kTree] += j;
@@ -239,239 +239,134 @@ class LocalCounters {
         }
       }
     }
-    count_merged(w.run);
+    add_pending(w.run);
     return true;
   }
 
-  /// Publish everything accumulated so far (end of a task / of the run).
+  /// Publishes everything accumulated so far (end of the run). Reads no
+  /// clock: a run that has done all its work is complete.
   void flush_all() {
-    if (trees_) flush_trees();
-    if (states_) flush_states();
-    if (dead_ends_) flush_dead_ends();
+    for (const Kind k : {kState, kTree, kDeadEnd})
+      if (pending_[k] > 0) publish(k);
   }
 
   /// Number of flushes so far (the contention-model input of the
-  /// counter-batching ablation), as per-unit counting makes them: a merged
-  /// run's one sink add per kind counts as the flushes it stands for.
+  /// counter-batching ablation).
   std::uint64_t flush_count() const { return flushes_; }
 
   /// Stand trees, states and dead ends counted so far, published or not
   /// (the simulator charges one unit of virtual work per count).
   std::uint64_t counted() const { return counted_; }
 
-  /// The flushes of the last count_run's units counted on its own (every
-  /// flush at the pool batches) that fall after the step a per-unit search
-  /// would have started the run with, as (unit offset in the run of the
-  /// per-unit step they fall in, flushes). Per-unit steps are: a segment's
-  /// lead states, and its pairs or dead end. The simulator charges them
-  /// where those steps would have, so its clock sums the same terms in the
-  /// same order.
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>>& late_flushes()
-      const {
-    return late_flushes_;
-  }
-
  private:
   enum Kind : std::uint8_t { kState, kTree, kDeadEnd };
 
-  /// Units of each kind counted, or to be counted, together.
+  /// Units of each kind.
   struct Run {
     std::uint64_t n[3] = {0, 0, 0};
   };
 
-  /// How far a merged run may reach: per kind, the units before the next
-  /// one that needs a check of its own, and the batch-1 flushes left before
-  /// the next clock read.
-  struct Room {
-    Run units;
-    std::uint64_t flushes = 0;
-  };
-
-  /// count_run's progress: the room, the run merged so far, whether no unit
-  /// has been counted yet, whether the last unit was counted on its own,
-  /// counted() when the run began and the offset in the run of the
-  /// per-unit step it is in.
+  /// count_run's progress: the units each kind may still merge before its
+  /// next flush, the run merged so far, whether no unit has been counted
+  /// yet, and whether the last unit flushed.
   struct Walk {
-    Room room;
+    Run room;
     Run run;
     bool first = true;
-    bool alone = false;
-    std::uint64_t start = 0;
-    std::uint64_t step = 0;
+    bool flushed = false;
   };
 
-  /// Units of the run counted or merged so far.
-  std::uint64_t position(const Walk& w) const {
-    return counted_ - w.start + w.run.n[kState] + w.run.n[kTree] +
-           w.run.n[kDeadEnd];
-  }
-
-  std::uint32_t batch(Kind k) const {
-    return k == kState ? state_batch_ : k == kTree ? tree_batch_ : dead_end_batch_;
-  }
-
-  Room room() const {
-    const StoppingRules& rules = sink_->rules();
-    const auto kind = [&](Kind k, std::uint64_t pending, std::uint64_t total,
-                          std::uint64_t limit) -> std::uint64_t {
-      if (batch(k) > 1) return batch(k) - 1 - pending;
-      if (sink_->concurrent()) return 0;
-      return total + 1 < limit ? limit - total - 1 : 0;
-    };
-    Room r;
-    r.units.n[kState] =
-        kind(kState, states_, sink_->states(), rules.max_states);
-    r.units.n[kTree] =
-        kind(kTree, trees_, sink_->stand_trees(), rules.max_stand_trees);
-    r.units.n[kDeadEnd] = kind(kDeadEnd, dead_ends_, 0,
-                               std::numeric_limits<std::uint64_t>::max());
-    r.flushes = time_check_period_ - 1 - flushes_since_time_check_;
-    return r;
-  }
-
-  /// Flushes a run makes: one per unit of each kind at batch 1.
-  std::uint64_t flushes_of(const Run& run) const {
-    std::uint64_t f = 0;
-    for (const Kind k : {kState, kTree, kDeadEnd})
-      if (batch(k) == 1) f += run.n[k];
-    return f;
-  }
-
-  bool fits(const Run& run, const Room& room) const {
-    for (const Kind k : {kState, kTree, kDeadEnd})
-      if (run.n[k] > room.units.n[k]) return false;
-    return flushes_of(run) <= room.flushes;
-  }
-
-  /// Whole (state, tree) pairs the walk's run can still take.
-  std::uint64_t pairs_that_fit(const Walk& w) const {
-    std::uint64_t j = std::min(w.room.units.n[kState] - w.run.n[kState],
-                               w.room.units.n[kTree] - w.run.n[kTree]);
-    const std::uint64_t per_pair =
-        (state_batch_ == 1 ? 1 : 0) + (tree_batch_ == 1 ? 1 : 0);
-    if (per_pair > 0)
-      j = std::min(j, (w.room.flushes - flushes_of(w.run)) / per_pair);
-    return j;
-  }
-
-  /// After a unit counted on its own: the check before the next unit, and
-  /// the room left behind it.
-  bool settle(Walk& w) {
-    if (!w.alone) return true;
-    if (sink_->stop_requested()) return false;
-    w.alone = false;
-    w.room = room();
-    return true;
-  }
-
-  /// One unit of a run: merged when it fits, else counted on its own after
-  /// the run so far.
-  bool walk_unit(Walk& w, Kind k) {
-    if (!settle(w)) return false;
-    Run next = w.run;
-    ++next.n[k];
-    if (fits(next, w.room)) {
-      w.run = next;
-      w.first = false;
-      return true;
-    }
-    count_merged(w.run);
-    w.run = Run{};
-    if (!w.first && sink_->stop_requested()) return false;
-    w.first = false;
-    w.alone = true;
-    const std::uint64_t flushes = flushes_;
-    if (k == kState)
-      count_state();
-    else if (k == kTree)
-      count_stand_tree();
-    else
-      count_dead_end();
-    if (flushes_ > flushes && w.step > 0) {
-      if (late_flushes_.empty() || late_flushes_.back().first != w.step)
-        late_flushes_.emplace_back(w.step, 0);
-      late_flushes_.back().second += flushes_ - flushes;
-    }
-    return true;
-  }
-
-  /// Counts a run that fits its room: one sink add per kind at batch 1,
-  /// where each unit is a flush, the pending counts otherwise.
-  void count_merged(const Run& run) {
-    const std::uint64_t flushes = flushes_of(run);
-    counted_ += run.n[kState] + run.n[kTree] + run.n[kDeadEnd];
-    flushes_ += flushes;
-    flushes_since_time_check_ += static_cast<std::uint32_t>(flushes);
-    GENTRIUS_DCHECK_LT(flushes_since_time_check_, time_check_period_);
-    if (run.n[kState] > 0) {
-      if (state_batch_ == 1)
-        sink_->add_states(run.n[kState]);
-      else
-        states_ += run.n[kState];
-    }
-    if (run.n[kTree] > 0) {
-      if (tree_batch_ == 1)
-        sink_->add_stand_trees(run.n[kTree]);
-      else
-        trees_ += run.n[kTree];
-    }
-    if (run.n[kDeadEnd] > 0) {
-      if (dead_end_batch_ == 1)
-        sink_->add_dead_ends(run.n[kDeadEnd]);
-      else
-        dead_ends_ += run.n[kDeadEnd];
-    }
-  }
-
-  // Hot-path invariants: a pending local count never exceeds its batch (the
-  // increment paths flush exactly at the threshold), and a flush always
-  // publishes a non-zero delta — publishing zero would still pay an atomic
-  // RMW and could spuriously trip a stopping-rule comparison.
-  void flush_trees() {
-    GENTRIUS_DCHECK_GT(trees_, 0u);
-    GENTRIUS_DCHECK_LE(trees_, tree_batch_);
-    sink_->add_stand_trees(trees_);
-    trees_ = 0;
-    ++flushes_;
-    maybe_check_time();
-  }
-  void flush_states() {
-    GENTRIUS_DCHECK_GT(states_, 0u);
-    GENTRIUS_DCHECK_LE(states_, state_batch_);
-    sink_->add_states(states_);
-    states_ = 0;
-    ++flushes_;
-    maybe_check_time();
-  }
-  void flush_dead_ends() {
-    GENTRIUS_DCHECK_GT(dead_ends_, 0u);
-    GENTRIUS_DCHECK_LE(dead_ends_, dead_end_batch_);
-    sink_->add_dead_ends(dead_ends_);
-    dead_ends_ = 0;
-    ++flushes_;
-    maybe_check_time();
-  }
-
-  /// Evaluates the time rule on every time_check_period_-th flush. The
-  /// three flush sites above used to pay one clock syscall each; with a
-  /// period K only every K-th flush does. Counter totals, flush counts,
-  /// and the batching ablation are untouched — only the clock-read cadence
-  /// (and hence the time rule's granularity) changes.
-  void maybe_check_time() {
-    if (++flushes_since_time_check_ >= time_check_period_) {
-      flushes_since_time_check_ = 0;
+  // Hot path: a pending count stays below its flush point (the increment
+  // flushes exactly at it).
+  void count(Kind k) {
+    ++counted_;
+    if (++pending_[k] >= flush_at_[k]) {
+      publish(k);
       sink_->check_time();
     }
   }
 
+  /// The pending count of kind `k` at which its next flush falls: its
+  /// batch, or, for a worker alone on its sink, the unit that reaches the
+  /// kind's limit when that comes first.
+  std::uint64_t next_flush(Kind k) const {
+    if (!alone_ || k == kDeadEnd) return batch_[k];
+    const StoppingRules& rules = sink_->rules();
+    const bool states = k == kState;
+    const std::uint64_t total = states ? sink_->states() : sink_->stand_trees();
+    const std::uint64_t limit =
+        states ? rules.max_states : rules.max_stand_trees;
+    return total < limit ? std::min<std::uint64_t>(batch_[k], limit - total)
+                         : 1;
+  }
+
+  Run room() const {
+    Run r;
+    for (const Kind k : {kState, kTree, kDeadEnd})
+      r.n[k] = flush_at_[k] - 1 - pending_[k];
+    return r;
+  }
+
+  /// After a unit that flushed: the check before the next unit, and the
+  /// room left behind it.
+  bool settle(Walk& w) {
+    if (!w.flushed) return true;
+    if (sink_->stop_requested()) return false;
+    w.flushed = false;
+    w.room = room();
+    return true;
+  }
+
+  /// One unit of a run: merged when it does not flush, else counted on its
+  /// own after the run so far.
+  bool walk_unit(Walk& w, Kind k) {
+    if (!settle(w)) return false;
+    if (w.run.n[k] < w.room.n[k]) {
+      ++w.run.n[k];
+      w.first = false;
+      return true;
+    }
+    add_pending(w.run);
+    w.run = Run{};
+    if (!w.first && sink_->stop_requested()) return false;
+    w.first = false;
+    w.flushed = true;
+    count(k);
+    return true;
+  }
+
+  /// Adds a run that holds no flush to the pending counts.
+  void add_pending(const Run& run) {
+    for (const Kind k : {kState, kTree, kDeadEnd}) {
+      counted_ += run.n[k];
+      pending_[k] += run.n[k];
+      GENTRIUS_DCHECK_LT(pending_[k], flush_at_[k]);
+    }
+  }
+
+  // A flush always publishes a non-zero delta — publishing zero would still
+  // pay an atomic RMW and could spuriously trip a stopping-rule comparison.
+  void publish(Kind k) {
+    GENTRIUS_DCHECK_GT(pending_[k], 0u);
+    GENTRIUS_DCHECK_LE(pending_[k], flush_at_[k]);
+    if (k == kState)
+      sink_->add_states(pending_[k]);
+    else if (k == kTree)
+      sink_->add_stand_trees(pending_[k]);
+    else
+      sink_->add_dead_ends(pending_[k]);
+    pending_[k] = 0;
+    ++flushes_;
+    flush_at_[k] = next_flush(k);
+  }
+
   CounterSink* sink_;
-  std::uint32_t tree_batch_, state_batch_, dead_end_batch_;
-  std::uint32_t time_check_period_;
-  std::uint32_t flushes_since_time_check_ = 0;
-  std::uint64_t trees_ = 0, states_ = 0, dead_ends_ = 0;
+  bool alone_;
+  std::uint32_t batch_[3];
+  std::uint64_t pending_[3] = {0, 0, 0};
+  std::uint64_t flush_at_[3] = {0, 0, 0};
   std::uint64_t flushes_ = 0;
   std::uint64_t counted_ = 0;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> late_flushes_;
 };
 
 }  // namespace gentrius::core

@@ -21,15 +21,6 @@ namespace {
 constexpr std::size_t kOfferMinRemaining = 3;
 static_assert(kOfferMinRemaining > 2);
 
-/// Counter flushes per evaluation of the time rule (a clock read): every
-/// 256th flush at state batch 1, as in exact serial counting, and every
-/// flush from batch 256 on, the default batch included.
-std::uint32_t time_check_period(const Options& options) {
-  const std::uint32_t batch =
-      std::max<std::uint32_t>(1, options.state_flush_batch);
-  return std::max<std::uint32_t>(1, 256 / batch);
-}
-
 }  // namespace
 
 Enumerator::Enumerator(const Problem& problem, const Options& options,
@@ -38,7 +29,7 @@ Enumerator::Enumerator(const Problem& problem, const Options& options,
       options_(&options),
       terrace_(problem, options.incremental_mappings),
       counters_(sink, options.tree_flush_batch, options.state_flush_batch,
-                options.dead_end_flush_batch, time_check_period(options)),
+                options.dead_end_flush_batch),
       sink_(&sink) {
   if (!options.dynamic_taxon_order || !options.insertion_order.empty()) {
     if (!options.insertion_order.empty()) {

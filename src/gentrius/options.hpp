@@ -111,7 +111,9 @@ struct Options {
 
   /// Batched global-counter updates (paper §III-B): a thread publishes its
   /// local counts every 2^10 stand trees / 2^13 states / 2^10 dead ends.
-  /// Serial runs use batch 1 so the stopping rules are exact.
+  /// Every driver uses them; the only worker of a run also publishes at the
+  /// unit that reaches a tree or state limit, so one-worker runs stop
+  /// exactly at their limits (counters.hpp).
   std::uint32_t tree_flush_batch = 1u << 10;
   std::uint32_t state_flush_batch = 1u << 13;
   std::uint32_t dead_end_flush_batch = 1u << 10;

@@ -8,8 +8,9 @@
 namespace gentrius::core {
 
 /// Runs sequential Gentrius to completion or until a stopping rule fires.
-/// Counter batching is forced to 1 so the limits are exact, matching the
-/// original implementation's behaviour.
+/// Its one worker flushes its counters at the paper's batches and at the
+/// unit that reaches a tree or state limit, so the limits are exact,
+/// matching the original implementation's behaviour.
 Result run_serial(const Problem& problem, const Options& options);
 
 /// Convenience overload: builds the Problem from raw constraint trees.

@@ -12,7 +12,6 @@
 #include "support/check.hpp"
 #include "support/error.hpp"
 #include "support/invariant.hpp"
-#include "support/stopwatch.hpp"
 
 namespace gentrius::parallel {
 
@@ -147,13 +146,13 @@ void run_worker(std::size_t tid, std::size_t n_threads, const Problem& problem,
 
 template <class Scheduler>
 Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
-                const Scheduler* scheduler, double seconds) {
+                const Scheduler* scheduler) {
   Result result;
   result.stand_trees = sink.stand_trees();
   result.intermediate_states = sink.states();
   result.dead_ends = sink.dead_ends();
   result.reason = sink.reason();
-  result.seconds = seconds;
+  result.seconds = sink.seconds();
   const WorkerOutput& first = outputs.front();
   result.prefix_length = first.prefix_length;
   result.initial_split_branches = first.split_branches;
@@ -175,12 +174,8 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
 template <class Scheduler>
 Result run_pool(const Problem& problem, const Options& options,
                 std::size_t n_threads, Scheduler* scheduler) {
-  // Wall clock for Result::seconds (reported diagnostics, never a
-  // scheduling input) and for stopping rule 3, real-time by definition.
-  // lint:allow(wall-clock)
-  support::Stopwatch clock;
   GENTRIUS_CHECK(n_threads >= 1);
-  CounterSink sink(options.stop, /*concurrent=*/n_threads > 1);
+  CounterSink sink(options.stop, n_threads);
   std::vector<WorkerOutput> outputs(n_threads);
   // Stop-wake hook: request_stop from any thread unblocks waiting consumers
   // immediately instead of waiting for a busy worker to notice the flag.
@@ -194,7 +189,8 @@ Result run_pool(const Problem& problem, const Options& options,
                outputs[tid], error);
   };
   if (n_threads == 1) {
-    // Degenerate pool: still exercises the worker path, minus stealing.
+    // One worker, on the calling thread: the run every driver makes at
+    // N_t = 1.
     work(0);
   } else {
     // Every worker gets a parked thread of its own, and the calling thread
@@ -210,7 +206,7 @@ Result run_pool(const Problem& problem, const Options& options,
   }
   sink.set_stop_waker(nullptr);
   error.rethrow_if_any();
-  return assemble(sink, outputs, scheduler, clock.seconds());
+  return assemble(sink, outputs, scheduler);
 }
 
 }  // namespace
@@ -218,6 +214,9 @@ Result run_pool(const Problem& problem, const Options& options,
 Result run_parallel(const Problem& problem, const Options& options,
                     std::size_t n_threads) {
   core::validate_options(options);
+  // A lone worker has no one to offer work to.
+  if (n_threads == 1)
+    return run_pool<TaskQueue>(problem, options, n_threads, nullptr);
   if (options.scheduler == core::Scheduler::kDistributedDeques) {
     DequeScheduler deques(n_threads, options.steal_seed);
     return run_pool(problem, options, n_threads, &deques);

@@ -17,7 +17,9 @@ namespace gentrius::parallel {
 /// bounded task queue. Counters are published in batches (Options); the
 /// stopping rules may therefore overshoot slightly, exactly as the paper
 /// describes. With stopping rules disabled the result (tree/state/dead-end
-/// counts, and the collected stand) is identical to run_serial.
+/// counts, and the collected stand) is identical to run_serial. With one
+/// worker there is no queue to offer to: the run is run_serial's, its exact
+/// limits included.
 core::Result run_parallel(const core::Problem& problem,
                           const core::Options& options, std::size_t n_threads);
 

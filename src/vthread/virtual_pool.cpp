@@ -311,24 +311,17 @@ struct VWorker {
   std::size_t sweep_start = 0;  // victim-scan origin for this idle episode
 };
 
-Result run_simulation(const Problem& problem, const Options& user_options,
+Result run_simulation(const Problem& problem, const Options& options,
                       std::size_t n_threads, const CostModel& costs,
                       const VirtualRules& rules, bool work_stealing) {
   GENTRIUS_CHECK(n_threads >= 1);
-  core::validate_options(user_options);
+  core::validate_options(options);
   // Diagnostic only: how long the simulation itself took on the host. The
   // simulated schedule depends exclusively on virtual clocks.
   support::Stopwatch wall;  // lint:allow(wall-clock)
 
-  Options options = user_options;
+  // Sequential Gentrius uses plain global counters: no publication cost.
   const bool serial = n_threads == 1;
-  if (serial) {
-    // Sequential Gentrius uses plain global counters: exact limits, no
-    // publication cost.
-    options.tree_flush_batch = 1;
-    options.state_flush_batch = 1;
-    options.dead_end_flush_batch = 1;
-  }
   const double flush_unit =
       serial ? 0.0
              : costs.flush_cost +
@@ -338,7 +331,7 @@ Result run_simulation(const Problem& problem, const Options& user_options,
       options.scheduler == core::Scheduler::kDistributedDeques &&
       work_stealing && !serial;
 
-  CounterSink sink(options.stop);
+  CounterSink sink(options.stop, n_threads);
   // The central queue's per-op cost grows with the number of workers
   // bouncing its cache line (see CostModel::queue_contention).
   VirtualQueue queue(
@@ -387,7 +380,6 @@ Result run_simulation(const Problem& problem, const Options& user_options,
 
   // --- event loop: always advance the earliest actionable worker ----------
   const double inf = std::numeric_limits<double>::infinity();
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> no_late_flushes;
   Task steal_scratch;  // pooled steal target, swapped with queue slots
   for (;;) {
     // Earliest running worker.
@@ -451,11 +443,9 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     // per call. A step that counts a whole frame of the last two levels
     // covers several units; if a stopping rule cut it short, it also pays
     // for the call that would have found the stop. Each unit is a separate
-    // addition, and a flush is charged with the first unit of the per-unit
-    // step it falls in (late_flushes: a two-taxon frame's later lead
-    // states, pairs and dead ends; the rest with the step's first unit), so
-    // the clock sums the same terms in the same order as if every per-unit
-    // step were its own step.
+    // addition, and the step's flushes are charged with its first unit, so
+    // the clock sums the same terms as if every per-unit step were its own
+    // step.
     const core::LocalCounters& counters = w.enumerator->counters();
     const std::uint64_t counted = counters.counted();
     std::uint64_t units = counted - w.last_counted;
@@ -463,19 +453,10 @@ Result run_simulation(const Problem& problem, const Options& user_options,
     if (units > 0 && step == Enumerator::Step::kStopped) ++units;
     const std::uint64_t flushes = counters.flush_count();
     GENTRIUS_DCHECK_GE(flushes, w.last_flushes);  // flush counts are monotone
-    const auto& late = units > 1 ? counters.late_flushes() : no_late_flushes;
-    std::uint64_t first_flushes = flushes - w.last_flushes;
-    for (const auto& [offset, n] : late) first_flushes -= n;
     w.clock += costs.state_cost +
-               static_cast<double>(first_flushes) * flush_unit;
+               static_cast<double>(flushes - w.last_flushes) * flush_unit;
     w.last_flushes = flushes;
-    std::size_t next_late = 0;
-    for (std::uint64_t u = 1; u < units; ++u) {
-      std::uint64_t n = 0;
-      for (; next_late < late.size() && late[next_late].first == u; ++next_late)
-        n += late[next_late].second;
-      w.clock += costs.state_cost + static_cast<double>(n) * flush_unit;
-    }
+    for (std::uint64_t u = 1; u < units; ++u) w.clock += costs.state_cost;
 
     switch (step) {
       case Enumerator::Step::kWorked:

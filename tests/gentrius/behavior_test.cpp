@@ -2,7 +2,11 @@
 // validation, counter batching, tree collection.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "datagen/dataset.hpp"
+#include "drivers.hpp"
 #include "gentrius/serial.hpp"
 #include "parallel/pool.hpp"
 #include "phylo/newick.hpp"
@@ -23,22 +27,30 @@ datagen::Dataset hard_dataset(std::uint64_t seed = 31415) {
   return datagen::make_simulated(sp);
 }
 
+// Exact limits hold for every one-worker run: its only worker also flushes
+// at the unit that reaches a limit.
 TEST(StoppingRules, TreeLimitIsExactInSerial) {
   const auto ds = hard_dataset();
   Options opts;
   opts.stop.max_stand_trees = 500;
-  const auto r = core::run_serial(ds.constraints, opts);
-  EXPECT_EQ(r.reason, StopReason::kTreeLimit);
-  EXPECT_EQ(r.stand_trees, 500u);
+  const auto problem = core::build_problem(ds.constraints, opts);
+  for (const auto& driver : driver_test::kDrivers) {
+    const auto r = driver.run(problem, opts, 1);
+    EXPECT_EQ(r.reason, StopReason::kTreeLimit) << driver.name;
+    EXPECT_EQ(r.stand_trees, 500u) << driver.name;
+  }
 }
 
 TEST(StoppingRules, StateLimitIsExactInSerial) {
   const auto ds = hard_dataset();
   Options opts;
   opts.stop.max_states = 700;
-  const auto r = core::run_serial(ds.constraints, opts);
-  EXPECT_EQ(r.reason, StopReason::kStateLimit);
-  EXPECT_EQ(r.intermediate_states, 700u);
+  const auto problem = core::build_problem(ds.constraints, opts);
+  for (const auto& driver : driver_test::kDrivers) {
+    const auto r = driver.run(problem, opts, 1);
+    EXPECT_EQ(r.reason, StopReason::kStateLimit) << driver.name;
+    EXPECT_EQ(r.intermediate_states, 700u) << driver.name;
+  }
 }
 
 TEST(StoppingRules, TimeLimitFires) {
@@ -49,48 +61,90 @@ TEST(StoppingRules, TimeLimitFires) {
   EXPECT_EQ(r.reason, StopReason::kTimeLimit);
 }
 
-// Exact serial counting publishes every state, stand tree and dead end
-// (batch 1) and reads the clock on every 256th flush. An expired clock
-// (max_seconds = 0) therefore stops a serial run after exactly 256 counts,
-// forced prefix included. The seeds need more than 256 counts to finish.
-constexpr std::uint64_t kCadenceSeeds[] = {4244, 4245, 5241};
-
-datagen::Dataset cadence_dataset(std::uint64_t seed) {
-  datagen::SimulatedParams sp;
-  sp.n_taxa = 48;
-  sp.n_loci = 8;
-  sp.missing_fraction = 0.5;
-  sp.seed = seed;
-  return datagen::make_simulated(sp);
-}
-
-std::uint64_t counts(const core::Result& r) {
-  return r.intermediate_states + r.stand_trees + r.dead_ends;
-}
-
-TEST(StoppingRules, SerialReadsTheClockEvery256Counts) {
-  for (const std::uint64_t seed : kCadenceSeeds) {
-    const auto ds = cadence_dataset(seed);
-    SCOPED_TRACE(ds.name);
-    Options opts;
-    opts.stop.max_seconds = 0.0;
-    const auto r = core::run_serial(ds.constraints, opts);
-    EXPECT_EQ(r.reason, StopReason::kTimeLimit);
-    EXPECT_EQ(counts(r), 256u);
+// Only a flush that a counted unit triggers reads the clock, and a
+// one-worker run flushes every 1,024 stand trees, 8,192 states and 1,024
+// dead ends. An expired clock (max_seconds = 0) therefore stops it at its
+// first flush: on this instance, the 1,024th stand tree.
+TEST(StoppingRules, ExpiredClockStopsAOneWorkerRunAtItsFirstFlush) {
+  const auto ds = hard_dataset(999);
+  Options opts;
+  opts.stop.max_seconds = 0.0;
+  const auto problem = core::build_problem(ds.constraints, opts);
+  const auto want = core::run_serial(problem, opts);
+  EXPECT_EQ(want.reason, StopReason::kTimeLimit);
+  EXPECT_EQ(want.stand_trees, 1024u);
+  for (const auto& driver : driver_test::kDrivers) {
+    const auto r = driver.run(problem, opts, 1);
+    EXPECT_EQ(r.reason, StopReason::kTimeLimit) << driver.name;
+    EXPECT_EQ(r.stand_trees, want.stand_trees) << driver.name;
+    EXPECT_EQ(r.intermediate_states, want.intermediate_states) << driver.name;
+    EXPECT_EQ(r.dead_ends, want.dead_ends) << driver.name;
   }
 }
 
-TEST(StoppingRules, VirtualSerialReadsTheClockEvery256Counts) {
-  // The simulator at N_t = 1 counts exactly as the serial driver does.
-  for (const std::uint64_t seed : kCadenceSeeds) {
-    const auto ds = cadence_dataset(seed);
-    SCOPED_TRACE(ds.name);
+// A run that has done all its work is complete, even past its time: the
+// final publication reads no clock. These stands (3, 525, 3, 5 and 9 trees)
+// need less than a batch of every kind, so no counted unit flushes.
+TEST(StoppingRules, FinishedRunsReportCompletedUnderAnExpiredClock) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    datagen::SimulatedParams sp;
+    sp.n_taxa = 12;
+    sp.n_loci = 4;
+    sp.missing_fraction = 0.4;
+    sp.seed = seed;
+    const auto ds = datagen::make_simulated(sp);
     Options opts;
-    opts.stop.max_seconds = 0.0;
-    const auto r = vthread::run_virtual(
-        core::build_problem(ds.constraints, opts), opts, 1);
-    EXPECT_EQ(r.reason, StopReason::kTimeLimit);
-    EXPECT_EQ(counts(r), 256u);
+    const auto problem = core::build_problem(ds.constraints, opts);
+    const auto want = core::run_serial(problem, opts);
+    ASSERT_EQ(want.reason, StopReason::kCompleted) << ds.name;
+    Options expired = opts;
+    expired.stop.max_seconds = 0.0;
+    for (const auto& driver : driver_test::kDrivers) {
+      for (const std::size_t nt : {1UL, 2UL}) {
+        if (nt > 1 && !driver.takes_threads) continue;
+        const auto r = driver.run(problem, expired, nt);
+        const std::string what =
+            ds.name + " " + driver.name + " nt=" + std::to_string(nt);
+        EXPECT_EQ(r.reason, StopReason::kCompleted) << what;
+        EXPECT_EQ(r.stand_trees, want.stand_trees) << what;
+        EXPECT_EQ(r.intermediate_states, want.intermediate_states) << what;
+        EXPECT_EQ(r.dead_ends, want.dead_ends) << what;
+      }
+    }
+  }
+}
+
+// At N_t = 1 every driver makes the serial driver's run, with no scheduler:
+// the same counts, the same stop totals, and no task offered.
+TEST(StoppingRules, OneWorkerDriversMakeTheSameRun) {
+  const auto ds = hard_dataset();
+  const Options defaults;
+  const std::uint64_t all_trees = defaults.stop.max_stand_trees;
+  const std::uint64_t all_states = defaults.stop.max_states;
+  // The stand holds 4,725 trees and 5,610 states; tree limits fall on both
+  // sides of a batch boundary.
+  const std::pair<std::uint64_t, std::uint64_t> limits[] = {
+      {all_trees, all_states}, {1, all_states},    {1023, all_states},
+      {1025, all_states},      {4724, all_states}, {all_trees, 1},
+      {all_trees, 2049},       {all_trees, 5609}};
+  for (const auto& [trees, states] : limits) {
+    Options opts;
+    opts.stop.max_stand_trees = trees;
+    opts.stop.max_states = states;
+    const auto problem = core::build_problem(ds.constraints, opts);
+    const auto want = core::run_serial(problem, opts);
+    for (const auto& driver : driver_test::kDrivers) {
+      const auto r = driver.run(problem, opts, 1);
+      const std::string what = std::string(driver.name) + " max_stand_trees=" +
+                               std::to_string(trees) +
+                               " max_states=" + std::to_string(states);
+      EXPECT_EQ(r.reason, want.reason) << what;
+      EXPECT_EQ(r.stand_trees, want.stand_trees) << what;
+      EXPECT_EQ(r.intermediate_states, want.intermediate_states) << what;
+      EXPECT_EQ(r.dead_ends, want.dead_ends) << what;
+      EXPECT_EQ(r.tasks_offered, 0u) << what;
+      EXPECT_EQ(r.tasks_executed, 0u) << what;
+    }
   }
 }
 

@@ -14,7 +14,7 @@ TEST(CounterSink, LimitsFireAndFirstReasonWins) {
   StoppingRules rules;
   rules.max_stand_trees = 100;
   rules.max_states = 1000;
-  CounterSink sink(rules);
+  CounterSink sink(rules, /*workers=*/1);
   EXPECT_FALSE(sink.stop_requested());
   sink.add_stand_trees(99);
   EXPECT_FALSE(sink.stop_requested());
@@ -31,7 +31,7 @@ TEST(CounterSink, LimitsFireAndFirstReasonWins) {
 TEST(CounterSink, TimeRule) {
   StoppingRules rules;
   rules.max_seconds = 0.0;
-  CounterSink sink(rules);
+  CounterSink sink(rules, /*workers=*/1);
   EXPECT_FALSE(sink.stop_requested());
   sink.check_time();
   EXPECT_TRUE(sink.stop_requested());
@@ -39,7 +39,7 @@ TEST(CounterSink, TimeRule) {
 }
 
 TEST(CounterSink, CompletedWhenNothingFires) {
-  CounterSink sink({});
+  CounterSink sink({}, /*workers=*/1);
   sink.add_stand_trees(10);
   sink.add_states(10);
   sink.add_dead_ends(10);
@@ -47,8 +47,10 @@ TEST(CounterSink, CompletedWhenNothingFires) {
   EXPECT_EQ(sink.reason(), StopReason::kCompleted);
 }
 
+// The batch tests use a shared sink, where only the batches place flushes.
+
 TEST(LocalCounters, BatchesAreHonored) {
-  CounterSink sink({});
+  CounterSink sink({}, /*workers=*/2);
   LocalCounters local(sink, /*tree=*/4, /*state=*/8, /*dead=*/2);
   for (int i = 0; i < 3; ++i) local.count_stand_tree();
   EXPECT_EQ(sink.stand_trees(), 0u);  // below batch: nothing published
@@ -66,7 +68,7 @@ TEST(LocalCounters, BatchesAreHonored) {
 }
 
 TEST(LocalCounters, FlushAllPublishesRemainders) {
-  CounterSink sink({});
+  CounterSink sink({}, /*workers=*/2);
   LocalCounters local(sink, 1024, 8192, 1024);
   for (int i = 0; i < 5; ++i) local.count_stand_tree();
   for (int i = 0; i < 7; ++i) local.count_state();
@@ -77,8 +79,25 @@ TEST(LocalCounters, FlushAllPublishesRemainders) {
   EXPECT_EQ(sink.dead_ends(), 1u);
 }
 
+TEST(LocalCounters, FlushAllReadsNoClock) {
+  // A run that has done all its work is complete, even past its time.
+  StoppingRules rules;
+  rules.max_seconds = 0.0;
+  for (const std::size_t workers : {1, 2}) {
+    CounterSink sink(rules, workers);
+    LocalCounters local(sink, 1024, 8192, 1024);
+    local.count_stand_tree();
+    local.count_state();
+    local.count_dead_end();
+    local.flush_all();
+    EXPECT_EQ(local.flush_count(), 3u);
+    EXPECT_FALSE(sink.stop_requested());
+    EXPECT_EQ(sink.reason(), StopReason::kCompleted);
+  }
+}
+
 TEST(LocalCounters, BatchZeroBehavesAsOne) {
-  CounterSink sink({});
+  CounterSink sink({}, /*workers=*/2);
   LocalCounters local(sink, 0, 0, 0);
   local.count_stand_tree();
   EXPECT_EQ(sink.stand_trees(), 1u);
@@ -100,7 +119,7 @@ TEST(LocalCounters, DefaultPeriodChecksTimeEveryFlush) {
       {&LocalCounters::count_state, &CounterSink::states},
       {&LocalCounters::count_dead_end, &CounterSink::dead_ends}};
   for (const auto& [count, total] : sites) {
-    CounterSink sink(rules);
+    CounterSink sink(rules, /*workers=*/2);
     LocalCounters local(sink, /*tree=*/2, /*state=*/2, /*dead=*/2);
     (local.*count)();
     EXPECT_FALSE(sink.stop_requested());
@@ -112,56 +131,80 @@ TEST(LocalCounters, DefaultPeriodChecksTimeEveryFlush) {
   }
 }
 
-TEST(LocalCounters, TimeCheckPeriodThrottlesClockReads) {
-  // Period K: the clock is read only on every K-th flush, across all three
-  // flush sites combined. Counter totals and flush counts are unchanged.
-  StoppingRules rules;
-  rules.max_seconds = 0.0;
-  CounterSink sink(rules);
-  LocalCounters local(sink, 1, 1, 1, /*time_check_period=*/3);
-  local.count_state();       // flush 1
-  local.count_stand_tree();  // flush 2
-  EXPECT_FALSE(sink.stop_requested());
-  local.count_dead_end();  // flush 3 reads the clock
-  EXPECT_TRUE(sink.stop_requested());
-  EXPECT_EQ(sink.reason(), StopReason::kTimeLimit);
-  EXPECT_EQ(local.flush_count(), 3u);
-  EXPECT_EQ(sink.states(), 1u);  // publication itself is untouched
-  EXPECT_EQ(sink.stand_trees(), 1u);
-  EXPECT_EQ(sink.dead_ends(), 1u);
-}
-
-TEST(LocalCounters, ThrottledTimeRuleStillFires) {
-  StoppingRules rules;
-  rules.max_seconds = 0.0;  // an expired clock: first read must stop the run
-  CounterSink sink(rules);
-  LocalCounters local(sink, 1, 1, 1, /*time_check_period=*/4);
-  for (int i = 0; i < 3; ++i) {
-    local.count_state();
-    EXPECT_FALSE(sink.stop_requested()) << "flush " << i + 1;
+// A worker alone on its sink knows the exact totals, so it flushes at the
+// unit that reaches a tree or state limit, and the limit stops the run
+// there; beside another worker it flushes at its batches only.
+TEST(LocalCounters, LoneWorkerFlushesAtTheUnitThatReachesALimit) {
+  using Count = void (LocalCounters::*)();
+  using Total = std::uint64_t (CounterSink::*)() const;
+  StoppingRules trees;
+  trees.max_stand_trees = 5;
+  StoppingRules states;
+  states.max_states = 5;
+  const struct {
+    StoppingRules rules;
+    Count count;
+    Total total;
+    StopReason reason;
+  } kinds[] = {
+      {trees, &LocalCounters::count_stand_tree, &CounterSink::stand_trees,
+       StopReason::kTreeLimit},
+      {states, &LocalCounters::count_state, &CounterSink::states,
+       StopReason::kStateLimit}};
+  for (const auto& kind : kinds) {
+    CounterSink lone(kind.rules, /*workers=*/1);
+    CounterSink shared(kind.rules, /*workers=*/2);
+    LocalCounters alone(lone, 1024, 8192, 1024);
+    LocalCounters beside(shared, 1024, 8192, 1024);
+    for (int i = 0; i < 4; ++i) {
+      (alone.*kind.count)();
+      (beside.*kind.count)();
+    }
+    EXPECT_EQ((lone.*kind.total)(), 0u);
+    EXPECT_FALSE(lone.stop_requested());
+    (alone.*kind.count)();
+    (beside.*kind.count)();
+    EXPECT_EQ((lone.*kind.total)(), 5u);
+    EXPECT_EQ(lone.reason(), kind.reason);
+    EXPECT_EQ(alone.flush_count(), 1u);
+    EXPECT_EQ((shared.*kind.total)(), 0u);
+    EXPECT_FALSE(shared.stop_requested());
+    EXPECT_EQ(beside.flush_count(), 0u);
   }
-  local.count_state();  // 4th flush reads the clock
-  EXPECT_TRUE(sink.stop_requested());
-  EXPECT_EQ(sink.reason(), StopReason::kTimeLimit);
 }
 
-TEST(LocalCounters, TimeCheckPeriodZeroBehavesAsOne) {
+TEST(LocalCounters, LoneWorkerKeepsItsBatchesFarFromALimit) {
+  // 2,500 trees under a limit of 3,000: flushes at 1,024 and 2,048, then
+  // the limit is 952 trees away, nearer than the next batch.
   StoppingRules rules;
-  rules.max_seconds = 0.0;
-  CounterSink sink(rules);
-  LocalCounters local(sink, 1, 1, 1, /*time_check_period=*/0);
-  local.count_state();  // flush 1 reads the clock
-  EXPECT_TRUE(sink.stop_requested());
-  EXPECT_EQ(sink.reason(), StopReason::kTimeLimit);
-  EXPECT_EQ(sink.states(), 1u);
+  rules.max_stand_trees = 3000;
+  CounterSink sink(rules, /*workers=*/1);
+  LocalCounters local(sink, 1024, 8192, 1024);
+  for (int i = 0; i < 2500; ++i) local.count_stand_tree();
+  EXPECT_EQ(sink.stand_trees(), 2048u);
+  EXPECT_EQ(local.flush_count(), 2u);
+  for (int i = 0; i < 499; ++i) local.count_stand_tree();
+  EXPECT_EQ(sink.stand_trees(), 2048u);
+  EXPECT_FALSE(sink.stop_requested());
+  local.count_stand_tree();
+  EXPECT_EQ(sink.stand_trees(), 3000u);
+  EXPECT_EQ(sink.reason(), StopReason::kTreeLimit);
+}
+
+TEST(CounterSink, MoreWorkersThanToldFailADebugCheck) {
+  if (!GENTRIUS_ENABLE_INVARIANTS)
+    GTEST_SKIP() << "debug checks are compiled out";
+  CounterSink sink({}, /*workers=*/1);
+  LocalCounters first(sink, 1, 1, 1);
+  EXPECT_THROW(LocalCounters second(sink, 1, 1, 1), support::InternalError);
 }
 
 // LocalCounters::count_run against its definition: the per-unit calls, with
 // a stop check before every unit but the first. Both sides start from the
 // same prior counts (which set the flush phase and the distance to a limit)
 // and must agree on the stop, the sink totals, flush_count() and counted();
-// then both keep counting states one by one, which shows that the clock's
-// flush phase also ended equal.
+// then both keep counting states one by one, which shows that their pending
+// counts also ended equal.
 
 struct RunShape {
   std::uint32_t lead;
@@ -172,7 +215,7 @@ std::vector<RunShape> run_shapes() {
   return {{0, {1}},
           {0, {5}},
           {0, {0}},
-          {0, {300}},  // longer than the batch-1 clock period
+          {0, {300}},  // longer than the small batches
           {1, {3, 0, 5, 1, 2, 0, 7}},
           {1, {0, 0, 0}},
           {1, std::vector<std::uint32_t>(40, 4)},  // 360 units
@@ -215,15 +258,14 @@ bool count_per_unit(LocalCounters& local, const CounterSink& sink,
 }
 
 struct Batches {
-  std::uint32_t tree, state, dead_end, period;
+  std::uint32_t tree, state, dead_end;
 };
 
 struct Side {
   CounterSink sink;
   LocalCounters local;
-  Side(const StoppingRules& rules, bool concurrent, const Batches& b)
-      : sink(rules, concurrent),
-        local(sink, b.tree, b.state, b.dead_end, b.period) {}
+  Side(const StoppingRules& rules, std::size_t workers, const Batches& b)
+      : sink(rules, workers), local(sink, b.tree, b.state, b.dead_end) {}
 };
 
 /// Prior counts: `states` states, then `trees` (state, tree) pairs and one
@@ -238,12 +280,12 @@ void prior_counts(Side& side, std::uint64_t states, std::uint64_t pairs) {
   if (!side.sink.stop_requested()) side.local.count_dead_end();
 }
 
-void expect_same_as_per_unit(const StoppingRules& rules, bool concurrent,
+void expect_same_as_per_unit(const StoppingRules& rules, std::size_t workers,
                              const Batches& b, std::uint64_t prior_states,
                              std::uint64_t prior_pairs, const RunShape& shape,
                              std::uint64_t* bulk_stops) {
-  Side unit(rules, concurrent, b);
-  Side bulk(rules, concurrent, b);
+  Side unit(rules, workers, b);
+  Side bulk(rules, workers, b);
   prior_counts(unit, prior_states, prior_pairs);
   prior_counts(bulk, prior_states, prior_pairs);
   if (unit.sink.stop_requested()) return;  // the run would never start
@@ -271,24 +313,25 @@ void expect_same_as_per_unit(const StoppingRules& rules, bool concurrent,
   same("after counting on and flushing");
 }
 
+// Every batch set runs on a lone sink, where a worker also flushes at the
+// unit that reaches a limit, and on a shared one.
 TEST(LocalCounters, CountRunMatchesPerUnitCounts) {
   const Batches batch_sets[] = {
-      {1, 1, 1, 256},           // serial runs
-      {1024, 8192, 1024, 1},    // the pool batches
-      {3, 7, 2, 4},             // small batches, a throttled clock
-      {1, 8, 1, 32},            // batch 1 beside a larger batch
+      {1, 1, 1},           // unbatched
+      {1024, 8192, 1024},  // the paper's batches
+      {3, 7, 2},           // small batches
+      {1, 8, 1},           // batch 1 beside a larger batch
   };
   std::uint64_t bulk_stops = 0;
   for (const Batches& b : batch_sets) {
-    for (const bool concurrent : {false, true}) {
+    for (const std::size_t workers : {1, 2}) {
       for (const RunShape& shape : run_shapes()) {
         const Totals run = run_totals(shape);
         for (const std::uint64_t prior : {0, 1, 2, 117, 255, 256, 300}) {
           SCOPED_TRACE("batches " + std::to_string(b.tree) + "/" +
                        std::to_string(b.state) + "/" +
-                       std::to_string(b.dead_end) + " period " +
-                       std::to_string(b.period) +
-                       (concurrent ? " concurrent" : "") + " lead " +
+                       std::to_string(b.dead_end) + " workers " +
+                       std::to_string(workers) + " lead " +
                        std::to_string(shape.lead) + " segments " +
                        std::to_string(shape.segments.size()) + " prior " +
                        std::to_string(prior));
@@ -315,7 +358,7 @@ TEST(LocalCounters, CountRunMatchesPerUnitCounts) {
           inside.max_stand_trees = trees0 + run.trees / 3 + 1;
           rule_sets.push_back(inside);
           for (const StoppingRules& rules : rule_sets)
-            expect_same_as_per_unit(rules, concurrent, b, prior, prior / 2,
+            expect_same_as_per_unit(rules, workers, b, prior, prior / 2,
                                     shape, &bulk_stops);
         }
       }
@@ -324,58 +367,11 @@ TEST(LocalCounters, CountRunMatchesPerUnitCounts) {
   EXPECT_GT(bulk_stops, 100u);  // the stops inside runs were exercised
 }
 
-TEST(LocalCounters, CountRunReportsFlushesAfterItsFirstPerUnitStep) {
-  // At small pool-like batches every flush is a unit counted on its own;
-  // late_flushes() places each one at the start of the per-unit step (a
-  // segment's lead states, or its pairs or dead end) it falls in.
-  const RunShape shape{1, {3, 0, 5, 1, 0, 2}};
-  for (std::uint64_t prior = 0; prior < 8; ++prior) {
-    CounterSink unit_sink({});
-    LocalCounters unit(unit_sink, 2, 3, 2, 1);
-    CounterSink bulk_sink({});
-    LocalCounters bulk(bulk_sink, 2, 3, 2, 1);
-    for (std::uint64_t k = 0; k < prior; ++k) {
-      unit.count_state();
-      bulk.count_state();
-    }
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> want;
-    std::uint64_t offset = 0;
-    const auto per_unit_step = [&](auto&& count) {
-      const std::uint64_t start = offset;
-      const std::uint64_t flushes = unit.flush_count();
-      count();
-      if (start > 0 && unit.flush_count() > flushes)
-        want.emplace_back(start, unit.flush_count() - flushes);
-    };
-    for (const std::uint32_t m : shape.segments) {
-      per_unit_step([&] {
-        unit.count_state();
-        ++offset;
-      });
-      per_unit_step([&] {
-        if (m == 0) {
-          unit.count_dead_end();
-          ++offset;
-        }
-        for (std::uint32_t j = 0; j < m; ++j) {
-          unit.count_state();
-          unit.count_stand_tree();
-          offset += 2;
-        }
-      });
-    }
-    ASSERT_TRUE(bulk.count_run(shape.lead, shape.segments));
-    EXPECT_EQ(bulk.late_flushes(), want) << "prior " << prior;
-    EXPECT_EQ(bulk.flush_count(), unit.flush_count());
-    EXPECT_FALSE(want.empty());
-  }
-}
-
 TEST(LocalCounters, CountRunAtBatchOnePublishesEveryUnit) {
   // At batch 1 with nothing in reach every unit is published when the run
   // returns, and the flush count is the per-unit one.
-  CounterSink sink({});
-  LocalCounters local(sink, 1, 1, 1, 256);
+  CounterSink sink({}, /*workers=*/2);
+  LocalCounters local(sink, 1, 1, 1);
   const std::vector<std::uint32_t> segments{3, 0, 4};
   EXPECT_TRUE(local.count_run(1, segments));
   EXPECT_EQ(sink.states(), 10u);
@@ -387,8 +383,8 @@ TEST(LocalCounters, CountRunAtBatchOnePublishesEveryUnit) {
 
 TEST(LocalCounters, CountRunKeepsPoolBatchesLocal) {
   // Below the batches nothing is published, as with per-unit counts.
-  CounterSink sink({}, /*concurrent=*/true);
-  LocalCounters local(sink, 1024, 8192, 1024, 1);
+  CounterSink sink({}, /*workers=*/2);
+  LocalCounters local(sink, 1024, 8192, 1024);
   const std::vector<std::uint32_t> segments{3, 0, 4};
   EXPECT_TRUE(local.count_run(1, segments));
   EXPECT_EQ(sink.states(), 0u);
@@ -409,7 +405,7 @@ class CountingWaker final : public StopWaker {
 }  // namespace
 
 TEST(CounterSink, RequestStopInvokesRegisteredWaker) {
-  CounterSink sink({});
+  CounterSink sink({}, /*workers=*/1);
   CountingWaker waker;
   sink.set_stop_waker(&waker);
   sink.request_stop(StopReason::kTreeLimit);
@@ -420,7 +416,7 @@ TEST(CounterSink, RequestStopInvokesRegisteredWaker) {
 }
 
 TEST(CounterSink, ClearedWakerIsNotInvoked) {
-  CounterSink sink({});
+  CounterSink sink({}, /*workers=*/1);
   CountingWaker waker;
   sink.set_stop_waker(&waker);
   sink.set_stop_waker(nullptr);
@@ -433,7 +429,7 @@ TEST(CounterSink, StoppingRuleCrossingFiresWaker) {
   // the waker so parked consumers unblock without a second stop observer.
   StoppingRules rules;
   rules.max_states = 10;
-  CounterSink sink(rules);
+  CounterSink sink(rules, /*workers=*/1);
   CountingWaker waker;
   sink.set_stop_waker(&waker);
   sink.add_states(10);

@@ -67,7 +67,7 @@ TEST(Enumerator, PrefixIsDeterministicAcrossInstances) {
   const auto ds = hard_dataset();
   Options opts;
   const auto problem = build_problem(ds.constraints, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/2);
   Enumerator a(problem, opts, sink), b(problem, opts, sink);
   const auto& pa = a.run_prefix(true);
   const auto& pb = b.run_prefix(false);
@@ -89,7 +89,7 @@ TEST(Enumerator, UncountedPrefixKeepsTotalsSerial) {
 
   // Simulate two "threads" sharing the initial branches; neither prefix is
   // double counted, replays are free: totals must equal the serial run.
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/2);
   Enumerator a(problem, opts, sink), b(problem, opts, sink);
   const auto& prefix = a.run_prefix(true);
   b.run_prefix(false);
@@ -114,7 +114,7 @@ TEST(Enumerator, AdoptRewindRoundTripsExactly) {
   const auto ds = hard_dataset(77);
   Options opts;
   const auto problem = build_problem(ds.constraints, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/2);
 
   // A producer generates tasks; a thief replays one and hands its agile
   // tree back to I0 unchanged.
@@ -155,7 +155,7 @@ TEST(Enumerator, NoTaskOfferedBelowThreeRemainingTaxa) {
   cs.push_back(phylo::parse_newick("(w,a,b);", taxa));  // 1 free taxon
   Options opts;
   const auto problem = build_problem(cs, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/1);
   Enumerator e(problem, opts, sink);
   RecordingSink tasks(100);
   e.set_task_sink(&tasks);
@@ -172,7 +172,7 @@ TEST(Enumerator, OfferedTaskHalvesTheBranchSet) {
   const auto ds = hard_dataset(11);
   Options opts;
   const auto problem = build_problem(ds.constraints, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/1);
   Enumerator e(problem, opts, sink);
   RecordingSink tasks(1);
   e.set_task_sink(&tasks);
@@ -193,7 +193,7 @@ TEST(Enumerator, OfferedTaskIsTheFirstHalfOfTheFrame) {
   const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/3);
   const Options opts = flood_options(ds);
   const auto problem = build_problem(ds.constraints, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/1);
   Enumerator e(problem, opts, sink);
   RecordingSink log(0);
   explore_all(e, log);
@@ -226,7 +226,7 @@ TEST(Enumerator, OffersReachDownToTheOfferFloor) {
   const auto ds = datagen::make_flood_instance(/*depth=*/6, /*seed=*/3);
   const Options opts = flood_options(ds);
   const auto problem = build_problem(ds.constraints, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/1);
   Enumerator e(problem, opts, sink);
   RecordingSink log(0);
   const std::size_t prefix = explore_all(e, log).length;
@@ -248,7 +248,7 @@ TEST(Enumerator, RejectedOffersLeaveTheFrameWhole) {
   Options opts;
   const auto problem = build_problem(ds.constraints, opts);
   const auto serial = run_serial(problem, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/1);
   Enumerator e(problem, opts, sink);
   RecordingSink log(0);
   explore_all(e, log);
@@ -270,7 +270,7 @@ TEST(Enumerator, AcceptingEveryOfferKeepsTotalsExact) {
        {std::pair{flood, flood_options(flood)}, std::pair{sim, Options{}}}) {
     const auto problem = build_problem(ds.constraints, opts);
     const auto serial = run_serial(problem, opts);
-    CounterSink sink(opts.stop);
+    CounterSink sink(opts.stop, /*workers=*/2);
     Enumerator producer(problem, opts, sink);
     RecordingSink queue(SIZE_MAX);
     explore_all(producer, queue);
@@ -299,7 +299,7 @@ TEST(Enumerator, StopFlagHaltsStepping) {
   const auto ds = hard_dataset(5);
   Options opts;
   const auto problem = build_problem(ds.constraints, opts);
-  CounterSink sink(opts.stop);
+  CounterSink sink(opts.stop, /*workers=*/1);
   Enumerator e(problem, opts, sink);
   const auto& prefix = e.run_prefix(true);
   ASSERT_EQ(prefix.outcome, Enumerator::Prefix::Outcome::kSplit);

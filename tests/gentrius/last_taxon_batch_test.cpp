@@ -4,7 +4,8 @@
 // two-taxon frame in closed form where its taxa cannot interact. Collecting
 // runs still insert every branch, so they are the reference: states, trees,
 // dead ends and the stop reason must agree with no limits and with limits
-// that land inside a last-taxon or a two-taxon frame, and every driver,
+// that land inside a last-taxon or a two-taxon frame (in every one-worker
+// run, where those limits are exact), and every driver,
 // whose workers hand frames to each other above the last two levels, must
 // agree with the serial count.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "datagen/dataset.hpp"
+#include "drivers.hpp"
 #include "gentrius/counters.hpp"
 #include "gentrius/enumerator.hpp"
 #include "gentrius/serial.hpp"
@@ -106,7 +108,9 @@ std::vector<FrameStep> frame_steps(const Problem& problem, Options opts,
   opts.collect_trees = false;
   opts.tree_flush_batch = opts.state_flush_batch = 1;
   opts.dead_end_flush_batch = 1;
-  CounterSink sink(opts.stop);
+  // Shared, so that only the batches place flushes: every unit is published
+  // and the sink's totals between steps are exact.
+  CounterSink sink(opts.stop, /*workers=*/2);
   Enumerator e(problem, opts, sink);
   const auto& prefix = e.run_prefix(/*count=*/true);
   std::vector<FrameStep> frames;
@@ -136,9 +140,14 @@ void expect_counting_matches_collecting(const Problem& problem,
   Options opts = base;
   opts.stop.max_stand_trees = max_trees;
   opts.stop.max_states = max_states;
-  expect_same_counts(serial(problem, opts, false), serial(problem, opts, true),
-                     name + " max_stand_trees=" + std::to_string(max_trees) +
-                         " max_states=" + std::to_string(max_states));
+  const Result want = serial(problem, opts, true);
+  // Every one-worker run counts frames in closed form and stops exactly.
+  for (const auto& driver : driver_test::kDrivers) {
+    expect_same_counts(driver.run(problem, opts, 1), want,
+                       name + " " + driver.name +
+                           " max_stand_trees=" + std::to_string(max_trees) +
+                           " max_states=" + std::to_string(max_states));
+  }
 }
 
 TEST(LastTaxonBatch, CountingMatchesCollectingWithoutLimits) {

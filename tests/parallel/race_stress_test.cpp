@@ -49,7 +49,7 @@ TEST(RaceStress, PushStormVersusBroadcastStop) {
   constexpr std::size_t kProducers = 4;
 
   for (int round = 0; round < kRounds; ++round) {
-    core::CounterSink sink({});
+    core::CounterSink sink({}, /*workers=*/1);
     TaskQueue queue(/*capacity=*/4, /*workers=*/kConsumers);
     std::atomic<int> consumed{0};
     std::atomic<int> accepted{0};
@@ -102,7 +102,7 @@ TEST(RaceStress, PushStormVersusBroadcastStop) {
 TEST(RaceStress, LastWorkerTerminationRacesLatePush) {
   constexpr int kRounds = 300;
   for (int round = 0; round < kRounds; ++round) {
-    core::CounterSink sink({});
+    core::CounterSink sink({}, /*workers=*/1);
     TaskQueue queue(/*capacity=*/2, /*workers=*/2);
     std::atomic<int> consumed{0};
     std::atomic<int> accepted{0};
@@ -145,7 +145,7 @@ TEST(RaceStress, SelfDrainingPoolWithReoffers) {
   constexpr int kRounds = 20;
   constexpr std::size_t kWorkers = 8;
   for (int round = 0; round < kRounds; ++round) {
-    core::CounterSink sink({});
+    core::CounterSink sink({}, /*workers=*/1);
     TaskQueue queue(queue_capacity_for(kWorkers), kWorkers);
     std::atomic<int> consumed{0};
     std::atomic<int> accepted{0};
@@ -183,7 +183,7 @@ TEST(RaceStress, DequeSelfDrainingPoolWithReoffers) {
   constexpr int kRounds = 20;
   constexpr std::size_t kWorkers = 8;
   for (int round = 0; round < kRounds; ++round) {
-    core::CounterSink sink({});
+    core::CounterSink sink({}, /*workers=*/1);
     DequeScheduler sched(kWorkers, /*steal_seed=*/static_cast<std::uint64_t>(round));
     std::atomic<int> consumed{0};
     std::atomic<int> accepted{0};
@@ -228,7 +228,7 @@ TEST(RaceStress, DequeStealStormVersusBroadcastStop) {
   constexpr std::size_t kWorkers = 4;
 
   for (int round = 0; round < kRounds; ++round) {
-    core::CounterSink sink({});
+    core::CounterSink sink({}, /*workers=*/1);
     DequeScheduler sched(kWorkers, /*steal_seed=*/7);
     std::atomic<int> consumed{0};
     std::atomic<int> accepted{0};
@@ -388,7 +388,7 @@ TEST(RaceStress, CounterFlushStorm) {
   constexpr std::uint64_t kStatesPer = 5000;
   constexpr std::uint64_t kDeadEndsPer = 3000;
 
-  core::CounterSink sink({});  // default limits: far out of reach
+  core::CounterSink sink({}, kThreads);  // default limits: far out of reach
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {
@@ -419,7 +419,7 @@ TEST(RaceStress, StopRuleFiresOnceUnderFlushStorm) {
   core::StoppingRules rules;
   rules.max_states = kLimit;
 
-  core::CounterSink sink(rules);
+  core::CounterSink sink(rules, kThreads);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < kThreads; ++i) {
     threads.emplace_back([&] {

@@ -146,14 +146,14 @@ TEST(DequeScheduler, PerWorkerCapacityBeatsTheCentralRuleAtScale) {
 }
 
 TEST(DequeScheduler, SingleWorkerTerminatesImmediately) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   DequeScheduler sched(1, /*steal_seed=*/1);
   core::Task out;
   EXPECT_FALSE(sched.acquire(0, sink, out));
 }
 
 TEST(DequeScheduler, OwnerDrainsOwnDequeBeforeTermination) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   DequeScheduler sched(1, 1);
   core::Task t = make_task(7);
   ASSERT_TRUE(sched.sink_for(0)->try_push(t));
@@ -167,7 +167,7 @@ TEST(DequeScheduler, OwnerDrainsOwnDequeBeforeTermination) {
 }
 
 TEST(DequeScheduler, ThiefStealsAcrossWorkersAndPoolTerminates) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   DequeScheduler sched(2, 1);
   // Worker 0 offers two tasks, then both workers drain to termination.
   for (int i = 0; i < 2; ++i) {
@@ -191,7 +191,7 @@ TEST(DequeScheduler, ThiefStealsAcrossWorkersAndPoolTerminates) {
 // the thief whole, and a push into a full own deque is rejected, counted,
 // and leaves the task untouched.
 TEST(DequeScheduler, HandleKeepsTheTaskSinkContract) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   DequeScheduler sched(2, 1);
   core::TaskSink* own = sched.sink_for(0);
   core::Task first = make_task(1);
@@ -233,7 +233,7 @@ TEST(DequeScheduler, HandleKeepsTheTaskSinkContract) {
 // idle and the pool terminates. A thief that blocked on the lock would
 // make no failed probe in the 5 s the lock is held at most.
 TEST(DequeScheduler, LockedVictimRingIsAFailedProbeAndTheTaskMovesOnce) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   DequeScheduler sched(2, /*steal_seed=*/1);
   core::Task t = make_task(7);
   ASSERT_TRUE(sched.sink_for(0)->try_push(t));
@@ -290,7 +290,7 @@ std::thread start_idle_worker(DequeScheduler& sched,
 }
 
 TEST(DequeScheduler, PushReachesAWaitingThief) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   for (int round = 0; round < kReleaseRounds; ++round) {
     DequeScheduler sched(2, /*steal_seed=*/1);
     int got = -1;
@@ -307,7 +307,7 @@ TEST(DequeScheduler, PushReachesAWaitingThief) {
 }
 
 TEST(DequeScheduler, LastBusyWorkerReleasesAWaitingWorker) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   for (int round = 0; round < kReleaseRounds; ++round) {
     DequeScheduler sched(2, /*steal_seed=*/1);
     std::thread other = start_idle_worker(sched, [&] {
@@ -322,7 +322,7 @@ TEST(DequeScheduler, LastBusyWorkerReleasesAWaitingWorker) {
 
 TEST(DequeScheduler, RequestStopReleasesAWaitingWorker) {
   for (int round = 0; round < kReleaseRounds; ++round) {
-    core::CounterSink sink({});
+    core::CounterSink sink({}, /*workers=*/1);
     DequeScheduler sched(2, /*steal_seed=*/1);
     sink.set_stop_waker(&sched);
     std::thread other = start_idle_worker(sched, [&] {
@@ -336,7 +336,7 @@ TEST(DequeScheduler, RequestStopReleasesAWaitingWorker) {
 }
 
 TEST(DequeScheduler, PushRejectedAfterStop) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   DequeScheduler sched(2, 1);
   sched.broadcast_stop();
   core::Task t = make_task(1);
@@ -379,7 +379,7 @@ void expect_prompt_stop_wake(Scheduler& sched, core::CounterSink& sink,
 }
 
 TEST(StopWake, RequestStopUnparksCentralQueueConsumer) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue queue(4, /*workers=*/2);  // 1 busy worker remains: pop blocks
   expect_prompt_stop_wake(queue, sink, [&] {
     core::Task t;
@@ -388,7 +388,7 @@ TEST(StopWake, RequestStopUnparksCentralQueueConsumer) {
 }
 
 TEST(StopWake, RequestStopUnparksDequeSchedulerConsumer) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   DequeScheduler sched(2, /*steal_seed=*/1);  // worker 1 never arrives
   expect_prompt_stop_wake(sched, sink, [&] {
     core::Task t;

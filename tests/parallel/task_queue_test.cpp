@@ -55,7 +55,7 @@ TEST(TaskQueue, RejectedPushLeavesTheTaskUntouched) {
 // An accepted task reaches its consumer whole, and size() follows every
 // push and pop.
 TEST(TaskQueue, PopDeliversThePushedTaskAndSizeFollows) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(3, /*workers=*/2);
   std::vector<core::Task> sent;
   for (int tag = 1; tag <= 2; ++tag) {
@@ -80,14 +80,14 @@ TEST(TaskQueue, PopDeliversThePushedTaskAndSizeFollows) {
 }
 
 TEST(TaskQueue, SingleWorkerTerminatesImmediately) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(2, 1);
   core::Task out;
   EXPECT_FALSE(q.pop(sink, out));
 }
 
 TEST(TaskQueue, HandsTasksFifoAndTerminates) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(4, 2);
   ASSERT_TRUE(push(q, make_task(7)));
   ASSERT_TRUE(push(q, make_task(8)));
@@ -110,7 +110,7 @@ TEST(TaskQueue, HandsTasksFifoAndTerminates) {
 }
 
 TEST(TaskQueue, StopReleasesWaiters) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(4, 2);
   std::atomic<bool> released{false};
   std::thread waiter([&] {
@@ -129,7 +129,7 @@ TEST(TaskQueue, StopReleasesWaiters) {
 TEST(TaskQueue, PopReturnsNulloptAfterStopWithTasksStillEnqueued) {
   // A stopping rule fired while the queue still holds work: pop must not
   // hand out the stale tasks, it must report termination.
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(4, /*workers=*/2);
   ASSERT_TRUE(push(q, make_task(1)));
   ASSERT_TRUE(push(q, make_task(2)));
@@ -145,7 +145,7 @@ TEST(TaskQueue, PopReturnsNulloptAfterStopWithTasksStillEnqueued) {
 TEST(TaskQueue, PopHonoursSinkStopEvenWithoutBroadcast) {
   // The sink's stop flag alone (no broadcast_stop yet) must already prevent
   // task hand-out to a worker arriving at pop().
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(4, /*workers=*/2);
   ASSERT_TRUE(push(q, make_task(7)));
   sink.request_stop(core::StopReason::kTreeLimit);
@@ -156,7 +156,7 @@ TEST(TaskQueue, PopHonoursSinkStopEvenWithoutBroadcast) {
 TEST(TaskQueue, TryPushRejectedAfterTermination) {
   // done_ set by broadcast_stop: every subsequent push must be rejected so
   // producers keep their branches instead of leaking them into a dead queue.
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(4, /*workers=*/2);
   q.broadcast_stop();
   EXPECT_FALSE(push(q, make_task(1)));
@@ -166,7 +166,7 @@ TEST(TaskQueue, TryPushRejectedAfterTermination) {
 TEST(TaskQueue, TryPushRejectedAfterLastWorkerTerminates) {
   // done_ set by the termination-detection path (last worker idle, queue
   // empty) rather than by broadcast_stop.
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   TaskQueue q(4, /*workers=*/1);
   core::Task out;
   EXPECT_FALSE(q.pop(sink, out));  // sole worker goes idle: done
@@ -195,7 +195,7 @@ std::thread start_consumer(const std::function<void()>& pop) {
 }
 
 TEST(TaskQueue, PushReachesAWaitingConsumer) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   for (int round = 0; round < kReleaseRounds; ++round) {
     TaskQueue q(4, /*workers=*/2);
     int got = -1;
@@ -211,7 +211,7 @@ TEST(TaskQueue, PushReachesAWaitingConsumer) {
 }
 
 TEST(TaskQueue, LastBusyWorkerReleasesAWaitingConsumer) {
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   for (int round = 0; round < kReleaseRounds; ++round) {
     TaskQueue q(4, /*workers=*/2);
     std::thread consumer = start_consumer([&] {
@@ -226,7 +226,7 @@ TEST(TaskQueue, LastBusyWorkerReleasesAWaitingConsumer) {
 
 TEST(TaskQueue, RequestStopReleasesAWaitingConsumer) {
   for (int round = 0; round < kReleaseRounds; ++round) {
-    core::CounterSink sink({});
+    core::CounterSink sink({}, /*workers=*/1);
     TaskQueue q(4, /*workers=*/2);
     sink.set_stop_waker(&q);
     std::thread consumer = start_consumer([&] {
@@ -242,7 +242,7 @@ TEST(TaskQueue, RequestStopReleasesAWaitingConsumer) {
 TEST(TaskQueue, ManyThreadsStress) {
   // Producers/consumers hammering the queue; the test asserts clean
   // termination and that every pushed task is consumed at most once.
-  core::CounterSink sink({});
+  core::CounterSink sink({}, /*workers=*/1);
   constexpr std::size_t kWorkers = 8;
   TaskQueue q(queue_capacity_for(kWorkers), kWorkers);
   std::atomic<int> consumed{0};
