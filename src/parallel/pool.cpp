@@ -6,6 +6,7 @@
 
 #include "gentrius/counters.hpp"
 #include "gentrius/enumerator.hpp"
+#include "gentrius/serial.hpp"
 #include "parallel/steal_deque.hpp"
 #include "parallel/task_queue.hpp"
 #include "parallel/worker_cache.hpp"
@@ -171,10 +172,11 @@ Result assemble(const CounterSink& sink, std::vector<WorkerOutput>& outputs,
 }
 
 /// Runs the pool with `scheduler` for work stealing, or none (nullptr).
+/// One worker is no pool: the drivers make the serial run for it.
 template <class Scheduler>
 Result run_pool(const Problem& problem, const Options& options,
                 std::size_t n_threads, Scheduler* scheduler) {
-  GENTRIUS_CHECK(n_threads >= 1);
+  GENTRIUS_CHECK(n_threads >= 2);
   CounterSink sink(options.stop, n_threads);
   std::vector<WorkerOutput> outputs(n_threads);
   // Stop-wake hook: request_stop from any thread unblocks waiting consumers
@@ -183,27 +185,19 @@ Result run_pool(const Problem& problem, const Options& options,
   // scope.
   if (scheduler != nullptr) sink.set_stop_waker(scheduler);
 
+  // Every worker gets a parked thread of its own, and the calling thread
+  // only waits until every job has returned. Running worker 0 on the
+  // calling thread instead made the benchmark's pool timings vary several
+  // times more from one process to the next (docs/PERFORMANCE.md §13), and
+  // starting fresh threads for every run cost 36–50 µs a pool (§16). When
+  // N_t workers plus this thread fit the machine, every wait of the run,
+  // the caller's included, spins for about 0.2 ms before it blocks, so a
+  // short run pays no futex wake-up (§20).
   FirstError error;
-  const auto work = [&](std::size_t tid) {
+  WorkerCache::shared().run(n_threads, [&](std::size_t tid) {
     run_worker(tid, n_threads, problem, options, sink, scheduler,
                outputs[tid], error);
-  };
-  if (n_threads == 1) {
-    // One worker, on the calling thread: the run every driver makes at
-    // N_t = 1.
-    work(0);
-  } else {
-    // Every worker gets a parked thread of its own, and the calling thread
-    // only waits until every job has returned. Running worker 0 on the
-    // calling thread instead made the benchmark's pool timings vary
-    // several times more from one process to the next
-    // (docs/PERFORMANCE.md §13), and starting fresh threads for every run
-    // cost 36–50 µs a pool (§16). When N_t workers plus this thread fit the
-    // machine, every wait of the run, the caller's included, spins for
-    // about 0.2 ms before it blocks, so a short run pays no futex wake-up
-    // (§20).
-    WorkerCache::shared().run(n_threads, work);
-  }
+  });
   sink.set_stop_waker(nullptr);
   error.rethrow_if_any();
   return assemble(sink, outputs, scheduler);
@@ -213,10 +207,9 @@ Result run_pool(const Problem& problem, const Options& options,
 
 Result run_parallel(const Problem& problem, const Options& options,
                     std::size_t n_threads) {
-  core::validate_options(options);
   // A lone worker has no one to offer work to.
-  if (n_threads == 1)
-    return run_pool<TaskQueue>(problem, options, n_threads, nullptr);
+  if (n_threads == 1) return core::run_serial(problem, options);
+  core::validate_options(options);
   if (options.scheduler == core::Scheduler::kDistributedDeques) {
     DequeScheduler deques(n_threads, options.steal_seed);
     return run_pool(problem, options, n_threads, &deques);
@@ -227,6 +220,7 @@ Result run_parallel(const Problem& problem, const Options& options,
 
 Result run_static_split(const Problem& problem, const Options& options,
                         std::size_t n_threads) {
+  if (n_threads == 1) return core::run_serial(problem, options);
   core::validate_options(options);
   return run_pool<TaskQueue>(problem, options, n_threads, nullptr);
 }

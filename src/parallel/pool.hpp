@@ -18,13 +18,13 @@ namespace gentrius::parallel {
 /// stopping rules may therefore overshoot slightly, exactly as the paper
 /// describes. With stopping rules disabled the result (tree/state/dead-end
 /// counts, and the collected stand) is identical to run_serial. With one
-/// worker there is no queue to offer to: the run is run_serial's, its exact
-/// limits included.
+/// worker there is no queue to offer to, and the run is run_serial's.
 core::Result run_parallel(const core::Problem& problem,
                           const core::Options& options, std::size_t n_threads);
 
 /// Ablation baseline: initial split only, no work stealing (tasks are never
-/// offered). Demonstrates the load imbalance the thread pool removes.
+/// offered). Demonstrates the load imbalance the thread pool removes. With
+/// one worker the run is run_serial's.
 core::Result run_static_split(const core::Problem& problem,
                               const core::Options& options,
                               std::size_t n_threads);

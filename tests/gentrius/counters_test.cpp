@@ -106,7 +106,7 @@ TEST(LocalCounters, BatchZeroBehavesAsOne) {
 // The clock cadence is pinned by its effect: under an expired clock
 // (max_seconds = 0) the stop arrives on exactly the flush that reads it.
 
-TEST(LocalCounters, DefaultPeriodChecksTimeEveryFlush) {
+TEST(LocalCounters, EveryBatchFlushReadsTheClock) {
   // The documented granularity: one clock read per flush, whichever of the
   // three sites flushes. Counts below the batch publish nothing and read no
   // clock; the flush that reads it still publishes its whole batch.
